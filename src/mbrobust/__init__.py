@@ -26,7 +26,7 @@ from .data import (
     split_leave_one_out,
     write_split,
 )
-from .evaluation import EvalReport, evaluate, rank_user, robustness_sweep
+from .evaluation import EvalReport, evaluate, robustness_sweep
 from .gradcheck import run_gradcheck
 from .graph import BehaviorGraph, build_graph, propagate, propagate_adjoint
 from .losses import (
@@ -37,8 +37,6 @@ from .losses import (
     TripletBatch,
     bpr_loss,
     fuse,
-    irm_v1_penalty,
-    irm_v2_penalty,
     main_loss,
     orm_loss,
     rrm_loss,
@@ -50,7 +48,6 @@ from .training import (
     TrainConfig,
     adam_step,
     load_checkpoint,
-    sample_batch,
     save_checkpoint,
     train,
 )

@@ -17,7 +17,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import fields, replace
 
 from . import seeds
 from .data import (
@@ -34,7 +34,13 @@ from .data import (
 )
 from .evaluation import evaluate, robustness_sweep, sweep_csv
 from .gradcheck import DEFAULT_TOLERANCE, run_gradcheck
-from .losses import Hyperparameters, ObjectiveError
+from .losses import (
+    IRM_VARIANTS,
+    ORM_SCOPES,
+    RRM_MODES,
+    Hyperparameters,
+    ObjectiveError,
+)
 from .training import (
     NonFiniteGradientError,
     TrainConfig,
@@ -45,36 +51,10 @@ from .training import (
     train,
 )
 
-log = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-_HP_FIELDS = {
-    "dim": int,
-    "num_layers": int,
-    "tau": float,
-    "lambda_rrm": float,
-    "lambda_orm": float,
-    "lambda_reg": float,
-    "irm_variant": str,
-    "orm_scope": str,
-    "rrm_denominator": str,
-    "lr": float,
-    "batch_size": int,
-    "max_epochs": int,
-    "patience": int,
-    "seed": int,
-}
-_EXTRA_FIELDS = {
-    "eval_every": int,
-    "ks": str,
-    "disable_rrm": bool,
-    "disable_orm": bool,
-    "drop_behaviors": str,
-}
 
 
 class ConfigError(Exception):
@@ -94,7 +74,42 @@ def _parse_bool(raw: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _parse_ks(raw: str) -> tuple[int, ...]:
+    try:
+        ks = tuple(int(tok) for tok in raw.split(",") if tok.strip())
+    except ValueError:
+        ks = ()
+    if not ks or any(k < 1 for k in ks):
+        raise argparse.ArgumentTypeError(f"bad cutoff list {raw!r}")
+    return ks
+
+
+def _value_parser(default):
+    return _parse_ks if isinstance(default, tuple) else type(default)
+
+
+# Config keys and their value parsers.  The Hyperparameters fields and
+# TrainConfig's run fields are derived from the dataclasses (typed by their
+# defaults), so a new field reaches the config file, the flags and the echo
+# at once; the ablation keys are not training-config fields.
+_HP_KEYS = {f.name: _value_parser(f.default) for f in fields(Hyperparameters)}
+_RUN_KEYS = {
+    f.name: _value_parser(f.default) for f in fields(TrainConfig) if f.name != "hp"
+}
+_ABLATION_KEYS = {
+    "disable_rrm": _parse_bool,
+    "disable_orm": _parse_bool,
+    "drop_behaviors": str,
+}
+_CONFIG_KEYS = {**_HP_KEYS, **_RUN_KEYS, **_ABLATION_KEYS}
+_CHOICES = {
+    "irm_variant": IRM_VARIANTS,
+    "orm_scope": ORM_SCOPES,
+    "rrm_denominator": RRM_MODES,
+}
 
 
 def read_config_file(path: str) -> dict:
@@ -108,95 +123,49 @@ def read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, raw = (part.strip() for part in line.split("=", 1))
-            if key in _HP_FIELDS:
-                caster = _HP_FIELDS[key]
-            elif key in _EXTRA_FIELDS:
-                caster = _EXTRA_FIELDS[key]
-            else:
+            if key not in _CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                values[key] = _parse_bool(raw) if caster is bool else caster(raw)
-            except ValueError:
+                values[key] = _CONFIG_KEYS[key](raw)
+            except (ValueError, argparse.ArgumentTypeError):
                 raise ConfigError(
                     f"{path}:{lineno}: bad value {raw!r} for {key!r}"
                 ) from None
     return values
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved training configuration: hyperparameters plus ablations."""
+def resolve_run_config(args) -> tuple[TrainConfig, tuple[str, ...]]:
+    """Merge defaults, config file, and flags (flags win).
 
-    hp: Hyperparameters
-    eval_every: int = 5
-    ks: tuple[int, ...] = (10, 20)
-    disable_rrm: bool = False
-    disable_orm: bool = False
-    drop: tuple[str, ...] = ()
-
-    def effective_hp(self) -> Hyperparameters:
-        hp = self.hp
-        if self.disable_rrm:
-            hp = replace(hp, lambda_rrm=0.0)
-        if self.disable_orm:
-            hp = replace(hp, lambda_orm=0.0)
-        return hp
-
-
-def _parse_ks(raw: str) -> tuple[int, ...]:
-    try:
-        ks = tuple(int(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"bad cutoff list {raw!r}") from None
-    if not ks or any(k < 1 for k in ks):
-        raise ConfigError(f"bad cutoff list {raw!r}")
-    return ks
-
-
-def resolve_run_config(args) -> RunConfig:
-    """Merge defaults, config file, and flags (flags win)."""
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(read_config_file(args.config))
-    for key in (*_HP_FIELDS, *_EXTRA_FIELDS):
+    Returns the training config, with ``disable_rrm``/``disable_orm``
+    folded into zero loss weights, and the auxiliary behaviors to drop.
+    """
+    values = read_config_file(args.config) if args.config else {}
+    for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
-        if flag is not None and flag is not False:
+        if flag is not None:
             values[key] = flag
-
-    hp_kwargs = {k: values[k] for k in _HP_FIELDS if k in values}
     try:
-        hp = Hyperparameters(**hp_kwargs)
+        hp = Hyperparameters(**{k: values[k] for k in _HP_KEYS if k in values})
+        if values.get("disable_rrm"):
+            hp = replace(hp, lambda_rrm=0.0)
+        if values.get("disable_orm"):
+            hp = replace(hp, lambda_orm=0.0)
+        cfg = TrainConfig(hp=hp, **{k: values[k] for k in _RUN_KEYS if k in values})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    ks = _parse_ks(values["ks"]) if isinstance(values.get("ks"), str) else values.get(
-        "ks", (10, 20)
-    )
     drop_raw = values.get("drop_behaviors", "")
-    drop = tuple(tok.strip() for tok in drop_raw.split(",") if tok.strip()) if isinstance(
-        drop_raw, str
-    ) else tuple(drop_raw)
-    eval_every = values.get("eval_every", 5)
-    if eval_every < 1:
-        raise ConfigError("eval_every must be >= 1")
-    return RunConfig(
-        hp=hp,
-        eval_every=eval_every,
-        ks=ks,
-        disable_rrm=bool(values.get("disable_rrm", False)),
-        disable_orm=bool(values.get("disable_orm", False)),
-        drop=drop,
-    )
+    return cfg, tuple(tok.strip() for tok in drop_raw.split(",") if tok.strip())
 
 
-def echo_config(cfg: RunConfig, out_dir: str) -> None:
-    hp = cfg.effective_hp()
-    lines = [f"{k} = {getattr(hp, k)}" for k in _HP_FIELDS]
-    lines.append(f"eval_every = {cfg.eval_every}")
-    lines.append("ks = " + ",".join(str(k) for k in cfg.ks))
-    lines.append(f"disable_rrm = {str(cfg.disable_rrm).lower()}")
-    lines.append(f"disable_orm = {str(cfg.disable_orm).lower()}")
-    lines.append("drop_behaviors = " + ",".join(cfg.drop))
+def echo_config(cfg: TrainConfig, drop: tuple[str, ...], out_dir: str) -> None:
+    items = [(k, getattr(cfg.hp, k)) for k in _HP_KEYS]
+    items += [(k, getattr(cfg, k)) for k in _RUN_KEYS]
+    items.append(("drop_behaviors", drop))
+    lines = [
+        f"{k} = " + (",".join(map(str, v)) if isinstance(v, tuple) else str(v))
+        for k, v in items
+    ]
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "effective_config.cfg"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -273,17 +242,16 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = resolve_run_config(args)
+    cfg, drop = resolve_run_config(args)
     split = _load_any_split(args.dataset)
-    if cfg.drop:
-        if split.train.manifest.target in cfg.drop:
+    if drop:
+        if split.train.manifest.target in drop:
             raise ConfigError("drop_behaviors must not name the target behavior")
-        split = replace(split, train=drop_behaviors(split.train, cfg.drop))
+        split = replace(split, train=drop_behaviors(split.train, drop))
 
     out = args.out or "train_out"
-    echo_config(cfg, out)
-    hp = cfg.effective_hp()
-    state, rows = train(split, TrainConfig(hp=hp, eval_every=cfg.eval_every, ks=cfg.ks))
+    echo_config(cfg, drop, out)
+    state, rows = train(split, cfg)
 
     active = [b for b in split.train.manifest.behaviors if split.train.edges[b]]
     with open(os.path.join(out, "train_log.csv"), "w", encoding="utf-8") as fh:
@@ -305,31 +273,24 @@ def cmd_evaluate(args) -> int:
             "checkpoint manifest hash does not match the dataset; "
             "was it trained on different data?"
         )
-    ks = _parse_ks(args.ks) if args.ks else (10, 20)
-    report = evaluate(state, split, ks=ks, exclude_train=not args.no_exclusion)
+    report = evaluate(state, split, ks=args.ks, exclude_train=not args.no_exclusion)
     _write_json(report.to_json_dict(), args.out)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    cfg = resolve_run_config(args)
+    cfg, drop = resolve_run_config(args)
     ds = load_dataset(args.dataset)
-    if cfg.drop:
-        ds = drop_behaviors(ds, cfg.drop)
+    if drop:
+        ds = drop_behaviors(ds, drop)
     ratios = [float(tok) for tok in args.ratios.split(",") if tok.strip()]
     modes = [tok.strip() for tok in args.modes.split(",") if tok.strip()]
     for mode in modes:
         if mode not in ("add", "remove"):
             raise ConfigError(f"unknown perturbation mode {mode!r}")
     out = args.out or "sweep_out"
-    echo_config(cfg, out)
-    rows = robustness_sweep(
-        ds,
-        TrainConfig(hp=cfg.effective_hp(), eval_every=cfg.eval_every, ks=cfg.ks),
-        ratios=ratios,
-        modes=modes,
-        seed=cfg.hp.seed,
-    )
+    echo_config(cfg, drop, out)
+    rows = robustness_sweep(ds, cfg, ratios=ratios, modes=modes, seed=cfg.hp.seed)
     csv_text = sweep_csv(rows)
     with open(os.path.join(out, "sweep.csv"), "w", encoding="utf-8") as fh:
         fh.write(csv_text)
@@ -377,29 +338,13 @@ def cmd_gradcheck(args) -> int:
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--num-layers", dest="num_layers", type=int)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--lambda-rrm", dest="lambda_rrm", type=float)
-    p.add_argument("--lambda-orm", dest="lambda_orm", type=float)
-    p.add_argument("--lambda-reg", dest="lambda_reg", type=float)
-    p.add_argument("--irm-variant", dest="irm_variant",
-                   choices=("rex", "irm_v1", "irm_v2"))
-    p.add_argument("--orm-scope", dest="orm_scope",
-                   choices=("all_behaviors", "aux_only"))
-    p.add_argument("--rrm-denominator", dest="rrm_denominator",
-                   choices=("with_positive", "literal"))
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--eval-every", dest="eval_every", type=int)
-    p.add_argument("--ks")
-    p.add_argument("--disable-rrm", dest="disable_rrm", action="store_true",
-                   default=None)
-    p.add_argument("--disable-orm", dest="disable_orm", action="store_true",
-                   default=None)
-    p.add_argument("--drop-behaviors", dest="drop_behaviors",
+    for key, parse in {**_HP_KEYS, **_RUN_KEYS}.items():
+        if key != "seed":  # the global --seed
+            p.add_argument("--" + key.replace("_", "-"), type=parse,
+                           choices=_CHOICES.get(key))
+    p.add_argument("--disable-rrm", action="store_true", default=None)
+    p.add_argument("--disable-orm", action="store_true", default=None)
+    p.add_argument("--drop-behaviors",
                    help="comma-separated auxiliary behaviors to drop")
 
 
@@ -407,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mbrobust", description=__doc__)
     parser.add_argument("--seed", type=int, default=None,
                         help="root seed for every random sub-stream (default 0)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS thread pools (default: library defaults)")
     parser.add_argument("--out", help="output file or directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -436,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="full-ranking evaluation of a checkpoint")
     p.add_argument("dataset")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--ks")
+    p.add_argument("--ks", type=_parse_ks, default=(10, 20))
     p.add_argument("--no-exclusion", dest="no_exclusion", action="store_true",
                    help="rank against all items, training positives included")
     p.set_defaults(func=cmd_evaluate)
@@ -450,9 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p.add_argument("--sizes", default="6x6x2,8x8x3")
-    p.add_argument("--variant", choices=("rex", "irm_v1", "irm_v2"))
-    p.add_argument("--mode", choices=("with_positive", "literal"))
-    p.add_argument("--scope", choices=("all_behaviors", "aux_only"))
+    p.add_argument("--variant", choices=IRM_VARIANTS)
+    p.add_argument("--mode", choices=RRM_MODES)
+    p.add_argument("--scope", choices=ORM_SCOPES)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser
@@ -465,13 +408,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if args.threads is not None:
-        try:
-            import threadpoolctl
-
-            threadpoolctl.threadpool_limits(limits=args.threads)
-        except ImportError:
-            log.warning("threadpoolctl unavailable; --threads ignored")
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -117,7 +117,15 @@ class PerturbationSpec:
 # Loading and serialization
 # ----------------------------------------------------------------------
 
-def _parse_tsv(path: str, behavior: str) -> list[tuple[str, str, int | None]]:
+def _parse_tsv(
+    path: str, ids: tuple[dict[str, int], dict[str, int]] | None = None
+) -> list[tuple]:
+    """Records of ``user<TAB>item[<TAB>timestamp]`` lines as (user, item,
+    timestamp or None).
+
+    With ``ids`` (user map, item map) the raw ids are translated to dense
+    ids, and an id missing from the maps is an error naming the line.
+    """
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -139,7 +147,16 @@ def _parse_tsv(path: str, behavior: str) -> list[tuple[str, str, int | None]]:
                     ) from None
                 if ts < 0:
                     raise DatasetError(f"{path}:{lineno}: negative timestamp {ts}")
-            records.append((fields[0], fields[1], ts))
+            if ids is None:
+                records.append((fields[0], fields[1], ts))
+                continue
+            try:
+                records.append((ids[0][fields[0]], ids[1][fields[1]], ts))
+            except KeyError as exc:
+                raise DatasetError(
+                    f"{path}:{lineno}: id {exc.args[0]!r} is not in "
+                    "users.map/items.map"
+                ) from None
     return records
 
 
@@ -174,7 +191,7 @@ def load_dataset(path: str) -> InteractionDataset:
         tsv = os.path.join(path, f"{b}.tsv")
         if not os.path.isfile(tsv):
             raise DatasetError(f"missing behavior file {tsv}")
-        raw_records[b] = _parse_tsv(tsv, b)
+        raw_records[b] = _parse_tsv(tsv)
 
     if not raw_records[target]:
         raise DatasetError(f"empty target behavior {target!r}")
@@ -206,8 +223,8 @@ def load_dataset(path: str) -> InteractionDataset:
     )
 
 
-def save_dataset(ds: InteractionDataset, path: str) -> None:
-    """Write a dataset back to the directory layout `load_dataset` reads."""
+def _write_tables(ds: InteractionDataset, path: str, prefix: str) -> None:
+    """Write the manifest and one ``<prefix><behavior>.tsv`` per behavior."""
     os.makedirs(path, exist_ok=True)
     with open(os.path.join(path, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(
@@ -217,12 +234,17 @@ def save_dataset(ds: InteractionDataset, path: str) -> None:
         )
         fh.write("\n")
     for b in ds.manifest.behaviors:
-        with open(os.path.join(path, f"{b}.tsv"), "w", encoding="utf-8") as fh:
+        with open(os.path.join(path, f"{prefix}{b}.tsv"), "w", encoding="utf-8") as fh:
             for (u, i), ts in sorted(ds.edges[b].items()):
                 cols = [ds.user_ids[u], ds.item_ids[i]]
                 if ts is not None:
                     cols.append(str(ts))
                 fh.write("\t".join(cols) + "\n")
+
+
+def save_dataset(ds: InteractionDataset, path: str) -> None:
+    """Write a dataset back to the directory layout `load_dataset` reads."""
+    _write_tables(ds, path, "")
 
 
 def write_id_maps(ds: InteractionDataset, out_dir: str) -> None:
@@ -236,23 +258,9 @@ def write_id_maps(ds: InteractionDataset, out_dir: str) -> None:
 
 def write_split(split: SplitDataset, out_dir: str) -> None:
     """Write the split TSVs plus id maps and manifest into ``out_dir``."""
-    os.makedirs(out_dir, exist_ok=True)
     ds = split.train
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {"behaviors": list(ds.manifest.behaviors), "target": ds.manifest.target},
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    _write_tables(ds, out_dir, "train.")
     write_id_maps(ds, out_dir)
-    for b in ds.manifest.behaviors:
-        with open(os.path.join(out_dir, f"train.{b}.tsv"), "w", encoding="utf-8") as fh:
-            for (u, i), ts in sorted(ds.edges[b].items()):
-                cols = [ds.user_ids[u], ds.item_ids[i]]
-                if ts is not None:
-                    cols.append(str(ts))
-                fh.write("\t".join(cols) + "\n")
     for fname, pairs in (("validation.tsv", split.validation), ("test.tsv", split.test)):
         with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as fh:
             for u, i in pairs:
@@ -262,9 +270,14 @@ def write_split(split: SplitDataset, out_dir: str) -> None:
 def _read_map(path: str) -> dict[str, int]:
     out = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            raw, dense = line.rstrip("\n").split("\t")
-            out[raw] = int(dense)
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                raw, dense = line.rstrip("\n").split("\t")
+                out[raw] = int(dense)
+            except ValueError:
+                raise DatasetError(
+                    f"{path}:{lineno}: expected 'raw_id<TAB>dense_id'"
+                ) from None
     return out
 
 
@@ -279,25 +292,12 @@ def load_split(path: str) -> SplitDataset:
     user_ids = tuple(r for r, _ in sorted(u_map.items(), key=lambda p: p[1]))
     item_ids = tuple(r for r, _ in sorted(i_map.items(), key=lambda p: p[1]))
 
-    edges: EdgeMap = {}
-    for b in behaviors:
-        bucket: dict[Edge, int | None] = {}
-        for u_raw, i_raw, ts in _parse_tsv(os.path.join(path, f"train.{b}.tsv"), b):
-            bucket[(u_map[u_raw], i_map[i_raw])] = ts
-        edges[b] = bucket
+    def read(fname: str) -> list[tuple[int, int, int | None]]:
+        return _parse_tsv(os.path.join(path, fname), (u_map, i_map))
 
-    def read_pairs(fname: str) -> tuple[Edge, ...]:
-        pairs = []
-        fpath = os.path.join(path, fname)
-        with open(fpath, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                u_raw, i_raw = line.split()[:2]
-                pairs.append((u_map[u_raw], i_map[i_raw]))
-        return tuple(pairs)
-
+    edges: EdgeMap = {
+        b: {(u, i): ts for u, i, ts in read(f"train.{b}.tsv")} for b in behaviors
+    }
     manifest = DatasetManifest(
         behaviors=behaviors, target=target, num_users=len(u_map), num_items=len(i_map)
     )
@@ -305,7 +305,9 @@ def load_split(path: str) -> SplitDataset:
         manifest=manifest, edges=edges, user_ids=user_ids, item_ids=item_ids
     )
     return SplitDataset(
-        train=train, validation=read_pairs("validation.tsv"), test=read_pairs("test.tsv")
+        train=train,
+        validation=tuple((u, i) for u, i, _ in read("validation.tsv")),
+        test=tuple((u, i) for u, i, _ in read("test.tsv")),
     )
 
 

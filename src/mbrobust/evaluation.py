@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import seeds
 from .data import (
     InteractionDataset,
     PerturbationSpec,
@@ -78,19 +79,6 @@ def held_out_rank(
         candidate & (scores == s_held) & (np.arange(len(scores)) < held_item)
     )
     return 1 + better + tied_before
-
-
-def rank_user(
-    state: ModelState,
-    graphs: dict[str, BehaviorGraph],
-    user: int,
-    held_item: int,
-    exclusions: set[int],
-) -> int:
-    """Convenience wrapper computing fused embeddings for a single query;
-    `evaluate` computes them once for the whole pass instead."""
-    z_user, z_item = fused_embeddings(state, graphs)
-    return held_out_rank(z_user, z_item, user, held_item, exclusions)
 
 
 def evaluate(
@@ -189,13 +177,11 @@ def robustness_sweep(
     for mode in modes:
         for ratio in ratios:
             cell += 1
-            cell_seed = int(
-                np.random.default_rng(
-                    np.random.SeedSequence(seed, spawn_key=(2, cell))
-                ).integers(0, 2**63 - 1)
-            )
             spec = PerturbationSpec(
-                mode=mode, ratio=ratio, behaviors=aux, seed=cell_seed
+                mode=mode,
+                ratio=ratio,
+                behaviors=aux,
+                seed=seeds.stream_seed(seed, "perturbation", cell),
             )
             noisy_train = perturb(split.train, spec)
             noisy_split = SplitDataset(

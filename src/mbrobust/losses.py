@@ -151,21 +151,24 @@ def _scatter_margin_grads(
     np.subtract.at(d_Q, neg, coef[:, None] * pu)
 
 
+def _bpr_risk(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean -log sigmoid(m) over the margins and its derivative per margin.
+
+    Uses logaddexp for the log-sigmoid so large margins neither overflow nor
+    lose the gradient's sign.
+    """
+    return float(np.mean(np.logaddexp(0.0, -m))), -expit(-m) / len(m)
+
+
 def bpr_loss(
     P: np.ndarray, Q: np.ndarray, triplets: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean -log sigmoid(score margin) and its gradient.
-
-    Uses log1p(exp(-|m|)) for the log-sigmoid so large margins neither
-    overflow nor lose the gradient's sign.
-    """
+    """Mean -log sigmoid(score margin) and its gradient."""
     triplets = _check_triplets(triplets)
-    m = _margins(P, Q, triplets)
-    loss = float(np.mean(np.logaddexp(0.0, -m)))
-    coef = -expit(-m) / len(m)
+    loss, d_m = _bpr_risk(_margins(P, Q, triplets))
     d_P = np.zeros_like(P)
     d_Q = np.zeros_like(Q)
-    _scatter_margin_grads(d_P, d_Q, P, Q, triplets, coef)
+    _scatter_margin_grads(d_P, d_Q, P, Q, triplets, d_m)
     return loss, d_P, d_Q
 
 
@@ -299,18 +302,19 @@ def orm_loss(
     return float(value), partials
 
 
-def _risk_multiplier_grad(margins: np.ndarray) -> tuple[float, np.ndarray]:
-    """d(risk)/dw at w=1 for scores scaled by a scalar w, plus d(that)/dm.
+def _irm_term(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Squared d(risk)/dw at w=1 for scores scaled by a scalar w, and its
+    derivative per margin.
 
-    risk(w) = mean softplus(-w * m); at w = 1 the derivative is
-    -(1/n) sum m * sigmoid(-m).
+    risk(w) = mean softplus(-w * m); at w = 1 its derivative is
+    g = -(1/n) sum m * sigmoid(-m), so the term is g^2 with d/dm = 2 g dg/dm.
     """
-    n = len(margins)
-    s = expit(-margins)
-    g = float(-np.sum(margins * s) / n)
+    n = len(m)
+    s = expit(-m)
+    g = float(-np.sum(m * s) / n)
     # d/dm of each term -m*s/n, with ds/dm = -s(1-s)
-    dg_dm = -(s - margins * s * (1.0 - s)) / n
-    return g, dg_dm
+    dg_dm = -(s - m * s * (1.0 - s)) / n
+    return g * g, 2.0 * g * dg_dm
 
 
 def irm_penalty(
@@ -321,7 +325,10 @@ def irm_penalty(
     """Sum over behaviors of squared d(risk)/dw at the frozen multiplier w=1.
 
     ``embs[b]`` is the (P, Q) pair for behavior b.  Returns the penalty and
-    its gradients with respect to every P and Q.
+    its gradients with respect to every P and Q.  ``irm_v1`` (trainable
+    multiplier evaluated at w = 1) and ``irm_v2`` (multiplier frozen at 1)
+    share this penalty: with a parameter-free dot-product predictor their
+    numerics are identical.
     """
     if behaviors is None:
         behaviors = list(embs)
@@ -331,27 +338,10 @@ def irm_penalty(
     for b in behaviors:
         P, Q = embs[b]
         tr = _check_triplets(triplets[b])
-        m = _margins(P, Q, tr)
-        g, dg_dm = _risk_multiplier_grad(m)
-        value += g * g
-        _scatter_margin_grads(d_P[b], d_Q[b], P, Q, tr, 2.0 * g * dg_dm)
+        term, d_m = _irm_term(_margins(P, Q, tr))
+        value += term
+        _scatter_margin_grads(d_P[b], d_Q[b], P, Q, tr, d_m)
     return value, d_P, d_Q
-
-
-def irm_v1_penalty(embs, triplets, behaviors=None):
-    """Risk-gradient alignment penalty used inside the full objective.
-
-    The score multiplier w is conceptually trainable here but evaluated at
-    w = 1; with a parameter-free dot-product predictor the numerics match
-    `irm_v2_penalty` exactly.
-    """
-    return irm_penalty(embs, triplets, behaviors)
-
-
-def irm_v2_penalty(embs, triplets, behaviors=None):
-    """Same penalty with the multiplier permanently frozen at w = 1
-    (encoder-only minimization)."""
-    return irm_penalty(embs, triplets, behaviors)
 
 
 # ----------------------------------------------------------------------
@@ -431,12 +421,11 @@ def total_loss(
     trips: dict[str, np.ndarray] = {}
     margins: dict[str, np.ndarray] = {}
     risks: dict[str, float] = {}
+    d_risks: dict[str, np.ndarray] = {}
     for b in sampled:
-        tr = _check_triplets(batch.per_behavior[b])
-        trips[b] = tr
-        m = _margins(embs[b].P, embs[b].Q, tr)
-        margins[b] = m
-        risks[b] = float(np.mean(np.logaddexp(0.0, -m)))
+        trips[b] = _check_triplets(batch.per_behavior[b])
+        margins[b] = _margins(embs[b].P, embs[b].Q, trips[b])
+        risks[b], d_risks[b] = _bpr_risk(margins[b])
 
     # alignment term
     aux = [b for b in behaviors if b != target]
@@ -455,29 +444,27 @@ def total_loss(
             log.debug("alignment loss skipped: no auxiliary behaviors")
         rrm_val, rrm_grads = 0.0, {}
 
-    # invariance term
+    # invariance term, kept per behavior as (weight, d(term)/d(margin)) so one
+    # scatter serves every variant in the backward pass
     orm_val = 0.0
-    orm_partials: dict[str, float] = {}
-    irm_scope: list[str] = []
-    irm_coef: dict[str, np.ndarray] = {}
+    orm_terms: dict[str, tuple[float, np.ndarray]] = {}
     if hp.irm_variant == "rex":
         if len(risks) >= 2 and (
             hp.orm_scope == "all_behaviors" or any(b != target for b in risks)
         ):
-            orm_val, orm_partials = orm_loss(risks, hp.orm_scope, target)
+            orm_val, partials = orm_loss(risks, hp.orm_scope, target)
+            orm_terms = {b: (w, d_risks[b]) for b, w in partials.items()}
         else:
             log.debug("invariance penalty skipped: fewer than 2 sampled risks")
-    else:
+    else:  # irm_v1 and irm_v2 share one penalty
         scope = sampled if hp.orm_scope == "all_behaviors" else [
             b for b in sampled if b != target
         ]
-        if scope:
-            for b in scope:
-                g, dg_dm = _risk_multiplier_grad(margins[b])
-                orm_val += g * g
-                irm_coef[b] = 2.0 * g * dg_dm
-            irm_scope = scope
-        else:
+        for b in scope:
+            term, d_m = _irm_term(margins[b])
+            orm_val += term
+            orm_terms[b] = (1.0, d_m)
+        if not scope:
             log.debug("invariance penalty skipped: no sampled behaviors in scope")
 
     # fused main term
@@ -507,18 +494,11 @@ def total_loss(
             d_P[b] += hp.lambda_rrm * g
 
     if hp.lambda_orm != 0.0:
-        if hp.irm_variant == "rex":
-            for b, partial in orm_partials.items():
-                coef = hp.lambda_orm * partial * (-expit(-margins[b]) / len(margins[b]))
-                _scatter_margin_grads(
-                    d_P[b], d_Q[b], embs[b].P, embs[b].Q, trips[b], coef
-                )
-        else:
-            for b in irm_scope:
-                _scatter_margin_grads(
-                    d_P[b], d_Q[b], embs[b].P, embs[b].Q, trips[b],
-                    hp.lambda_orm * irm_coef[b],
-                )
+        for b, (w, d_m) in orm_terms.items():
+            _scatter_margin_grads(
+                d_P[b], d_Q[b], embs[b].P, embs[b].Q, trips[b],
+                hp.lambda_orm * w * d_m,
+            )
 
     d_user = np.zeros_like(state.user_emb)
     d_item = np.zeros_like(state.item_emb)

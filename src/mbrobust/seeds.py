@@ -18,15 +18,21 @@ _STREAMS = {
 }
 
 
-def spawn(seed: int, stream: str) -> np.random.Generator:
-    """Return the generator for the named sub-stream of ``seed``."""
+def spawn(seed: int, stream: str, sub: int | None = None) -> np.random.Generator:
+    """Return the generator for the named sub-stream of ``seed``.
+
+    ``sub`` selects one of the stream's independent children (one sweep
+    cell, say) by appending it to the spawn key.
+    """
     try:
-        key = _STREAMS[stream]
+        key = (_STREAMS[stream],)
     except KeyError:
         raise ValueError(f"unknown random stream {stream!r}") from None
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
+    if sub is not None:
+        key += (sub,)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def stream_seed(seed: int, stream: str) -> int:
+def stream_seed(seed: int, stream: str, sub: int | None = None) -> int:
     """A derived 63-bit integer seed for consumers that take a plain seed."""
-    return int(spawn(seed, stream).integers(0, 2**63 - 1))
+    return int(spawn(seed, stream, sub).integers(0, 2**63 - 1))

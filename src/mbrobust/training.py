@@ -154,13 +154,6 @@ class TripletSampler:
         )
 
 
-def sample_batch(
-    split: SplitDataset, batch_users: np.ndarray, rng: np.random.Generator
-) -> TripletBatch:
-    """One-shot sampling convenience; training keeps a `TripletSampler` around."""
-    return TripletSampler(split).sample(batch_users, rng)
-
-
 # ----------------------------------------------------------------------
 # Training loop
 # ----------------------------------------------------------------------

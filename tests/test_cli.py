@@ -2,12 +2,15 @@
 
 import json
 import os
+from dataclasses import fields
 
 import pytest
 
-from mbrobust.cli import main
+from mbrobust.cli import build_parser, echo_config, main, resolve_run_config
 from mbrobust.data import diagnose, load_dataset, save_dataset
+from mbrobust.losses import Hyperparameters
 from mbrobust.synthetic import planted_dataset
+from mbrobust.training import TrainConfig
 
 
 @pytest.fixture
@@ -160,6 +163,76 @@ class TestTrainCommand:
         ck1 = open(os.path.join(first, "checkpoint.json"), "rb").read()
         ck2 = open(os.path.join(second, "checkpoint.json"), "rb").read()
         assert ck1 == ck2
+
+
+class TestSplitLoading:
+    @pytest.fixture
+    def split_dir(self, dataset_dir, tmp_path):
+        out = str(tmp_path / "split")
+        assert main(["--out", out, "split", dataset_dir]) == 0
+        return out
+
+    @pytest.mark.parametrize("fname", ["test.tsv", "validation.tsv", "train.view.tsv"])
+    def test_unknown_raw_id_exits_2(self, split_dir, tmp_path, capsys, fname):
+        path = os.path.join(split_dir, fname)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("nosuchuser\tnosuchitem\n")
+        lineno = len(open(path, encoding="utf-8").read().splitlines())
+        code = main(_train_args(split_dir, str(tmp_path / "run")))
+        assert code == 2
+        assert f"{fname}:{lineno}:" in capsys.readouterr().err
+
+    def test_malformed_id_map_line_exits_2(self, split_dir, tmp_path, capsys):
+        path = os.path.join(split_dir, "users.map")
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("no-dense-id\n")
+        lineno = len(open(path, encoding="utf-8").read().splitlines())
+        code = main(_train_args(split_dir, str(tmp_path / "run")))
+        assert code == 2
+        assert f"users.map:{lineno}:" in capsys.readouterr().err
+
+
+# Every Hyperparameters field (``seed`` is the global --seed) and every
+# TrainConfig run field (``eval_every``, ``ks``), each with a
+# non-default value to pass through the flags, a config file and the echo.
+_STR_VALUES = {"irm_variant": "irm_v2", "orm_scope": "aux_only",
+               "rrm_denominator": "literal"}
+_SCHEMA = {f.name: f.default for f in fields(Hyperparameters) if f.name != "seed"}
+_SCHEMA.update((f.name, f.default) for f in fields(TrainConfig) if f.name != "hp")
+
+
+def _schema_text(key):
+    default = _SCHEMA[key]
+    if isinstance(default, tuple):
+        return "5"
+    if isinstance(default, str):
+        return _STR_VALUES[key]
+    return str(default * 2)
+
+
+def _resolved_text(cfg, key):
+    value = getattr(cfg.hp, key) if hasattr(cfg.hp, key) else getattr(cfg, key)
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+@pytest.mark.parametrize("key", list(_SCHEMA))
+def test_every_config_field_reaches_flags_file_and_echo(key, tmp_path):
+    text = _schema_text(key)
+    parser = build_parser()
+    for command in ("train", "sweep"):
+        args = parser.parse_args([command, "data", "--" + key.replace("_", "-"), text])
+        cfg, _ = resolve_run_config(args)
+        assert _resolved_text(cfg, key) == text, command
+
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"{key} = {text}\n")
+    cfg, _ = resolve_run_config(parser.parse_args(["train", "data",
+                                                   "--config", str(cfg_path)]))
+    assert _resolved_text(cfg, key) == text
+
+    echo_config(cfg, (), str(tmp_path / "out"))
+    echoed = (tmp_path / "out" / "effective_config.cfg").read_text().splitlines()
+    assert f"{key} = {text}" in echoed
 
 
 class TestEvaluateCommand:

@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from mbrobust import seeds
 from mbrobust.data import SplitDataset, split_leave_one_out
 from mbrobust.evaluation import (
     evaluate,
+    fused_embeddings,
     held_out_rank,
-    rank_user,
     robustness_sweep,
     sweep_csv,
 )
@@ -70,13 +71,14 @@ class TestRank:
         with pytest.raises(ValueError, match="excluded"):
             held_out_rank(z, np.ones((2, 1)), 0, 0, {0})
 
-    def test_rank_user_wrapper(self):
+    def test_rank_from_fused_embeddings(self):
         ds = make_dataset({"buy": {(0, 0): 1}}, "buy", num_users=1, num_items=3)
         graphs = {"buy": build_graph(ds, "buy")}
         hp = Hyperparameters(dim=3, num_layers=0)
         state = ModelState(np.array([[1.0, 0.0, 0.0]]), np.eye(3), hp)
-        assert rank_user(state, graphs, 0, 0, set()) == 1
-        assert rank_user(state, graphs, 0, 1, set()) == 2  # ties by item id
+        z_user, z_item = fused_embeddings(state, graphs)
+        assert held_out_rank(z_user, z_item, 0, 0, set()) == 1
+        assert held_out_rank(z_user, z_item, 0, 1, set()) == 2  # ties by item id
 
 
 def _metric_split(num_users, num_items, test_pairs, train_target=None):
@@ -218,3 +220,14 @@ class TestSweep:
         rows = robustness_sweep(ds, self._cfg(), ratios=[1.0], modes=["remove"],
                                 seed=0)
         assert len(rows) == 2  # run continues after behaviors empty out
+
+    def test_cell_seed_is_the_perturbation_stream_child(self):
+        # cell c of a sweep perturbs with child c of the "perturbation" stream
+        # (spawn key 2); this layout fixes every published sweep table
+        for seed, cell in ((0, 1), (7, 3), (2**40, 12)):
+            expected = int(
+                np.random.default_rng(
+                    np.random.SeedSequence(seed, spawn_key=(2, cell))
+                ).integers(0, 2**63 - 1)
+            )
+            assert seeds.stream_seed(seed, "perturbation", cell) == expected

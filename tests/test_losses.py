@@ -19,8 +19,6 @@ from mbrobust.losses import (
     bpr_loss,
     fuse,
     irm_penalty,
-    irm_v1_penalty,
-    irm_v2_penalty,
     main_loss,
     orm_loss,
     rrm_loss,
@@ -205,14 +203,17 @@ class TestIrmPenalty:
         assert max_rel_error(dQ["b"], numeric_gradient(value, Q)) <= 1e-5
 
     def test_v1_and_v2_share_numerics(self):
-        rng = np.random.default_rng(6)
-        P = rng.normal(size=(2, 3))
-        Q = rng.normal(size=(3, 3))
-        triplets = {"b": np.array([[0, 0, 1], [1, 1, 2]])}
-        v1 = irm_v1_penalty({"b": (P, Q)}, triplets)
-        v2 = irm_v2_penalty({"b": (P, Q)}, triplets)
-        assert v1[0] == v2[0]
-        np.testing.assert_array_equal(v1[1]["b"], v2[1]["b"])
+        results = []
+        for variant in ("irm_v1", "irm_v2"):
+            ds, graphs, state, batch, users = _two_behavior_setup(
+                np.random.default_rng(6), irm_variant=variant
+            )
+            results.append(total_loss(state, graphs, batch, users, "buy"))
+        (b1, g1), (b2, g2) = results
+        assert b1 == b2
+        assert b1.orm > 0.0
+        np.testing.assert_array_equal(g1.d_user, g2.d_user)
+        np.testing.assert_array_equal(g1.d_item, g2.d_item)
 
 
 class TestFuseAndMain:

@@ -16,7 +16,6 @@ from mbrobust.training import (
     init_optimizer,
     load_checkpoint,
     manifest_hash,
-    sample_batch,
     save_checkpoint,
     train,
 )
@@ -92,7 +91,7 @@ class TestSampling:
     def test_forced_negative_with_two_items(self):
         ds = make_dataset({"buy": {(0, 0): 1}}, "buy", num_users=1, num_items=2)
         split = split_leave_one_out(ds)
-        batch = sample_batch(split, np.array([0]), np.random.default_rng(0))
+        batch = TripletSampler(split).sample(np.array([0]), np.random.default_rng(0))
         assert batch.per_behavior["buy"].tolist() == [[0, 0, 1]]
         assert batch.main.tolist() == [[0, 0, 1]]
 
@@ -103,7 +102,8 @@ class TestSampling:
             "buy",
         )
         split = split_leave_one_out(ds)
-        batch = sample_batch(split, np.array([0, 1]), np.random.default_rng(0))
+        batch = TripletSampler(split).sample(np.array([0, 1]),
+                                             np.random.default_rng(0))
         assert batch.per_behavior["view"][:, 0].tolist() == [0]
         assert batch.per_behavior["cart"][:, 0].tolist() == [1]
         assert sorted(batch.per_behavior["buy"][:, 0].tolist()) == [0, 1]
