@@ -267,6 +267,10 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     split = _load_any_split(args.dataset)
     state, meta = load_checkpoint(args.checkpoint)
+    # a model trained with --drop-behaviors is evaluated on its own behaviors
+    absent = tuple(b for b in split.train.manifest.behaviors if b not in meta["behaviors"])
+    if absent:
+        split = replace(split, train=drop_behaviors(split.train, absent))
     expected = manifest_hash(split.train.manifest)
     if meta["manifest_hash"] != expected:
         raise DatasetError(
@@ -319,7 +323,8 @@ def cmd_gradcheck(args) -> int:
         kwargs["modes"] = modes
     if scopes:
         kwargs["scopes"] = scopes
-    results = run_gradcheck(seed=args.seed, sizes=tuple(sizes), **kwargs)
+    seed = args.seed if args.seed is not None else 0
+    results = run_gradcheck(seed=seed, sizes=tuple(sizes), **kwargs)
     worst = 0.0
     ok = True
     for r in results:

@@ -66,6 +66,14 @@ class InteractionDataset:
     def pairs(self, behavior: str) -> set[Edge]:
         return set(self.edges[behavior].keys())
 
+    def user_items(self, behavior: str) -> tuple[np.ndarray, np.ndarray]:
+        """The behavior's edges as CSR rows ``(indptr, items)``: user ``u``'s
+        items, in ascending order, are ``items[indptr[u]:indptr[u + 1]]``."""
+        edges, n_items = self.edges[behavior], self.manifest.num_items
+        codes = np.fromiter((u * n_items + i for u, i in edges), np.int64, len(edges))
+        users, items = np.divmod(np.sort(codes), n_items)
+        return np.searchsorted(users, np.arange(self.manifest.num_users + 1)), items
+
 
 @dataclass(frozen=True)
 class SplitDataset:
@@ -160,6 +168,27 @@ def _parse_tsv(
     return records
 
 
+def _read_manifest(path: str) -> tuple[tuple[str, ...], str]:
+    """The behavior list and target declared by ``<path>/manifest.json``."""
+    manifest_path = os.path.join(path, "manifest.json")
+    if not os.path.isfile(manifest_path):
+        raise DatasetError(f"missing manifest file {manifest_path}")
+    with open(manifest_path, encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise DatasetError(f"{manifest_path}: not valid JSON ({exc})") from None
+    raw = raw if isinstance(raw, dict) else {}
+    behaviors, target = raw.get("behaviors"), raw.get("target")
+    if not isinstance(behaviors, list) or not all(isinstance(b, str) for b in behaviors):
+        behaviors = []
+    if target not in behaviors:
+        raise DatasetError(
+            f"{manifest_path}: manifest must declare 'behaviors' and a 'target' in them"
+        )
+    return tuple(behaviors), target
+
+
 def load_dataset(path: str) -> InteractionDataset:
     """Load a dataset directory into a compacted, deduplicated dataset.
 
@@ -167,16 +196,7 @@ def load_dataset(path: str) -> InteractionDataset:
     timestamp.  Raw ids are mapped to dense ids by sorting the raw id
     strings, which makes reloads bit-identical.
     """
-    manifest_path = os.path.join(path, "manifest.json")
-    if not os.path.isfile(manifest_path):
-        raise DatasetError(f"missing manifest file {manifest_path}")
-    with open(manifest_path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    behaviors = tuple(raw.get("behaviors", ()))
-    target = raw.get("target")
-    if not behaviors or target is None:
-        raise DatasetError("manifest must declare 'behaviors' and 'target'")
-
+    behaviors, target = _read_manifest(path)
     declared = set(behaviors)
     reserved = {"validation", "test"}
     for name in sorted(os.listdir(path)):
@@ -282,11 +302,12 @@ def _read_map(path: str) -> dict[str, int]:
 
 
 def load_split(path: str) -> SplitDataset:
-    """Load a directory previously written by `write_split`."""
-    with open(os.path.join(path, "manifest.json"), encoding="utf-8") as fh:
-        raw = json.load(fh)
-    behaviors = tuple(raw["behaviors"])
-    target = raw["target"]
+    """Load a directory previously written by `write_split`.
+
+    Each user has at most one test and one validation pair, and no held-out
+    pair is also a training target edge.
+    """
+    behaviors, target = _read_manifest(path)
     u_map = _read_map(os.path.join(path, "users.map"))
     i_map = _read_map(os.path.join(path, "items.map"))
     user_ids = tuple(r for r, _ in sorted(u_map.items(), key=lambda p: p[1]))
@@ -298,6 +319,20 @@ def load_split(path: str) -> SplitDataset:
     edges: EdgeMap = {
         b: {(u, i): ts for u, i, ts in read(f"train.{b}.tsv")} for b in behaviors
     }
+
+    def held_out(fname: str) -> tuple[Edge, ...]:
+        item_of: dict[int, int] = {}
+        for u, i, _ in read(fname):
+            if u in item_of or (u, i) in edges[target]:
+                problem = "has more than one held-out pair" if u in item_of else (
+                    f"held-out item {item_ids[i]!r} is a training {target!r} edge"
+                )
+                raise DatasetError(
+                    f"{os.path.join(path, fname)}: user {user_ids[u]!r} {problem}"
+                )
+            item_of[u] = i
+        return tuple(item_of.items())
+
     manifest = DatasetManifest(
         behaviors=behaviors, target=target, num_users=len(u_map), num_items=len(i_map)
     )
@@ -305,9 +340,7 @@ def load_split(path: str) -> SplitDataset:
         manifest=manifest, edges=edges, user_ids=user_ids, item_ids=item_ids
     )
     return SplitDataset(
-        train=train,
-        validation=tuple((u, i) for u, i, _ in read("validation.tsv")),
-        test=tuple((u, i) for u, i, _ in read("test.tsv")),
+        train=train, validation=held_out("validation.tsv"), test=held_out("test.tsv")
     )
 
 
@@ -482,33 +515,32 @@ def perturb(ds: InteractionDataset, spec: PerturbationSpec) -> InteractionDatase
     for b in ds.manifest.behaviors:
         if b not in spec.behaviors:
             continue
-        existing = sorted(edges[b])
-        count = math.ceil(spec.ratio * len(existing))
+        # pair codes u * I + i, ascending: the sorted order of the edge set
+        indptr, items = ds.user_items(b)
+        codes = np.repeat(np.arange(n_users), np.diff(indptr)) * n_items + items
+        count = math.ceil(spec.ratio * len(codes))
         if count == 0:
             continue
         if spec.mode == "remove":
-            idx = rng.choice(len(existing), size=count, replace=False)
-            for k in idx:
-                del edges[b][existing[k]]
+            for code in codes[rng.choice(len(codes), size=count, replace=False)].tolist():
+                del edges[b][divmod(code, n_items)]
         else:
             total = n_users * n_items
             if total > _MAX_ENUMERABLE:
                 raise DatasetError(
                     "complement too large to enumerate for edge addition"
                 )
-            codes = np.full(total, True)
-            for u, i in existing:
-                codes[u * n_items + i] = False
-            complement = np.flatnonzero(codes)
+            free = np.full(total, True)
+            free[codes] = False
+            complement = np.flatnonzero(free)
             if len(complement) < count:
                 raise DatasetError(
                     f"cannot add {count} edges to {b!r}: only "
                     f"{len(complement)} non-edges available"
                 )
             picked = rng.choice(len(complement), size=count, replace=False)
-            for code in complement[picked]:
-                u, i = divmod(int(code), n_items)
-                edges[b][(u, i)] = 0
+            for code in complement[picked].tolist():
+                edges[b][divmod(code, n_items)] = 0
 
     return InteractionDataset(
         manifest=ds.manifest, edges=edges, user_ids=ds.user_ids, item_ids=ds.item_ids

@@ -105,14 +105,13 @@ def evaluate(
         graphs = {b: build_graph(ds, b) for b in ds.manifest.behaviors if ds.edges[b]}
     z_user, z_item = fused_embeddings(state, graphs)
 
-    train_items: dict[int, set[int]] = {}
     if exclude_train:
-        for u, i in split.train.edges[split.train.manifest.target]:
-            train_items.setdefault(u, set()).add(i)
-
+        indptr, items = split.train.user_items(split.train.manifest.target)
     ranks = []
     for u, i in eval_pairs:
-        exclusions = train_items.get(u, set()) if exclude_train else set()
+        exclusions = (
+            set(items[indptr[u] : indptr[u + 1]].tolist()) if exclude_train else set()
+        )
         ranks.append((u, held_out_rank(z_user, z_item, u, i, exclusions)))
 
     n = len(ranks)

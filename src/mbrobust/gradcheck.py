@@ -89,13 +89,11 @@ def random_fixture(
 
     def triplets_for(b: str) -> np.ndarray:
         rows = []
-        pos_by_user: dict[int, list[int]] = {}
-        for u, i in edges[b]:
-            pos_by_user.setdefault(u, []).append(i)
-        for u in sorted(pos_by_user):
-            pos_items = sorted(pos_by_user[u])
-            negs = sorted(set(range(num_items)) - set(pos_items))
-            if not negs:
+        indptr, items = ds.user_items(b)
+        for u in range(num_users):
+            pos_items = items[indptr[u] : indptr[u + 1]]
+            negs = np.setdiff1d(np.arange(num_items), pos_items)
+            if len(pos_items) == 0 or len(negs) == 0:
                 continue
             rows.append(
                 (u, pos_items[rng.integers(len(pos_items))],

@@ -48,27 +48,14 @@ def build_graph(ds: InteractionDataset, behavior: str) -> BehaviorGraph:
     if behavior not in ds.manifest.behaviors:
         raise KeyError(f"behavior {behavior!r} not declared in manifest")
     n_u, n_i = ds.manifest.num_users, ds.manifest.num_items
-    n = n_u + n_i
-    pairs = sorted(ds.edges[behavior])
-
-    degrees = np.zeros(n, dtype=np.int64)
-    for u, i in pairs:
-        degrees[u] += 1
-        degrees[n_u + i] += 1
-
-    rows, cols, vals = [], [], []
-    for u, i in pairs:
-        w = 1.0 / np.sqrt(float(degrees[u]) * float(degrees[n_u + i]))
-        rows.append(u)
-        cols.append(n_u + i)
-        vals.append(w)
-        rows.append(n_u + i)
-        cols.append(u)
-        vals.append(w)
-    adj = sp.csr_matrix(
-        (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(n, n)
-    )
+    indptr, items = ds.user_items(behavior)
+    deg_u = np.diff(indptr)
+    deg_i = np.bincount(items, minlength=n_i)
+    weights = 1.0 / np.sqrt(np.repeat(deg_u, deg_u) * deg_i[items])
+    rating = sp.csr_matrix((weights, items, indptr), shape=(n_u, n_i))
+    adj = sp.bmat([[None, rating], [rating.T, None]], format="csr")
     adj.sort_indices()
+    degrees = np.concatenate([deg_u, deg_i])
     return BehaviorGraph(
         behavior=behavior, num_users=n_u, num_items=n_i, adjacency=adj, degrees=degrees
     )

@@ -99,34 +99,26 @@ class TripletSampler:
         )
         self.target = ds.manifest.target
         self.num_items = ds.manifest.num_items
-        self.positives: dict[str, dict[int, np.ndarray]] = {}
-        self.observed: dict[str, dict[int, set[int]]] = {}
-        for b in self.behaviors:
-            by_user: dict[int, list[int]] = {}
-            for u, i in ds.edges[b]:
-                by_user.setdefault(u, []).append(i)
-            self.positives[b] = {
-                u: np.asarray(sorted(items), dtype=np.int64)
-                for u, items in by_user.items()
-            }
-            self.observed[b] = {u: set(items) for u, items in by_user.items()}
+        self.edges = ds.edges
+        self.rows = {b: ds.user_items(b) for b in {*self.behaviors, self.target}}
         self.saturated_skips = 0
 
     def _draw(self, b: str, u: int, rng: np.random.Generator) -> tuple[int, int] | None:
-        pos_items = self.positives[b].get(u)
-        if pos_items is None:
+        indptr, items = self.rows[b]
+        row = items[indptr[u] : indptr[u + 1]]
+        if len(row) == 0:
             return None
-        pos = int(pos_items[rng.integers(len(pos_items))])
-        seen = self.observed[b][u]
+        pos = int(row[rng.integers(len(row))])
+        seen = self.edges[b]
         for _ in range(self.REJECTION_CAP):
             cand = int(rng.integers(self.num_items))
-            if cand not in seen:
+            if (u, cand) not in seen:
                 return pos, cand
-        complement = sorted(set(range(self.num_items)) - seen)
-        if not complement:
+        complement = np.setdiff1d(np.arange(self.num_items), row)
+        if len(complement) == 0:
             self.saturated_skips += 1
             return None
-        return pos, complement[int(rng.integers(len(complement)))]
+        return pos, int(complement[rng.integers(len(complement))])
 
     def sample(self, batch_users: np.ndarray, rng: np.random.Generator) -> TripletBatch:
         per_behavior: dict[str, list[tuple[int, int, int]]] = {

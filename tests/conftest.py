@@ -2,6 +2,7 @@ import json
 import os
 
 import pytest
+from hypothesis import strategies as st
 
 from mbrobust.data import DatasetManifest, InteractionDataset
 
@@ -55,6 +56,16 @@ def random_dataset(rng, num_users=None, num_items=None, num_behaviors=None,
     if not edges[target]:
         edges[target][(0, 0)] = 0 if with_timestamps else None
     return make_dataset(edges, target, num_users, num_items)
+
+
+@st.composite
+def edge_datasets(draw):
+    """One-behavior datasets of up to 8 x 8 with edges in random dict order."""
+    num_users = draw(st.integers(1, 8))
+    num_items = draw(st.integers(1, 8))
+    pairs = st.tuples(st.integers(0, num_users - 1), st.integers(0, num_items - 1))
+    edges = draw(st.lists(pairs, unique=True))
+    return make_dataset({"buy": dict.fromkeys(edges)}, "buy", num_users, num_items)
 
 
 @pytest.fixture

@@ -6,11 +6,14 @@ from dataclasses import fields
 
 import pytest
 
+from mbrobust import cli
 from mbrobust.cli import build_parser, echo_config, main, resolve_run_config
 from mbrobust.data import diagnose, load_dataset, save_dataset
 from mbrobust.losses import Hyperparameters
 from mbrobust.synthetic import planted_dataset
 from mbrobust.training import TrainConfig
+
+from conftest import write_dataset_dir
 
 
 @pytest.fixture
@@ -48,6 +51,12 @@ class TestDiagnoseCommand:
         code = main(["diagnose", str(tmp_path / "nope")])
         assert code == 2
         assert "manifest" in capsys.readouterr().err
+
+    def test_target_outside_behaviors_exits_2(self, tmp_path, capsys):
+        path = write_dataset_dir(tmp_path / "data", ["view"], "buy",
+                                 {"view": "alice\tapple\n"})
+        assert main(["diagnose", path]) == 2
+        assert "manifest.json" in capsys.readouterr().err
 
     def test_unknown_flag_exits_1(self, dataset_dir, capsys):
         assert main(["diagnose", dataset_dir, "--bogus"]) == 1
@@ -182,6 +191,45 @@ class TestSplitLoading:
         assert code == 2
         assert f"{fname}:{lineno}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ['{"target": "buy"}', '{"behaviors": [',
+                                      '["view", "buy"]'])
+    def test_bad_manifest_exits_2(self, split_dir, tmp_path, capsys, text):
+        path = os.path.join(split_dir, "manifest.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code = main(_train_args(split_dir, str(tmp_path / "run")))
+        assert code == 2
+        assert "manifest.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fname", ["test.tsv", "validation.tsv"])
+    def test_second_held_out_pair_exits_2(self, split_dir, tmp_path, capsys, fname):
+        path = os.path.join(split_dir, fname)
+        first = open(path, encoding="utf-8").readline()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(first)
+        code = main(_train_args(split_dir, str(tmp_path / "run")))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert fname in err and repr(first.split()[0]) in err
+        assert "more than one held-out pair" in err
+
+    @pytest.mark.parametrize("fname", ["test.tsv", "validation.tsv"])
+    def test_held_out_training_edge_exits_2(self, split_dir, tmp_path, capsys,
+                                            fname):
+        target = json.load(open(os.path.join(split_dir, "manifest.json")))["target"]
+        user, item = open(os.path.join(split_dir, f"train.{target}.tsv"),
+                          encoding="utf-8").readline().split()[:2]
+        path = os.path.join(split_dir, fname)
+        lines = [line for line in open(path, encoding="utf-8")
+                 if line.split()[0] != user]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines + [f"{user}\t{item}\n"])
+        code = main(_train_args(split_dir, str(tmp_path / "run")))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert fname in err and repr(user) in err
+        assert f"training {target!r} edge" in err
+
     def test_malformed_id_map_line_exits_2(self, split_dir, tmp_path, capsys):
         path = os.path.join(split_dir, "users.map")
         with open(path, "a", encoding="utf-8") as fh:
@@ -270,6 +318,16 @@ class TestEvaluateCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["hr"]["10"] == 1.0
 
+    def test_dropped_behavior_checkpoint_evaluates(self, dataset_dir, tmp_path,
+                                                  capsys):
+        out = str(tmp_path / "run")
+        assert main(_train_args(dataset_dir, out, ["--drop-behaviors", "view"])) == 0
+        capsys.readouterr()
+        code = main(["evaluate", dataset_dir,
+                     "--checkpoint", os.path.join(out, "checkpoint.json")])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["users"] == 16
+
     def test_manifest_mismatch_exits_2(self, dataset_dir, tmp_path, capsys):
         out = str(tmp_path / "run")
         assert main(_train_args(dataset_dir, out)) == 0
@@ -310,6 +368,13 @@ class TestGradcheckCommand:
         paths = [line for line in out.splitlines() if line.startswith("PASS")]
         assert len(paths) == 1
         assert "irm_v1|literal|aux_only" in paths[0]
+
+    def test_seed_defaults_to_zero(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_gradcheck",
+                            lambda seed, **kwargs: seen.append(seed) or [])
+        assert main(["gradcheck"]) == 0
+        assert seen == [0]
 
     def test_bad_size_exits_1(self, capsys):
         assert main(["gradcheck", "--sizes", "5by5"]) == 1

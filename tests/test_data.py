@@ -12,6 +12,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from mbrobust.data import (
     DatasetError,
@@ -29,7 +30,7 @@ from mbrobust.data import (
     write_split,
 )
 
-from conftest import make_dataset, random_dataset, write_dataset_dir
+from conftest import edge_datasets, make_dataset, random_dataset, write_dataset_dir
 
 
 # ----------------------------------------------------------------------
@@ -445,6 +446,21 @@ class TestPerturb:
         before = {b: dict(v) for b, v in ds.edges.items()}
         perturb(ds, PerturbationSpec("remove", 0.5, ("view",), seed=3))
         assert ds.edges == before
+
+
+# ----------------------------------------------------------------------
+# Per-user edge index
+# ----------------------------------------------------------------------
+
+@settings(deadline=None)
+@given(edge_datasets())
+def test_user_items_rows_are_each_users_sorted_items(ds):
+    indptr, items = ds.user_items("buy")
+    assert indptr.dtype == items.dtype == np.int64
+    assert len(indptr) == ds.manifest.num_users + 1
+    for u in range(ds.manifest.num_users):
+        expected = sorted(i for v, i in ds.edges["buy"] if v == u)
+        assert items[indptr[u] : indptr[u + 1]].tolist() == expected
 
 
 # ----------------------------------------------------------------------

@@ -3,10 +3,12 @@ against dense linear-algebra oracles."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
 
 from mbrobust.graph import build_graph, propagate, propagate_adjoint
 
-from conftest import make_dataset, random_dataset
+from conftest import edge_datasets, make_dataset, random_dataset
 
 
 def dense_normalized_adjacency(ds, behavior):
@@ -20,6 +22,29 @@ def dense_normalized_adjacency(ds, behavior):
     deg = A.sum(axis=1)
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
     return np.diag(inv_sqrt) @ A @ np.diag(inv_sqrt)
+
+
+def per_edge_adjacency(ds, behavior):
+    """CSR adjacency and degrees built by a loop over the sorted edges, one
+    coordinate entry per direction."""
+    n_u, n_i = ds.manifest.num_users, ds.manifest.num_items
+    n = n_u + n_i
+    pairs = sorted(ds.edges[behavior])
+    degrees = np.zeros(n, dtype=np.int64)
+    for u, i in pairs:
+        degrees[u] += 1
+        degrees[n_u + i] += 1
+    rows, cols, vals = [], [], []
+    for u, i in pairs:
+        w = 1.0 / np.sqrt(float(degrees[u]) * float(degrees[n_u + i]))
+        rows += [u, n_u + i]
+        cols += [n_u + i, u]
+        vals += [w, w]
+    adj = sp.csr_matrix(
+        (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(n, n)
+    )
+    adj.sort_indices()
+    return adj, degrees
 
 
 def dense_propagate(ds, behavior, Zu, Zi, L):
@@ -62,6 +87,17 @@ class TestBuildGraph:
                 dense_normalized_adjacency(ds, ds.manifest.target),
                 atol=1e-12,
             )
+
+    @settings(deadline=None)
+    @given(edge_datasets())
+    def test_csr_arrays_equal_per_edge_construction(self, ds):
+        g = build_graph(ds, "buy")
+        ref, degrees = per_edge_adjacency(ds, "buy")
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(g.adjacency, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert g.degrees.dtype == degrees.dtype
+        assert np.array_equal(g.degrees, degrees)
 
     def test_empty_behavior_gives_edgeless_graph(self):
         ds = make_dataset({"view": {}, "buy": {(0, 0): 1}}, "buy")
