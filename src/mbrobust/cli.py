@@ -256,7 +256,7 @@ def cmd_train(args) -> int:
     active = [b for b in split.train.manifest.behaviors if split.train.edges[b]]
     with open(os.path.join(out, "train_log.csv"), "w", encoding="utf-8") as fh:
         fh.write(format_log(rows, active))
-    save_checkpoint(state, split.train.manifest, os.path.join(out, "checkpoint.json"))
+    save_checkpoint(state, split.train.manifest, os.path.join(out, "checkpoint.npz"))
     if split.validation:
         report = evaluate(state, split, ks=cfg.ks, pairs=split.validation)
         _write_json(report.to_json_dict(), os.path.join(out, "validation_report.json"))

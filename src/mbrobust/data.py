@@ -127,14 +127,14 @@ class PerturbationSpec:
 
 def _parse_tsv(
     path: str, ids: tuple[dict[str, int], dict[str, int]] | None = None
-) -> list[tuple]:
-    """Records of ``user<TAB>item[<TAB>timestamp]`` lines as (user, item,
-    timestamp or None).
+) -> tuple[list[tuple], list[int | None]]:
+    """The (user, item) pairs of ``user<TAB>item[<TAB>timestamp]`` lines and
+    their timestamps (None where a line has none), as two parallel lists.
 
     With ``ids`` (user map, item map) the raw ids are translated to dense
     ids, and an id missing from the maps is an error naming the line.
     """
-    records = []
+    pairs, stamps = [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -155,17 +155,34 @@ def _parse_tsv(
                     ) from None
                 if ts < 0:
                     raise DatasetError(f"{path}:{lineno}: negative timestamp {ts}")
+            stamps.append(ts)
             if ids is None:
-                records.append((fields[0], fields[1], ts))
+                pairs.append((fields[0], fields[1]))
                 continue
             try:
-                records.append((ids[0][fields[0]], ids[1][fields[1]], ts))
+                pairs.append((ids[0][fields[0]], ids[1][fields[1]]))
             except KeyError as exc:
                 raise DatasetError(
                     f"{path}:{lineno}: id {exc.args[0]!r} is not in "
                     "users.map/items.map"
                 ) from None
-    return records
+    return pairs, stamps
+
+
+def _dedup_edges(pairs: list[Edge], stamps: list[int | None]) -> dict[Edge, int | None]:
+    """The map ``pairs[k] -> stamps[k]``.  A duplicate pair keeps its
+    earliest timestamp; an untimed duplicate never overrides."""
+    # a comprehension, not dict(zip(...)): the latter left the resident set
+    # of repeated loads a few MiB larger
+    edges = {pair: ts for pair, ts in zip(pairs, stamps)}
+    if len(edges) == len(pairs):
+        return edges
+    edges = {}
+    for pair, ts in zip(pairs, stamps):
+        prev = edges.get(pair, -1)
+        if prev == -1 or (ts is not None and (prev is None or ts < prev)):
+            edges[pair] = ts
+    return edges
 
 
 def _read_manifest(path: str) -> tuple[tuple[str, ...], str]:
@@ -206,34 +223,25 @@ def load_dataset(path: str) -> InteractionDataset:
         if stem not in declared:
             raise DatasetError(f"file {name!r} references undeclared behavior {stem!r}")
 
-    raw_records: dict[str, list[tuple[str, str, int | None]]] = {}
+    raw: dict[str, tuple[list[tuple[str, str]], list[int | None]]] = {}
     for b in behaviors:
         tsv = os.path.join(path, f"{b}.tsv")
         if not os.path.isfile(tsv):
             raise DatasetError(f"missing behavior file {tsv}")
-        raw_records[b] = _parse_tsv(tsv)
+        raw[b] = _parse_tsv(tsv)
 
-    if not raw_records[target]:
+    if not raw[target][0]:
         raise DatasetError(f"empty target behavior {target!r}")
 
-    users = sorted({u for recs in raw_records.values() for u, _, _ in recs})
-    items = sorted({i for recs in raw_records.values() for _, i, _ in recs})
+    users = sorted({u for pairs, _ in raw.values() for u, _ in pairs})
+    items = sorted({i for pairs, _ in raw.values() for _, i in pairs})
     u_map = {u: d for d, u in enumerate(users)}
     i_map = {i: d for d, i in enumerate(items)}
 
-    edges: EdgeMap = {}
-    for b in behaviors:
-        bucket: dict[Edge, int | None] = {}
-        for u_raw, i_raw, ts in raw_records[b]:
-            key = (u_map[u_raw], i_map[i_raw])
-            if key in bucket:
-                prev = bucket[key]
-                # earliest-occurrence rule; untimed duplicates never override
-                if ts is not None and (prev is None or ts < prev):
-                    bucket[key] = ts
-            else:
-                bucket[key] = ts
-        edges[b] = bucket
+    edges: EdgeMap = {
+        b: _dedup_edges([(u_map[u], i_map[i]) for u, i in pairs], stamps)
+        for b, (pairs, stamps) in raw.items()
+    }
 
     manifest = DatasetManifest(
         behaviors=behaviors, target=target, num_users=len(users), num_items=len(items)
@@ -313,16 +321,14 @@ def load_split(path: str) -> SplitDataset:
     user_ids = tuple(r for r, _ in sorted(u_map.items(), key=lambda p: p[1]))
     item_ids = tuple(r for r, _ in sorted(i_map.items(), key=lambda p: p[1]))
 
-    def read(fname: str) -> list[tuple[int, int, int | None]]:
+    def read(fname: str) -> tuple[list[Edge], list[int | None]]:
         return _parse_tsv(os.path.join(path, fname), (u_map, i_map))
 
-    edges: EdgeMap = {
-        b: {(u, i): ts for u, i, ts in read(f"train.{b}.tsv")} for b in behaviors
-    }
+    edges: EdgeMap = {b: _dedup_edges(*read(f"train.{b}.tsv")) for b in behaviors}
 
     def held_out(fname: str) -> tuple[Edge, ...]:
         item_of: dict[int, int] = {}
-        for u, i, _ in read(fname):
+        for u, i in read(fname)[0]:
             if u in item_of or (u, i) in edges[target]:
                 problem = "has more than one held-out pair" if u in item_of else (
                     f"held-out item {item_ids[i]!r} is a training {target!r} edge"

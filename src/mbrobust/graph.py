@@ -62,8 +62,8 @@ def build_graph(ds: InteractionDataset, behavior: str) -> BehaviorGraph:
 
 
 def _layer_mean(g: BehaviorGraph, stacked: np.ndarray, num_layers: int) -> np.ndarray:
-    out = stacked.copy()
-    cur = stacked
+    """Overwrites ``stacked``, a fresh array of the caller's, with the result."""
+    out = cur = stacked  # each product is taken before ``out`` is added to
     for _ in range(num_layers):
         cur = g.adjacency @ cur
         out += cur

@@ -7,12 +7,13 @@ import hashlib
 import json
 import logging
 import time
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import seeds
-from .data import DatasetManifest, SplitDataset
+from .data import DatasetError, DatasetManifest, SplitDataset
 from .graph import build_graph
 from .losses import (
     GradientBuffer,
@@ -312,7 +313,23 @@ def train(
 # Checkpoints
 # ----------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_ZIP_MAGIC = b"PK\x03\x04"
+_ENTRIES = ("header", "user_emb", "item_emb")
+# header key -> type; the header also holds the hyperparameter values
+_HEADER_TYPES = {
+    "format_version": int,
+    "manifest_hash": str,
+    "behaviors": list,
+    "target": str,
+    "num_users": int,
+    "num_items": int,
+    "hyperparameters": dict,
+}
+
+
+class CheckpointError(DatasetError, ValueError):
+    """A checkpoint file that cannot be loaded; the message names the file."""
 
 
 def manifest_hash(manifest: DatasetManifest) -> str:
@@ -329,39 +346,90 @@ def manifest_hash(manifest: DatasetManifest) -> str:
 
 
 def save_checkpoint(state: ModelState, manifest: DatasetManifest, path: str) -> None:
-    """Write a JSON checkpoint: manifest hash, hyperparameters, and both
-    embedding tables as row-major nested lists (floats round-trip exactly)."""
+    """Write an uncompressed ``.npz`` checkpoint to exactly ``path``.
+
+    Entries: ``header``, the UTF-8 bytes of a JSON object (format version,
+    manifest hash, behaviors, target, counts, hyperparameters), and the raw
+    float64 ``user_emb``/``item_emb`` tables, which round-trip bit-exactly.
+    """
     hp = state.hp
-    payload = {
+    header = {
         "format_version": CHECKPOINT_VERSION,
         "manifest_hash": manifest_hash(manifest),
         "behaviors": list(manifest.behaviors),
         "target": manifest.target,
         "num_users": manifest.num_users,
         "num_items": manifest.num_items,
-        "hyperparameters": {
-            k: getattr(hp, k) for k in hp.__dataclass_fields__
-        },
-        "user_emb": state.user_emb.tolist(),
-        "item_emb": state.item_emb.tolist(),
+        "hyperparameters": {k: getattr(hp, k) for k in hp.__dataclass_fields__},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    # a file handle, because np.savez appends ".npz" to a path lacking it
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            header=np.frombuffer(text, dtype=np.uint8),
+            user_emb=np.asarray(state.user_emb, dtype=np.float64),
+            item_emb=np.asarray(state.item_emb, dtype=np.float64),
+        )
+
+
+def _read_checkpoint(path: str) -> tuple[object, dict[str, np.ndarray]]:
+    """The decoded header and the embedding tables of a checkpoint file."""
+    with open(path, "rb") as fh:
+        if fh.read(4) != _ZIP_MAGIC:
+            fh.seek(0)
+            try:  # a format_version 1 checkpoint is one JSON object
+                version = json.load(fh).get("format_version")
+            except (ValueError, AttributeError):
+                version = None
+            raise CheckpointError(
+                f"{path}: not a checkpoint file" if version is None
+                else f"{path}: unsupported checkpoint version {version!r}"
+            )
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as npz:
+                entries = {k: npz[k] for k in _ENTRIES if k in npz.files}
+        except (zipfile.BadZipFile, ValueError, EOFError, OSError) as exc:
+            raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from None
+    missing = [k for k in _ENTRIES if k not in entries]
+    if missing:
+        raise CheckpointError(f"{path}: checkpoint lacks {', '.join(missing)}")
+    try:
+        header = json.loads(entries["header"].tobytes())
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: unreadable checkpoint header ({exc})") from None
+    return header, entries
 
 
 def load_checkpoint(path: str) -> tuple[ModelState, dict]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('format_version')!r}")
-    hp = Hyperparameters(**payload["hyperparameters"])
-    state = ModelState(
-        user_emb=np.asarray(payload["user_emb"], dtype=np.float64),
-        item_emb=np.asarray(payload["item_emb"], dtype=np.float64),
-        hp=hp,
-    )
-    meta = {k: payload[k] for k in (
+    """Read a `save_checkpoint` file; returns the state and the manifest
+    fields (``manifest_hash``, ``behaviors``, ``target``, ``num_users``,
+    ``num_items``).  Anything else, including a format_version 1 JSON
+    checkpoint, is a `CheckpointError` naming the file."""
+    header, tables = _read_checkpoint(path)
+    if isinstance(header, dict) and header.get("format_version") != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{path}: unsupported checkpoint version {header.get('format_version')!r}"
+        )
+    if not isinstance(header, dict) or not all(
+        isinstance(header.get(k), t) for k, t in _HEADER_TYPES.items()
+    ):
+        raise CheckpointError(
+            f"{path}: header must hold {', '.join(_HEADER_TYPES)} of the right types"
+        )
+    try:
+        hp = Hyperparameters(**header["hyperparameters"])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad hyperparameters ({exc})") from None
+    for name, count in (("user_emb", "num_users"), ("item_emb", "num_items")):
+        table, shape = tables[name], (header[count], hp.dim)
+        if table.dtype != np.float64 or table.shape != shape:
+            raise CheckpointError(
+                f"{path}: {name} is {table.dtype} {table.shape}, expected float64 {shape}"
+            )
+    state = ModelState(user_emb=tables["user_emb"], item_emb=tables["item_emb"], hp=hp)
+    meta = {k: header[k] for k in (
         "manifest_hash", "behaviors", "target", "num_users", "num_items"
     )}
     return state, meta

@@ -4,6 +4,7 @@ import json
 import os
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from mbrobust import cli
@@ -16,13 +17,16 @@ from mbrobust.training import TrainConfig
 from conftest import write_dataset_dir
 
 
-@pytest.fixture
-def dataset_dir(tmp_path):
+def _save_planted(path):
     ds = planted_dataset(seed=5, num_users=16, num_items=16, num_groups=4,
                          target_per_user=4, aux_per_user=5)
-    path = tmp_path / "data"
     save_dataset(ds, str(path))
     return str(path)
+
+
+@pytest.fixture
+def dataset_dir(tmp_path):
+    return _save_planted(tmp_path / "data")
 
 
 def _train_args(dataset_dir, out, extra=()):
@@ -94,7 +98,7 @@ class TestTrainCommand:
     def test_writes_artifacts(self, dataset_dir, tmp_path):
         out = str(tmp_path / "run")
         assert main(_train_args(dataset_dir, out)) == 0
-        for name in ("checkpoint.json", "train_log.csv", "effective_config.cfg",
+        for name in ("checkpoint.npz", "train_log.csv", "effective_config.cfg",
                      "validation_report.json"):
             assert os.path.isfile(os.path.join(out, name)), name
         header = open(os.path.join(out, "train_log.csv")).readline().strip()
@@ -107,8 +111,8 @@ class TestTrainCommand:
             out = str(tmp_path / name)
             assert main(_train_args(dataset_dir, out)) == 0
             outs.append(out)
-        ck1 = open(os.path.join(outs[0], "checkpoint.json"), "rb").read()
-        ck2 = open(os.path.join(outs[1], "checkpoint.json"), "rb").read()
+        ck1 = open(os.path.join(outs[0], "checkpoint.npz"), "rb").read()
+        ck2 = open(os.path.join(outs[1], "checkpoint.npz"), "rb").read()
         assert ck1 == ck2
 
         def rows_minus_seconds(path):
@@ -140,7 +144,7 @@ class TestTrainCommand:
         code = main(_train_args(dataset_dir, out,
                                 extra=("--drop-behaviors", "buy")))
         assert code == 1
-        assert not os.path.isfile(os.path.join(out, "checkpoint.json"))
+        assert not os.path.isfile(os.path.join(out, "checkpoint.npz"))
 
     def test_config_file_with_flag_override(self, dataset_dir, tmp_path):
         cfg_path = tmp_path / "run.cfg"
@@ -169,8 +173,8 @@ class TestTrainCommand:
         second = str(tmp_path / "second")
         assert main(["--out", second, "train", dataset_dir,
                      "--config", echoed]) == 0
-        ck1 = open(os.path.join(first, "checkpoint.json"), "rb").read()
-        ck2 = open(os.path.join(second, "checkpoint.json"), "rb").read()
+        ck1 = open(os.path.join(first, "checkpoint.npz"), "rb").read()
+        ck2 = open(os.path.join(second, "checkpoint.npz"), "rb").read()
         assert ck1 == ck2
 
 
@@ -289,7 +293,7 @@ class TestEvaluateCommand:
         assert main(_train_args(dataset_dir, out)) == 0
         capsys.readouterr()
         code = main(["evaluate", dataset_dir,
-                     "--checkpoint", os.path.join(out, "checkpoint.json"),
+                     "--checkpoint", os.path.join(out, "checkpoint.npz"),
                      "--ks", "5,10"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
@@ -312,7 +316,7 @@ class TestEvaluateCommand:
         assert code == 0
         capsys.readouterr()
         code = main(["evaluate", data_dir,
-                     "--checkpoint", os.path.join(out, "checkpoint.json"),
+                     "--checkpoint", os.path.join(out, "checkpoint.npz"),
                      "--ks", "10"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
@@ -324,7 +328,7 @@ class TestEvaluateCommand:
         assert main(_train_args(dataset_dir, out, ["--drop-behaviors", "view"])) == 0
         capsys.readouterr()
         code = main(["evaluate", dataset_dir,
-                     "--checkpoint", os.path.join(out, "checkpoint.json")])
+                     "--checkpoint", os.path.join(out, "checkpoint.npz")])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["users"] == 16
 
@@ -336,8 +340,83 @@ class TestEvaluateCommand:
         other_dir = str(tmp_path / "other")
         save_dataset(other, other_dir)
         code = main(["evaluate", other_dir,
-                     "--checkpoint", os.path.join(out, "checkpoint.json")])
+                     "--checkpoint", os.path.join(out, "checkpoint.npz")])
         assert code == 2
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A dataset directory and the checkpoint `train` wrote for it."""
+    root = tmp_path_factory.mktemp("trained")
+    data_dir = _save_planted(root / "data")
+    assert main(_train_args(data_dir, str(root / "run"))) == 0
+    return data_dir, str(root / "run" / "checkpoint.npz")
+
+
+def _rewrite_checkpoint(src, dst, edit):
+    """Copy checkpoint ``src`` to ``dst`` after ``edit(header, entries)``."""
+    with np.load(src) as npz:
+        entries = {k: npz[k] for k in npz.files}
+    header = json.loads(entries["header"].tobytes())
+    edit(header, entries)
+    entries["header"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+    with open(dst, "wb") as fh:
+        np.savez(fh, **entries)
+
+
+# case -> (edit of a valid checkpoint's header and entries, message fragment)
+_BAD_CHECKPOINTS = {
+    "no_hyperparameters": (lambda h, e: h.pop("hyperparameters"), "header must hold"),
+    "dim_narrower_than_tables": (lambda h, e: h["hyperparameters"].update(dim=3),
+                                 "expected float64 (16, 3)"),
+    "missing_table": (lambda h, e: e.pop("item_emb"), "lacks item_emb"),
+    "rows_disagree_with_num_users": (
+        lambda h, e: e.update(user_emb=e["user_emb"][:-1]), "user_emb is float64 (15, 4)"),
+    "future_version": (lambda h, e: h.update(format_version=3),
+                       "unsupported checkpoint version 3"),
+}
+
+
+class TestMalformedCheckpoint:
+    def _evaluate(self, data_dir, path, capsys):
+        capsys.readouterr()
+        code = main(["evaluate", data_dir, "--checkpoint", path])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", list(_BAD_CHECKPOINTS))
+    def test_bad_entries_exit_2(self, trained_run, tmp_path, capsys, case):
+        data_dir, good = trained_run
+        edit, fragment = _BAD_CHECKPOINTS[case]
+        path = str(tmp_path / "checkpoint.npz")
+        _rewrite_checkpoint(good, path, edit)
+        code, err = self._evaluate(data_dir, path, capsys)
+        assert code == 2
+        assert path in err and fragment in err
+
+    def test_truncated_file_exits_2(self, trained_run, tmp_path, capsys):
+        data_dir, good = trained_run
+        path = tmp_path / "checkpoint.npz"
+        body = open(good, "rb").read()
+        path.write_bytes(body[: len(body) // 2])
+        code, err = self._evaluate(data_dir, str(path), capsys)
+        assert code == 2
+        assert str(path) in err and "unreadable checkpoint" in err
+
+    def test_non_checkpoint_file_exits_2(self, trained_run, tmp_path, capsys):
+        data_dir, _ = trained_run
+        path = tmp_path / "train_log.csv"
+        path.write_text("epoch,total\n1,0.5\n")
+        code, err = self._evaluate(data_dir, str(path), capsys)
+        assert code == 2
+        assert str(path) in err and "not a checkpoint file" in err
+
+    def test_json_version_1_checkpoint_exits_2(self, trained_run, tmp_path, capsys):
+        data_dir, _ = trained_run
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps({"format_version": 1, "user_emb": [[0.5]]}))
+        code, err = self._evaluate(data_dir, str(path), capsys)
+        assert code == 2
+        assert str(path) in err and "unsupported checkpoint version 1" in err
 
 
 class TestSweepCommand:

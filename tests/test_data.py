@@ -478,6 +478,15 @@ class TestIO:
         assert set(loaded.validation) == set(split.validation)
         assert set(loaded.test) == set(split.test)
 
+    def test_split_duplicate_train_pair_keeps_earliest_timestamp(
+            self, toy_dataset_dir, tmp_path):
+        out = tmp_path / "split"
+        write_split(split_leave_one_out(load_dataset(toy_dataset_dir)), str(out))
+        with open(out / "train.view.tsv", "a", encoding="utf-8") as fh:
+            fh.write("alice\tapple\t100\nalice\tapple\n")
+        loaded = load_split(str(out))
+        assert loaded.train.edges["view"][(0, 0)] == 3  # the first line's stamp
+
     def test_drop_behaviors(self):
         ds = make_dataset({"view": {(0, 0): 1}, "buy": {(0, 0): 1}}, "buy")
         out = drop_behaviors(ds, ("view",))

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mbrobust import seeds
+from mbrobust import evaluation, seeds
 from mbrobust.data import SplitDataset, split_leave_one_out
 from mbrobust.evaluation import (
     evaluate,
@@ -179,6 +181,42 @@ class TestEvaluate:
             hr, ndcg = oracle_metrics(ranks, 3)
             assert report.hr[3] == hr
             assert report.ndcg[3] == ndcg
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_block_ranks_equal_held_out_rank(self, data):
+        # small-integer embeddings make every score exact, so ties are the
+        # same under any summation order
+        n_u = data.draw(st.integers(1, 12), label="users")
+        n_i = data.draw(st.integers(1, 8), label="items")
+        dim = data.draw(st.integers(1, 3), label="dim")
+        ints = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+        user_emb = np.array(data.draw(st.lists(ints, min_size=n_u, max_size=n_u)), float)
+        item_emb = np.array(data.draw(st.lists(ints, min_size=n_i, max_size=n_i)), float)
+        held = data.draw(st.lists(st.integers(0, n_i - 1), min_size=n_u, max_size=n_u))
+        exclusions = [data.draw(st.sets(st.integers(0, n_i - 1))) - {h} for h in held]
+        target = {(u, i): 1 for u, excl in enumerate(exclusions) for i in excl}
+        ds = make_dataset({"view": {(0, 0): 1}, "buy": target}, "buy", n_u, n_i)
+        split = SplitDataset(train=ds, validation=(), test=tuple(enumerate(held)))
+        state = ModelState(user_emb, item_emb, Hyperparameters(dim=dim, num_layers=0))
+        exclude = data.draw(st.booleans(), label="exclude_train")
+        with pytest.MonkeyPatch.context() as mp:
+            # blocks of one to three users
+            mp.setattr(evaluation, "RANK_BLOCK_SCORES", n_i * data.draw(st.integers(1, 3)))
+            report = evaluate(state, split, ks=(1,), exclude_train=exclude,
+                              record_ranks=True)
+        expected = tuple(
+            (u, held_out_rank(user_emb, item_emb, u, h, exclusions[u] if exclude else set()))
+            for u, h in enumerate(held)
+        )
+        assert report.per_user_ranks == expected
+
+    def test_excluded_held_out_item_is_an_error(self):
+        split = _metric_split(2, 3, [(0, 1), (1, 2)], train_target={(1, 2): 1})
+        state = ModelState(np.zeros((2, 1)), np.zeros((3, 1)),
+                           Hyperparameters(dim=1, num_layers=0))
+        with pytest.raises(ValueError, match="held-out item 2 of user 1 is excluded"):
+            evaluate(state, split, ks=(1,))
 
     def test_empty_test_set_rejected(self):
         split = _metric_split(1, 3, [(0, 1)], train_target={})

@@ -1,6 +1,8 @@
 """Adam updates against hand-computed recurrences, sampler contracts, and
 the training loop's determinism and bookkeeping."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,23 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.item_emb, state.item_emb)
         assert loaded.hp == hp
         assert meta["manifest_hash"] == manifest_hash(ds.manifest)
+
+    def test_roundtrip_is_bit_exact_at_the_given_path(self, tmp_path):
+        special = [-0.0, 5e-324, -2.5e-310, 1e308, -1e308, 0.1]
+        hp = Hyperparameters(dim=3)
+        state = ModelState(np.array(special).reshape(2, 3),
+                           np.array(special[::-1] * 2).reshape(4, 3), hp)
+        ds = make_dataset({"buy": {(0, 0): 1}}, "buy", num_users=2, num_items=4)
+        first, second = tmp_path / "ckpt.json", tmp_path / "again.json"
+        save_checkpoint(state, ds.manifest, str(first))
+        save_checkpoint(state, ds.manifest, str(second))
+        assert sorted(os.listdir(tmp_path)) == ["again.json", "ckpt.json"]
+        assert first.read_bytes() == second.read_bytes()
+        loaded, _ = load_checkpoint(str(first))
+        for got, want in ((loaded.user_emb, state.user_emb),
+                          (loaded.item_emb, state.item_emb)):
+            np.testing.assert_array_equal(got, want)
+            assert got.tobytes() == want.tobytes()  # -0.0 keeps its sign
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
