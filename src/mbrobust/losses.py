@@ -23,6 +23,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
 from .graph import BehaviorGraph, propagate, propagate_adjoint
@@ -142,13 +143,22 @@ def _scatter_margin_grads(
     triplets: np.ndarray,
     coef: np.ndarray,
 ) -> None:
-    """Accumulate coef_t * d(margin_t)/d(P, Q) into the buffers."""
+    """Accumulate coef_t * d(margin_t)/d(P, Q) into the buffers.
+
+    Each buffer takes one sparse (rows x triplets) product: column t holds
+    coef_t at user t for P, and coef_t at pos t and -coef_t at neg t for Q,
+    so repeated rows sum inside the product.
+    """
     users, pos, neg = triplets[:, 0], triplets[:, 1], triplets[:, 2]
-    pu = P[users]
-    contrib = coef[:, None] * (Q[pos] - Q[neg])
-    np.add.at(d_P, users, contrib)
-    np.add.at(d_Q, pos, coef[:, None] * pu)
-    np.subtract.at(d_Q, neg, coef[:, None] * pu)
+    n = len(triplets)
+    cols = np.arange(n + 1)
+    to_users = sp.csc_matrix((coef, users, cols), shape=(P.shape[0], n))
+    d_P += to_users @ (Q[pos] - Q[neg])
+    to_items = sp.csc_matrix(
+        (np.column_stack((coef, -coef)).ravel(), triplets[:, 1:].ravel(), 2 * cols),
+        shape=(Q.shape[0], n),
+    )
+    d_Q += to_items @ P[users]
 
 
 def _bpr_risk(m: np.ndarray) -> tuple[float, np.ndarray]:
@@ -196,7 +206,8 @@ def rrm_loss(
     term in the denominator (bounded below); ``literal`` uses the
     negatives-only denominator.  The loss is averaged over batch users and
     auxiliary behaviors; gradients flow into every passed embedding matrix,
-    the target one included.
+    the target one included.  ``batch_users`` must be distinct: a repeated
+    user would be its own negative.
     """
     if mode not in RRM_MODES:
         raise ValueError(f"mode must be one of {RRM_MODES}")
@@ -211,24 +222,27 @@ def rrm_loss(
     n = len(batch_users)
     if n < 2:
         raise ValueError("alignment loss needs at least 2 batch users")
+    if len(np.unique(batch_users)) != n:
+        raise ValueError("alignment loss needs distinct batch users")
 
     scale = 1.0 / (len(aux) * n)
     Y = user_embs[target][batch_users]
     Y_hat, y_norm = _unit_rows(Y)
+    d_Y = np.zeros_like(Y)
     total = 0.0
     for b in aux:
-        X = user_embs[b][batch_users]
-        X_hat, x_norm = _unit_rows(X)
+        X_hat, x_norm = _unit_rows(user_embs[b][batch_users])
 
         c_pos = np.einsum("ij,ij->i", X_hat, Y_hat)
         z_pos = c_pos / tau
-        C = X_hat @ X_hat.T
-        Z = C / tau
-        np.fill_diagonal(Z, -np.inf)  # a user is never its own negative
+        C = X_hat @ X_hat.copy().T  # a gemm; X_hat @ X_hat.T would go to syrk
+        W = C / tau
+        np.fill_diagonal(W, -np.inf)  # a user is never its own negative
 
-        row_max = np.max(Z, axis=1)
-        sum_neg = np.sum(np.exp(Z - row_max[:, None]), axis=1)
-        lse_neg = row_max + np.log(sum_neg)
+        row_max = np.max(W, axis=1)
+        W -= row_max[:, None]
+        np.exp(W, out=W)  # exp(Z - row_max): the one n x n exp
+        lse_neg = row_max + np.log(np.sum(W, axis=1))
         if mode == "with_positive":
             denom = np.logaddexp(z_pos, lse_neg)
             g_pos = -1.0 + np.exp(z_pos - denom)
@@ -236,22 +250,23 @@ def rrm_loss(
             denom = lse_neg
             g_pos = np.full(n, -1.0)
         total += float(np.sum(-z_pos + denom)) * scale
-        W = np.exp(Z - denom[:, None])
-        np.fill_diagonal(W, 0.0)
+        W *= np.exp(row_max - denom)[:, None]  # exp(Z - denom), zero diagonal
 
         # d z_pos / dX and dY (cosine chain rule)
         gp = (scale * g_pos)[:, None]
         d_X = gp * (Y_hat - c_pos[:, None] * X_hat) / (tau * x_norm[:, None])
-        d_Y = gp * (X_hat - c_pos[:, None] * Y_hat) / (tau * y_norm[:, None])
+        d_Y += gp * (X_hat - c_pos[:, None] * Y_hat) / (tau * y_norm[:, None])
 
-        # negatives: logits Z_ij touch X_i and X_j symmetrically
-        V = W + W.T
-        n1 = V @ X_hat
-        n2 = np.sum(V * C, axis=1)[:, None] * X_hat
+        # negatives: logits Z_ij touch X_i and X_j symmetrically, so the
+        # weights enter as W + W.T; C is symmetric, so the row sums of
+        # (W + W.T) * C are the row plus column sums of W * C
+        n1 = W @ X_hat + W.T @ X_hat
+        C *= W
+        n2 = (np.sum(C, axis=1) + np.sum(C, axis=0))[:, None] * X_hat
         d_X += scale * (n1 - n2) / (tau * x_norm[:, None])
 
-        np.add.at(grads[b], batch_users, d_X)
-        np.add.at(grads[target], batch_users, d_Y)
+        grads[b][batch_users] += d_X  # batch users are distinct
+    grads[target][batch_users] += d_Y
     return total, grads
 
 

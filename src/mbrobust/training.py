@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import time
 import zipfile
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ from .graph import build_graph
 from .losses import (
     GradientBuffer,
     Hyperparameters,
+    LossBreakdown,
     ModelState,
     TripletBatch,
     total_loss,
@@ -27,7 +29,24 @@ log = logging.getLogger(__name__)
 
 
 class NonFiniteGradientError(Exception):
-    """A gradient tensor contained NaN or infinity; the message names it."""
+    """A loss term or a gradient tensor contained NaN or infinity; the
+    message names it."""
+
+
+def _check_finite_loss(breakdown: LossBreakdown) -> None:
+    """Raise `NonFiniteGradientError` naming the first NaN or infinite term of
+    a batch's loss; the constituents come before the total they make up."""
+    terms = {
+        "main": breakdown.main,
+        "reg": breakdown.reg,
+        "rrm": breakdown.rrm,
+        "orm": breakdown.orm,
+        **{f"bpr_{b}": v for b, v in breakdown.bpr.items()},
+        "total": breakdown.total,
+    }
+    for name, value in terms.items():
+        if not math.isfinite(value):
+            raise NonFiniteGradientError(f"non-finite {name} loss ({value})")
 
 
 @dataclass
@@ -259,6 +278,7 @@ def train(
                 log.warning("batch with no target triplets skipped")
                 continue
             breakdown, grads = total_loss(state, graphs, batch, batch_users, target)
+            _check_finite_loss(breakdown)
             adam_step(state, opt, grads, hp.lr)
             batches += 1
             sums["rrm"] += breakdown.rrm

@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from mbrobust import cli
+from mbrobust import cli, losses
 from mbrobust.cli import build_parser, echo_config, main, resolve_run_config
 from mbrobust.data import diagnose, load_dataset, save_dataset
 from mbrobust.losses import Hyperparameters
@@ -157,6 +157,14 @@ class TestTrainCommand:
         text = open(os.path.join(out, "effective_config.cfg")).read()
         assert "max_epochs = 2" in text  # flag wins over file
         assert "dim = 4" in text
+
+    def test_non_finite_loss_exits_3(self, dataset_dir, tmp_path, capsys,
+                                     monkeypatch):
+        real_main_loss = losses.main_loss
+        monkeypatch.setattr(losses, "main_loss", lambda *args: (
+            float("inf"), *real_main_loss(*args)[1:]))
+        assert main(_train_args(dataset_dir, str(tmp_path / "run"))) == 3
+        assert "non-finite main loss" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, dataset_dir, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
@@ -417,6 +425,15 @@ class TestMalformedCheckpoint:
         code, err = self._evaluate(data_dir, str(path), capsys)
         assert code == 2
         assert str(path) in err and "unsupported checkpoint version 1" in err
+
+    @pytest.mark.parametrize("where", ["directory", "under_a_file"])
+    def test_unopenable_path_exits_2(self, trained_run, tmp_path, capsys, where):
+        data_dir, _ = trained_run
+        (tmp_path / "file").write_text("")
+        path = str(tmp_path if where == "directory" else tmp_path / "file" / "c.npz")
+        code, err = self._evaluate(data_dir, path, capsys)
+        assert code == 2
+        assert path in err and "data error" in err
 
 
 class TestSweepCommand:

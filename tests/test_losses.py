@@ -9,10 +9,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from mbrobust.gradcheck import max_rel_error, numeric_gradient, run_gradcheck
 from mbrobust.graph import build_graph
 from mbrobust.losses import (
+    RRM_MODES,
     Hyperparameters,
     ModelState,
     TripletBatch,
@@ -72,8 +74,78 @@ class TestBprLoss:
         with pytest.raises(ValueError, match="empty"):
             bpr_loss(np.zeros((1, 2)), np.zeros((1, 2)), np.empty((0, 3), dtype=int))
 
+    def test_repeated_rows_sum_their_gradients(self):
+        # users and items recur across triplets, items as positive in one
+        # triplet and negative in another, and once as both in the same one
+        rng = np.random.default_rng(4)
+        P = rng.normal(size=(3, 4))
+        Q = rng.normal(size=(4, 4))
+        triplets = np.array([[0, 1, 2], [0, 1, 2], [1, 3, 3], [1, 2, 1],
+                             [2, 1, 0], [0, 0, 2]])
+        _, dP, dQ = bpr_loss(P, Q, triplets)
+        fd_P = numeric_gradient(lambda: bpr_loss(P, Q, triplets)[0], P)
+        fd_Q = numeric_gradient(lambda: bpr_loss(P, Q, triplets)[0], Q)
+        assert max_rel_error(dP, fd_P) <= 1e-6
+        assert max_rel_error(dQ, fd_Q) <= 1e-6
+
+
+def _rrm_reference(embs, target, users, tau, mode):
+    """rrm_loss one (behavior, batch row) at a time: scipy's logsumexp over
+    the row's logits, and the cosine chain rule applied per logit."""
+    aux = [b for b in embs if b != target]
+    scale = 1.0 / (len(aux) * len(users))
+    unit = {b: E / np.linalg.norm(E, axis=1)[:, None] for b, E in embs.items()}
+    norm = {b: np.linalg.norm(E, axis=1) for b, E in embs.items()}
+
+    def d_cos(b, u, c_b, v):  # d cos(row u of b, row v of c_b) / d (row u of b)
+        a, c = unit[b][u], unit[c_b][v]
+        return (c - (a @ c) * a) / norm[b][u]
+
+    value = 0.0
+    grads = {b: np.zeros_like(E) for b, E in embs.items()}
+    for b in aux:
+        for u in users:
+            others = [v for v in users if v != u]
+            z_pos = unit[b][u] @ unit[target][u] / tau
+            z_neg = np.array([unit[b][u] @ unit[b][v] / tau for v in others])
+            if mode == "with_positive":
+                lse = logsumexp(np.append(z_neg, z_pos))
+                p_pos = np.exp(z_pos - lse)
+            else:
+                lse = logsumexp(z_neg)
+                p_pos = 0.0
+            value += scale * (lse - z_pos)
+            g = scale * (p_pos - 1.0) / tau
+            grads[b][u] += g * d_cos(b, u, target, u)
+            grads[target][u] += g * d_cos(target, u, b, u)
+            for v, z in zip(others, z_neg):
+                g = scale * np.exp(z - lse) / tau
+                grads[b][u] += g * d_cos(b, u, b, v)
+                grads[b][v] += g * d_cos(b, v, b, u)
+    return value, grads
+
 
 class TestRrmLoss:
+    @pytest.mark.parametrize("tau", [0.2, 1e-3])
+    @pytest.mark.parametrize("mode", RRM_MODES)
+    def test_matches_per_row_reference(self, mode, tau):
+        # tau = 1e-3 puts logits near 1000, where an unshifted exp overflows
+        rng = np.random.default_rng(5)
+        embs = {b: rng.normal(size=(80, 8)) for b in ("view", "cart", "buy")}
+        users = rng.permutation(80)[:64]
+        value, grads = rrm_loss(embs, "buy", users, tau, mode)
+        ref_value, ref_grads = _rrm_reference(embs, "buy", users, tau, mode)
+        assert math.isfinite(value)
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        for b in embs:
+            scale = np.max(np.abs(ref_grads[b]))
+            assert np.max(np.abs(grads[b] - ref_grads[b])) <= 1e-12 * scale, b
+
+    def test_duplicate_batch_users_rejected(self):
+        embs = {"view": np.eye(3), "buy": np.eye(3)}
+        with pytest.raises(ValueError, match="distinct"):
+            rrm_loss(embs, "buy", np.array([0, 1, 0]), 0.2)
+
     def test_perfect_alignment_orthogonal_negatives_closed_form(self):
         # aux embeddings orthogonal across users, target equal to aux:
         # per-user loss is -log(e^{1/tau} / (e^{1/tau} + (n-1)))

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from mbrobust import losses, training
 from mbrobust.data import split_leave_one_out
 from mbrobust.losses import GradientBuffer, Hyperparameters, ModelState
 from mbrobust.synthetic import planted_dataset
@@ -201,6 +202,20 @@ class TestTrainLoop:
         best = evaluate(state, split, ks=(10,), pairs=split.validation)
         evals = [r.val_hr10 for r in rows if r.val_hr10 is not None]
         assert best.hr[10] >= evals[-1]
+
+    def test_non_finite_loss_aborts_before_adam(self, monkeypatch):
+        # the main term's value is NaN while every gradient stays finite
+        real_main_loss = losses.main_loss
+
+        def nan_main_loss(*args):
+            return (float("nan"), *real_main_loss(*args)[1:])
+
+        steps = []
+        monkeypatch.setattr(losses, "main_loss", nan_main_loss)
+        monkeypatch.setattr(training, "adam_step", lambda *args: steps.append(args))
+        with pytest.raises(NonFiniteGradientError, match="non-finite main loss"):
+            train(self._split(), TrainConfig(hp=self._hp()))
+        assert steps == []
 
     def test_empty_validation_trains_to_max_epochs(self):
         split = self._split()
