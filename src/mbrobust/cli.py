@@ -39,7 +39,6 @@ from .losses import (
     ORM_SCOPES,
     RRM_MODES,
     Hyperparameters,
-    ObjectiveError,
 )
 from .training import (
     NonFiniteGradientError,
@@ -277,6 +276,8 @@ def cmd_evaluate(args) -> int:
             "checkpoint manifest hash does not match the dataset; "
             "was it trained on different data?"
         )
+    if not split.test:
+        raise DatasetError(f"{args.dataset}: no held-out pairs to evaluate")
     report = evaluate(state, split, ks=args.ks, exclude_train=not args.no_exclusion)
     _write_json(report.to_json_dict(), args.out)
     return EXIT_OK
@@ -313,18 +314,14 @@ def cmd_gradcheck(args) -> int:
         except ValueError:
             raise ConfigError(f"bad size {token!r}; expected UxIxB") from None
         sizes.append((u, i, b))
-    variants = (args.variant,) if args.variant else None
-    modes = (args.mode,) if args.mode else None
-    scopes = (args.scope,) if args.scope else None
-    kwargs = {}
-    if variants:
-        kwargs["variants"] = variants
-    if modes:
-        kwargs["modes"] = modes
-    if scopes:
-        kwargs["scopes"] = scopes
     seed = args.seed if args.seed is not None else 0
-    results = run_gradcheck(seed=seed, sizes=tuple(sizes), **kwargs)
+    results = run_gradcheck(
+        seed=seed,
+        sizes=tuple(sizes),
+        variants=(args.variant,) if args.variant else IRM_VARIANTS,
+        modes=(args.mode,) if args.mode else RRM_MODES,
+        scopes=(args.scope,) if args.scope else ORM_SCOPES,
+    )
     worst = 0.0
     ok = True
     for r in results:
@@ -418,19 +415,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DatasetError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ObjectiveError as exc:
+    except (DatasetError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:  # an OS error's message names the path
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NonFiniteGradientError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError,
-            PermissionError) as exc:  # the message names the path
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -63,9 +63,6 @@ class InteractionDataset:
     def edge_count(self, behavior: str) -> int:
         return len(self.edges[behavior])
 
-    def pairs(self, behavior: str) -> set[Edge]:
-        return set(self.edges[behavior].keys())
-
     def user_items(self, behavior: str) -> tuple[np.ndarray, np.ndarray]:
         """The behavior's edges as CSR rows ``(indptr, items)``: user ``u``'s
         items, in ascending order, are ``items[indptr[u]:indptr[u + 1]]``."""
@@ -295,36 +292,52 @@ def write_split(split: SplitDataset, out_dir: str) -> None:
                 fh.write(f"{ds.user_ids[u]}\t{ds.item_ids[i]}\n")
 
 
-def _read_map(path: str) -> dict[str, int]:
-    out = {}
+def _read_map(path: str) -> tuple[dict[str, int], tuple[str, ...]]:
+    """The raw -> dense map of a ``raw_id<TAB>dense_id`` file and the raw ids
+    in dense order.  Raw ids must be unique and the dense ids must be
+    0..n-1, each once."""
+    out: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 raw, dense = line.rstrip("\n").split("\t")
-                out[raw] = int(dense)
+                dense = int(dense)
             except ValueError:
                 raise DatasetError(
                     f"{path}:{lineno}: expected 'raw_id<TAB>dense_id'"
                 ) from None
-    return out
+            if raw in out:
+                raise DatasetError(f"{path}:{lineno}: raw id {raw!r} repeats")
+            out[raw] = dense
+    raws: list[str | None] = [None] * len(out)
+    for raw, dense in out.items():
+        # n distinct in-range ids are exactly 0..n-1
+        if not 0 <= dense < len(raws) or raws[dense] is not None:
+            raise DatasetError(
+                f"{path}: dense ids must be 0..{len(raws) - 1}, each once; "
+                f"{raw!r} has {dense}"
+            )
+        raws[dense] = raw
+    return out, tuple(raws)
 
 
 def load_split(path: str) -> SplitDataset:
     """Load a directory previously written by `write_split`.
 
-    Each user has at most one test and one validation pair, and no held-out
-    pair is also a training target edge.
+    The training target is nonempty, each user has at most one test and one
+    validation pair, and no held-out pair is also a training target edge.
     """
     behaviors, target = _read_manifest(path)
-    u_map = _read_map(os.path.join(path, "users.map"))
-    i_map = _read_map(os.path.join(path, "items.map"))
-    user_ids = tuple(r for r, _ in sorted(u_map.items(), key=lambda p: p[1]))
-    item_ids = tuple(r for r, _ in sorted(i_map.items(), key=lambda p: p[1]))
+    u_map, user_ids = _read_map(os.path.join(path, "users.map"))
+    i_map, item_ids = _read_map(os.path.join(path, "items.map"))
 
     def read(fname: str) -> tuple[list[Edge], list[int | None]]:
         return _parse_tsv(os.path.join(path, fname), (u_map, i_map))
 
     edges: EdgeMap = {b: _dedup_edges(*read(f"train.{b}.tsv")) for b in behaviors}
+    if not edges[target]:
+        tsv = os.path.join(path, f"train.{target}.tsv")
+        raise DatasetError(f"{tsv}: empty target behavior {target!r}")
 
     def held_out(fname: str) -> tuple[Edge, ...]:
         item_of: dict[int, int] = {}
@@ -409,10 +422,10 @@ def compute_bar(ds: InteractionDataset, behavior: str) -> float:
     """Fraction of target (user, item) pairs that also occur in ``behavior``."""
     if behavior not in ds.manifest.behaviors:
         raise DatasetError(f"behavior {behavior!r} not declared in manifest")
-    target_pairs = ds.pairs(ds.manifest.target)
+    target_pairs = ds.edges[ds.manifest.target].keys()
     if not target_pairs:
         raise DatasetError("empty target behavior: alignment ratio is undefined")
-    return len(ds.pairs(behavior) & target_pairs) / len(target_pairs)
+    return len(ds.edges[behavior].keys() & target_pairs) / len(target_pairs)
 
 
 def _dt_with_flag(ds: InteractionDataset) -> tuple[float, bool]:

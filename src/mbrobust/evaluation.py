@@ -52,50 +52,23 @@ def fused_embeddings(
     return fuse(P, Q)
 
 
-def held_out_rank(
-    z_user: np.ndarray,
-    z_item: np.ndarray,
-    user: int,
-    held_item: int,
-    exclusions: set[int],
-) -> int:
-    """1-based rank of the held-out item among non-excluded candidates.
-
-    Score ties are broken by ascending item id, so ranks are deterministic.
-    """
-    if held_item in exclusions:
-        raise ValueError(
-            f"held-out item {held_item} of user {user} is excluded; "
-            "split invariant violated upstream"
-        )
-    scores = z_item @ z_user[user]
-    s_held = scores[held_item]
-    candidate = np.ones(len(scores), dtype=bool)
-    for i in exclusions:
-        candidate[i] = False
-    candidate[held_item] = False
-    better = np.count_nonzero(candidate & (scores > s_held))
-    tied_before = np.count_nonzero(
-        candidate & (scores == s_held) & (np.arange(len(scores)) < held_item)
-    )
-    return 1 + better + tied_before
-
-
 # Scores held at once while ranking (4 MiB of float64): a block of users is
 # as many as fit, so one GEMM scores the block against every item.
 RANK_BLOCK_SCORES = 1 << 19
 
 
-def _block_ranks(
+def held_out_rank(
     z_user: np.ndarray,
     z_item: np.ndarray,
     users: np.ndarray,
     held: np.ndarray,
     rows: tuple[np.ndarray, np.ndarray] | None,
 ) -> np.ndarray:
-    """`held_out_rank` of every (users[k], held[k]) pair, a block at a time;
-    ``rows`` are the CSR rows of each user's excluded items, or None.
+    """1-based rank of each held-out item ``held[k]`` for user ``users[k]``
+    among the non-excluded items, a block of users at a time; ``rows`` are
+    the CSR rows of each user's excluded items, or None.
 
+    Score ties are broken by ascending item id, so ranks are deterministic.
     Excluded scores are overwritten with NaN, which compares neither greater
     than nor equal to any score, so they never count; the held-out item is
     neither above nor before itself.
@@ -157,7 +130,7 @@ def evaluate(
     z_user, z_item = fused_embeddings(state, graphs)
     rows = split.train.user_items(split.train.manifest.target) if exclude_train else None
     users, held = np.array(eval_pairs, dtype=np.int64).reshape(-1, 2).T
-    ranks = _block_ranks(z_user, z_item, users, held, rows)
+    ranks = held_out_rank(z_user, z_item, users, held, rows)
     ranks = list(zip(users.tolist(), ranks.tolist()))
 
     n = len(ranks)

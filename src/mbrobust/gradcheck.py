@@ -14,18 +14,17 @@ from itertools import product
 import numpy as np
 
 from . import seeds
-from .data import DatasetManifest, InteractionDataset
+from .data import DatasetManifest, InteractionDataset, SplitDataset
 from .graph import build_graph
 from .losses import (
-    GradientBuffer,
     Hyperparameters,
     IRM_VARIANTS,
     ModelState,
     ORM_SCOPES,
     RRM_MODES,
-    TripletBatch,
     total_loss,
 )
+from .training import TripletSampler
 
 DEFAULT_TOLERANCE = 1e-5
 
@@ -87,25 +86,8 @@ def random_fixture(
         item_ids=tuple(f"i{k}" for k in range(num_items)),
     )
 
-    def triplets_for(b: str) -> np.ndarray:
-        rows = []
-        indptr, items = ds.user_items(b)
-        for u in range(num_users):
-            pos_items = items[indptr[u] : indptr[u + 1]]
-            negs = np.setdiff1d(np.arange(num_items), pos_items)
-            if len(pos_items) == 0 or len(negs) == 0:
-                continue
-            rows.append(
-                (u, pos_items[rng.integers(len(pos_items))],
-                 negs[rng.integers(len(negs))])
-            )
-        return np.asarray(rows, dtype=np.int64)
-
-    batch = TripletBatch(
-        per_behavior={b: triplets_for(b) for b in names},
-        main=triplets_for(target),
-    )
     batch_users = np.arange(num_users, dtype=np.int64)
+    batch = TripletSampler(SplitDataset(ds, (), ())).sample(batch_users, rng)
     return ds, batch, batch_users
 
 
@@ -114,12 +96,6 @@ class GradCheckResult:
     path: str
     max_rel_error: float
     passed: bool
-
-
-def variant_paths(
-    variants=IRM_VARIANTS, modes=RRM_MODES, scopes=ORM_SCOPES
-) -> list[tuple[str, str, str]]:
-    return list(product(variants, modes, scopes))
 
 
 def run_gradcheck(
@@ -132,15 +108,12 @@ def run_gradcheck(
     variants=IRM_VARIANTS,
     modes=RRM_MODES,
     scopes=ORM_SCOPES,
-    corrupt_path: str | None = None,
 ) -> list[GradCheckResult]:
     """Compare analytic and finite-difference gradients across all variants.
 
     ``sizes`` entries are (num_users, num_items, num_behaviors).  Each
     variant combination is one checked path named
-    ``"<variant>|<mode>|<scope>|u<U>i<I>b<B>"``.  ``corrupt_path`` is a
-    test-only hook: the named path's analytic gradient is deliberately
-    biased so the negative control fails.
+    ``"<variant>|<mode>|<scope>|u<U>i<I>b<B>"``.
     """
     rng = seeds.spawn(seed, "gradcheck")
     results = []
@@ -151,7 +124,7 @@ def run_gradcheck(
         graphs = {b: build_graph(ds, b) for b in ds.manifest.behaviors}
         base_user = rng.normal(0.0, 0.5, (num_users, dim))
         base_item = rng.normal(0.0, 0.5, (num_items, dim))
-        for variant, mode, scope in variant_paths(variants, modes, scopes):
+        for variant, mode, scope in product(variants, modes, scopes):
             path = f"{variant}|{mode}|{scope}|u{num_users}i{num_items}b{num_behaviors}"
             hp = Hyperparameters(
                 dim=dim,
@@ -173,8 +146,6 @@ def run_gradcheck(
                 return breakdown.total
 
             _, grads = total_loss(state, graphs, batch, batch_users, ds.manifest.target)
-            if corrupt_path == path:
-                grads = GradientBuffer(grads.d_user + 1e-3, grads.d_item)
             fd_user = numeric_gradient(objective, state.user_emb, h)
             fd_item = numeric_gradient(objective, state.item_emb, h)
             err = max(

@@ -26,6 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
+from .data import DatasetError
 from .graph import BehaviorGraph, propagate, propagate_adjoint
 
 log = logging.getLogger(__name__)
@@ -323,6 +324,9 @@ def _irm_term(m: np.ndarray) -> tuple[float, np.ndarray]:
 
     risk(w) = mean softplus(-w * m); at w = 1 its derivative is
     g = -(1/n) sum m * sigmoid(-m), so the term is g^2 with d/dm = 2 g dg/dm.
+    ``irm_v1`` (trainable multiplier evaluated at w = 1) and ``irm_v2``
+    (multiplier frozen at 1) share this term: with a parameter-free
+    dot-product predictor their numerics are identical.
     """
     n = len(m)
     s = expit(-m)
@@ -330,33 +334,6 @@ def _irm_term(m: np.ndarray) -> tuple[float, np.ndarray]:
     # d/dm of each term -m*s/n, with ds/dm = -s(1-s)
     dg_dm = -(s - m * s * (1.0 - s)) / n
     return g * g, 2.0 * g * dg_dm
-
-
-def irm_penalty(
-    embs: dict[str, tuple[np.ndarray, np.ndarray]],
-    triplets: dict[str, np.ndarray],
-    behaviors: list[str] | None = None,
-) -> tuple[float, dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Sum over behaviors of squared d(risk)/dw at the frozen multiplier w=1.
-
-    ``embs[b]`` is the (P, Q) pair for behavior b.  Returns the penalty and
-    its gradients with respect to every P and Q.  ``irm_v1`` (trainable
-    multiplier evaluated at w = 1) and ``irm_v2`` (multiplier frozen at 1)
-    share this penalty: with a parameter-free dot-product predictor their
-    numerics are identical.
-    """
-    if behaviors is None:
-        behaviors = list(embs)
-    value = 0.0
-    d_P = {b: np.zeros_like(embs[b][0]) for b in embs}
-    d_Q = {b: np.zeros_like(embs[b][1]) for b in embs}
-    for b in behaviors:
-        P, Q = embs[b]
-        tr = _check_triplets(triplets[b])
-        term, d_m = _irm_term(_margins(P, Q, tr))
-        value += term
-        _scatter_margin_grads(d_P[b], d_Q[b], P, Q, tr, d_m)
-    return value, d_P, d_Q
 
 
 # ----------------------------------------------------------------------
@@ -400,8 +377,9 @@ def main_loss(
 # Full forward/backward pass
 # ----------------------------------------------------------------------
 
-class ObjectiveError(Exception):
-    """A constituent of the total objective failed; the message names it."""
+class ObjectiveError(DatasetError):
+    """A constituent of the total objective failed on the batch it was given,
+    a data error; the message names it."""
 
 
 def total_loss(

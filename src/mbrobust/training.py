@@ -56,9 +56,10 @@ class OptimizerState:
     m_item: np.ndarray
     v_item: np.ndarray
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+
+
+# the decay rates and denominator guard of Kingma & Ba (2015)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def init_optimizer(state: ModelState) -> OptimizerState:
@@ -83,17 +84,17 @@ def adam_step(
             raise NonFiniteGradientError(f"non-finite entries in {name} gradient")
     opt.step_count += 1
     t = opt.step_count
-    c1 = 1.0 - opt.beta1**t
-    c2 = 1.0 - opt.beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     for m, v, g, theta in (
         (opt.m_user, opt.v_user, grads.d_user, state.user_emb),
         (opt.m_item, opt.v_item, grads.d_item, state.item_emb),
     ):
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * g * g
-        theta -= lr * (m / c1) / (np.sqrt(v / c2) + opt.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        theta -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return state
 
 

@@ -251,6 +251,42 @@ class TestSplitLoading:
         assert code == 2
         assert f"users.map:{lineno}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["gap", "repeated dense id", "repeated raw id",
+                                      "negative id"])
+    def test_inconsistent_id_map_exits_2(self, split_dir, tmp_path, capsys, case):
+        path = os.path.join(split_dir, "items.map")
+        lines = sorted(open(path, encoding="utf-8").read().splitlines(),
+                       key=lambda line: int(line.split("\t")[1]))
+        first, last = (line.split("\t")[0] for line in (lines[0], lines[-1]))
+        lines = {
+            "gap": lines[:-1] + [f"{last}\t{len(lines)}"],
+            "repeated dense id": lines[:-1] + [f"{last}\t0"],
+            "repeated raw id": lines + [f"{first}\t{len(lines)}"],
+            "negative id": lines[:-1] + [f"{last}\t-1"],
+        }[case]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        code = main(_train_args(split_dir, str(tmp_path / "run")))
+        assert code == 2
+        assert "items.map" in capsys.readouterr().err
+
+    def test_empty_training_target_exits_2(self, split_dir, tmp_path, capsys):
+        target = json.load(open(os.path.join(split_dir, "manifest.json")))["target"]
+        open(os.path.join(split_dir, f"train.{target}.tsv"), "w").close()
+        code = main(_train_args(split_dir, str(tmp_path / "run")))
+        assert code == 2
+        assert f"train.{target}.tsv" in capsys.readouterr().err
+
+    def test_empty_test_set_exits_2_on_evaluate(self, split_dir, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert main(_train_args(split_dir, out)) == 0
+        open(os.path.join(split_dir, "test.tsv"), "w").close()
+        capsys.readouterr()
+        code = main(["evaluate", split_dir,
+                     "--checkpoint", os.path.join(out, "checkpoint.npz")])
+        assert code == 2
+        assert "no held-out pairs" in capsys.readouterr().err
+
 
 # Every Hyperparameters field (``seed`` is the global --seed) and every
 # TrainConfig run field (``eval_every``, ``ks``), each with a

@@ -34,6 +34,17 @@ def oracle_rank(scores, held_item, exclusions):
     return order.index(held_item) + 1
 
 
+def rank_of(z_user, z_item, user, held_item, exclusions):
+    """`held_out_rank` of the one pair (user, held_item), with ``exclusions``
+    as the user's excluded items."""
+    items = np.array(sorted(exclusions), dtype=np.int64)
+    indptr = np.zeros(len(z_user) + 1, dtype=np.int64)
+    indptr[user + 1 :] = len(items)
+    ranks = held_out_rank(z_user, z_item, np.array([user]), np.array([held_item]),
+                          (indptr, items))
+    return int(ranks[0])
+
+
 def oracle_metrics(ranks, k):
     hr = sum(1 for r in ranks if r <= k) / len(ranks)
     ndcg = sum(1.0 / math.log2(r + 1) for r in ranks if r <= k) / len(ranks)
@@ -44,13 +55,13 @@ class TestRank:
     def test_top_score_is_rank_one(self):
         z_user = np.array([[1.0, 0.0]])
         z_item = np.array([[5.0, 0.0], [1.0, 0.0], [0.5, 0.0]])
-        assert held_out_rank(z_user, z_item, 0, 0, set()) == 1
+        assert rank_of(z_user, z_item, 0, 0, set()) == 1
 
     def test_all_ties_rank_by_item_id(self):
         z_user = np.array([[1.0]])
         z_item = np.ones((4, 1))
-        assert held_out_rank(z_user, z_item, 0, 0, set()) == 1
-        assert held_out_rank(z_user, z_item, 0, 2, set()) == 3
+        assert rank_of(z_user, z_item, 0, 0, set()) == 1
+        assert rank_of(z_user, z_item, 0, 2, set()) == 3
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(0)
@@ -64,14 +75,14 @@ class TestRank:
                                            replace=False)
             } - {held}
             scores = z_item @ z_user[0]
-            assert held_out_rank(z_user, z_item, 0, held, exclusions) == oracle_rank(
+            assert rank_of(z_user, z_item, 0, held, exclusions) == oracle_rank(
                 scores, held, exclusions
             )
 
     def test_excluded_held_out_item_is_an_error(self):
         z = np.ones((1, 1))
         with pytest.raises(ValueError, match="excluded"):
-            held_out_rank(z, np.ones((2, 1)), 0, 0, {0})
+            rank_of(z, np.ones((2, 1)), 0, 0, {0})
 
     def test_rank_from_fused_embeddings(self):
         ds = make_dataset({"buy": {(0, 0): 1}}, "buy", num_users=1, num_items=3)
@@ -79,8 +90,8 @@ class TestRank:
         hp = Hyperparameters(dim=3, num_layers=0)
         state = ModelState(np.array([[1.0, 0.0, 0.0]]), np.eye(3), hp)
         z_user, z_item = fused_embeddings(state, graphs)
-        assert held_out_rank(z_user, z_item, 0, 0, set()) == 1
-        assert held_out_rank(z_user, z_item, 0, 1, set()) == 2  # ties by item id
+        assert rank_of(z_user, z_item, 0, 0, set()) == 1
+        assert rank_of(z_user, z_item, 0, 1, set()) == 2  # ties by item id
 
 
 def _metric_split(num_users, num_items, test_pairs, train_target=None):
@@ -184,7 +195,7 @@ class TestEvaluate:
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_block_ranks_equal_held_out_rank(self, data):
+    def test_block_ranks_equal_full_sort_oracle(self, data):
         # small-integer embeddings make every score exact, so ties are the
         # same under any summation order
         n_u = data.draw(st.integers(1, 12), label="users")
@@ -205,8 +216,9 @@ class TestEvaluate:
             mp.setattr(evaluation, "RANK_BLOCK_SCORES", n_i * data.draw(st.integers(1, 3)))
             report = evaluate(state, split, ks=(1,), exclude_train=exclude,
                               record_ranks=True)
+        scores = user_emb @ item_emb.T
         expected = tuple(
-            (u, held_out_rank(user_emb, item_emb, u, h, exclusions[u] if exclude else set()))
+            (u, oracle_rank(scores[u], h, exclusions[u] if exclude else set()))
             for u, h in enumerate(held)
         )
         assert report.per_user_ranks == expected

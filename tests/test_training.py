@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mbrobust import losses, training
-from mbrobust.data import split_leave_one_out
+from mbrobust.data import SplitDataset, split_leave_one_out
 from mbrobust.losses import GradientBuffer, Hyperparameters, ModelState
 from mbrobust.synthetic import planted_dataset
 from mbrobust.training import (
@@ -126,6 +126,42 @@ class TestSampling:
             for u, pos, neg in batch.main:
                 assert (u, pos) in split.train.edges["buy"]
                 assert (u, neg) not in split.train.edges["buy"]
+
+    def test_complement_fallback_obeys_membership_rule(self, monkeypatch):
+        # with no rejection tries every negative comes from the complement
+        monkeypatch.setattr(TripletSampler, "REJECTION_CAP", 0)
+        ds = planted_dataset(seed=5, num_users=12, num_items=12, num_groups=4,
+                             target_per_user=3, aux_per_user=4)
+        split = split_leave_one_out(ds)
+        sampler = TripletSampler(split)
+        rng = np.random.default_rng(4)
+        negatives = {b: set() for b in ds.manifest.behaviors}
+        for _ in range(40):
+            batch = sampler.sample(np.arange(12), rng)
+            for b, triplets in [*batch.per_behavior.items(), ("buy", batch.main)]:
+                for u, pos, neg in triplets:
+                    assert (u, pos) in split.train.edges[b]
+                    assert (u, neg) not in split.train.edges[b]
+                    negatives[b].add((int(u), int(neg)))
+        assert sampler.saturated_skips == 0
+        every_pair = {(u, i) for u in range(12) for i in range(12)}
+        for b in ds.manifest.behaviors:  # and reaches every unobserved pair
+            assert negatives[b] == every_pair - set(split.train.edges[b])
+
+    def test_saturated_user_is_skipped_and_counted(self):
+        # user 0 has every item in "view"; their target triplet is still drawn
+        ds = make_dataset(
+            {"view": {(0, 0): 1, (0, 1): 1, (0, 2): 1, (1, 0): 1},
+             "buy": {(0, 0): 1, (1, 1): 1}},
+            "buy", num_users=2, num_items=3,
+        )
+        sampler = TripletSampler(SplitDataset(ds, (), ()))
+        batch = sampler.sample(np.array([0, 1]), np.random.default_rng(0))
+        assert sampler.saturated_skips == 1
+        assert batch.per_behavior["view"][:, 0].tolist() == [1]
+        assert batch.per_behavior["buy"][:, :2].tolist() == [[0, 0], [1, 1]]
+        assert batch.main[:, :2].tolist() == [[0, 0], [1, 1]]
+        assert batch.main[0, 2] in (1, 2)
 
     def test_positive_sampling_is_uniform(self):
         # counts per train positive should sit within 3 sigma of uniform
