@@ -14,7 +14,6 @@ from mbrobust.synthetic import planted_dataset
 ds = planted_dataset(seed=0, num_users=8, num_items=8, num_groups=2,
                      target_per_user=4, aux_per_user=3)
 g = build_graph(ds, "buy")
-print("behavior:", g.behavior)
 print("nodes:", g.num_nodes, " edges (directed):", g.adjacency.nnz)
 print("weights are 1/sqrt(deg_u * deg_i); row sums stay <= 1:")
 print(np.round(np.asarray(g.adjacency.sum(axis=1)).ravel(), 3))
@@ -31,6 +30,8 @@ print("L=2 user row 0 before:", np.round(Zu[0], 3))
 print("L=2 user row 0 after :", np.round(out2.P[0], 3))
 
 # --- the adjoint identity <y, Mx> == <M*y, x> --------------------------------
+# M is symmetric, so its adjoint is M itself: the same function
+print("\npropagate_adjoint is propagate:", propagate_adjoint is propagate)
 dP = rng.normal(size=(8, 4))
 dQ = rng.normal(size=(8, 4))
 du, di = propagate_adjoint(g, dP, dQ, num_layers=2)

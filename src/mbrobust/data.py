@@ -112,10 +112,11 @@ class PerturbationSpec:
     seed: int
 
     def __post_init__(self):
+        # a bad spec is a configuration error (a ValueError), not a data error
         if self.mode not in ("add", "remove"):
-            raise DatasetError(f"unknown perturbation mode {self.mode!r}")
+            raise ValueError(f"unknown perturbation mode {self.mode!r}")
         if not (0.0 < self.ratio <= 1.0):
-            raise DatasetError(f"perturbation ratio must be in (0, 1], got {self.ratio}")
+            raise ValueError(f"perturbation ratio must be in (0, 1], got {self.ratio}")
 
 
 # ----------------------------------------------------------------------

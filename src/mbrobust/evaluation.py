@@ -6,6 +6,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -187,38 +188,34 @@ def robustness_sweep(
 
     split = split_leave_one_out(ds)
     aux = split.train.manifest.auxiliary
+    # every cell's spec is built, and so checked, before the first training run
+    specs = [
+        PerturbationSpec(mode, ratio, aux, seeds.stream_seed(seed, "perturbation", cell))
+        for cell, (mode, ratio) in enumerate(product(modes, ratios), start=1)
+    ]
     state, _ = train(split, cfg)
     baseline = evaluate(state, split, ks=(10,))
     rows = [SweepRow("baseline", 0.0, baseline, 0.0, 0.0)]
 
-    cell = 0
-    for mode in modes:
-        for ratio in ratios:
-            cell += 1
-            spec = PerturbationSpec(
-                mode=mode,
-                ratio=ratio,
-                behaviors=aux,
-                seed=seeds.stream_seed(seed, "perturbation", cell),
+    for spec in specs:
+        noisy_train = perturb(split.train, spec)
+        noisy_split = SplitDataset(
+            train=noisy_train,
+            validation=split.validation,
+            test=split.test,
+            users_without_holdout=split.users_without_holdout,
+        )
+        state_n, _ = train(noisy_split, cfg)
+        report = evaluate(state_n, noisy_split, ks=(10,))
+        rows.append(
+            SweepRow(
+                mode=spec.mode,
+                ratio=spec.ratio,
+                report=report,
+                rel_drop_hr10=_rel_drop(baseline.hr[10], report.hr[10]),
+                rel_drop_ndcg10=_rel_drop(baseline.ndcg[10], report.ndcg[10]),
             )
-            noisy_train = perturb(split.train, spec)
-            noisy_split = SplitDataset(
-                train=noisy_train,
-                validation=split.validation,
-                test=split.test,
-                users_without_holdout=split.users_without_holdout,
-            )
-            state_n, _ = train(noisy_split, cfg)
-            report = evaluate(state_n, noisy_split, ks=(10,))
-            rows.append(
-                SweepRow(
-                    mode=mode,
-                    ratio=ratio,
-                    report=report,
-                    rel_drop_hr10=_rel_drop(baseline.hr[10], report.hr[10]),
-                    rel_drop_ndcg10=_rel_drop(baseline.ndcg[10], report.ndcg[10]),
-                )
-            )
+        )
     return rows
 
 

@@ -111,10 +111,16 @@ def run_gradcheck(
 ) -> list[GradCheckResult]:
     """Compare analytic and finite-difference gradients across all variants.
 
-    ``sizes`` entries are (num_users, num_items, num_behaviors).  Each
+    ``sizes`` entries are (num_users, num_items, num_behaviors), all checked
+    before the first fixture is drawn.  Each
     variant combination is one checked path named
     ``"<variant>|<mode>|<scope>|u<U>i<I>b<B>"``.
     """
+    # below these sizes `random_fixture` has no behavior, or redraws forever
+    # for an edge per behavior that leaves every user a non-edge
+    for u, i, b in sizes:
+        if u < 1 or i < 2 or b < 1:
+            raise ValueError(f"fixture size {u}x{i}x{b} needs U >= 1, I >= 2 and B >= 1")
     rng = seeds.spawn(seed, "gradcheck")
     results = []
     for num_users, num_items, num_behaviors in sizes:

@@ -11,6 +11,7 @@ averaged polynomial applied to the cotangent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,20 +21,16 @@ from .data import InteractionDataset
 
 @dataclass(frozen=True)
 class BehaviorGraph:
-    behavior: str
     num_users: int
     num_items: int
     adjacency: sp.csr_matrix  # (U+I) x (U+I), symmetric, normalized
-    degrees: np.ndarray  # per-node interaction counts
 
     @property
     def num_nodes(self) -> int:
         return self.num_users + self.num_items
 
 
-@dataclass(frozen=True)
-class BehaviorEmbeddings:
-    behavior: str
+class BehaviorEmbeddings(NamedTuple):
     P: np.ndarray  # |U| x d user embeddings
     Q: np.ndarray  # |I| x d item embeddings
 
@@ -55,20 +52,7 @@ def build_graph(ds: InteractionDataset, behavior: str) -> BehaviorGraph:
     rating = sp.csr_matrix((weights, items, indptr), shape=(n_u, n_i))
     adj = sp.bmat([[None, rating], [rating.T, None]], format="csr")
     adj.sort_indices()
-    degrees = np.concatenate([deg_u, deg_i])
-    return BehaviorGraph(
-        behavior=behavior, num_users=n_u, num_items=n_i, adjacency=adj, degrees=degrees
-    )
-
-
-def _layer_mean(g: BehaviorGraph, stacked: np.ndarray, num_layers: int) -> np.ndarray:
-    """Overwrites ``stacked``, a fresh array of the caller's, with the result."""
-    out = cur = stacked  # each product is taken before ``out`` is added to
-    for _ in range(num_layers):
-        cur = g.adjacency @ cur
-        out += cur
-    out /= num_layers + 1
-    return out
+    return BehaviorGraph(num_users=n_u, num_items=n_i, adjacency=adj)
 
 
 def propagate(
@@ -88,26 +72,15 @@ def propagate(
         )
     if user_emb.shape[1] != item_emb.shape[1]:
         raise ValueError("user and item embedding dimensions differ")
-    stacked = np.vstack([user_emb, item_emb]).astype(np.float64, copy=False)
-    out = _layer_mean(g, stacked, num_layers)
-    return BehaviorEmbeddings(
-        behavior=g.behavior, P=out[: g.num_users], Q=out[g.num_users :]
-    )
+    out = cur = np.vstack([user_emb, item_emb]).astype(np.float64, copy=False)
+    for _ in range(num_layers):  # each product is taken before ``out`` is added to
+        cur = g.adjacency @ cur
+        out += cur
+    out /= num_layers + 1
+    return BehaviorEmbeddings(out[: g.num_users], out[g.num_users :])
 
 
-def propagate_adjoint(
-    g: BehaviorGraph, d_P: np.ndarray, d_Q: np.ndarray, num_layers: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact vector-Jacobian product of `propagate`.
-
-    The propagation operator (1/(L+1)) * sum_l A^l is symmetric because the
-    normalized adjacency is, so the adjoint applies the same polynomial to
-    the stacked cotangent.
-    """
-    if num_layers < 0:
-        raise ValueError("layer count must be >= 0")
-    if d_P.shape[0] != g.num_users or d_Q.shape[0] != g.num_items:
-        raise ValueError("cotangent shapes do not match graph")
-    stacked = np.vstack([d_P, d_Q]).astype(np.float64, copy=False)
-    out = _layer_mean(g, stacked, num_layers)
-    return out[: g.num_users], out[g.num_users :]
+# The exact vector-Jacobian product of `propagate`: the operator
+# (1/(L+1)) * sum_l A^l is symmetric because the normalized adjacency is, so
+# the adjoint maps the (d_P, d_Q) cotangent through the same polynomial.
+propagate_adjoint = propagate

@@ -60,17 +60,22 @@ class Hyperparameters:
             raise ValueError("embedding dimension must be >= 1")
         if self.num_layers < 0:
             raise ValueError("layer count must be >= 0")
-        if self.tau <= 0:
-            raise ValueError("temperature must be > 0")
+        # the chained comparisons are false for NaN as well as out of range
+        if not 0 < self.tau < np.inf:
+            raise ValueError("temperature must be > 0 and finite")
+        if not 0 < self.lr < np.inf:
+            raise ValueError("learning rate must be > 0 and finite")
         for name in ("lambda_rrm", "lambda_orm", "lambda_reg"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be >= 0 and finite")
         if self.irm_variant not in IRM_VARIANTS:
             raise ValueError(f"irm_variant must be one of {IRM_VARIANTS}")
         if self.orm_scope not in ORM_SCOPES:
             raise ValueError(f"orm_scope must be one of {ORM_SCOPES}")
         if self.rrm_denominator not in RRM_MODES:
             raise ValueError(f"rrm_denominator must be one of {RRM_MODES}")
+        if self.max_epochs < 0:  # 0 is legal: train returns the initial state
+            raise ValueError("max_epochs must be >= 0")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.batch_size < 1:
@@ -442,9 +447,9 @@ def total_loss(
     orm_val = 0.0
     orm_terms: dict[str, tuple[float, np.ndarray]] = {}
     if hp.irm_variant == "rex":
-        if len(risks) >= 2 and (
-            hp.orm_scope == "all_behaviors" or any(b != target for b in risks)
-        ):
+        # two distinct sampled behaviors include an auxiliary one, so either
+        # scope of the variance is nonempty
+        if len(sampled) >= 2:
             orm_val, partials = orm_loss(risks, hp.orm_scope, target)
             orm_terms = {b: (w, d_risks[b]) for b, w in partials.items()}
         else:
@@ -462,8 +467,6 @@ def total_loss(
 
     # fused main term
     z_u, z_i = fuse({b: embs[b].P for b in behaviors}, {b: embs[b].Q for b in behaviors})
-    if len(batch.main) == 0:
-        raise ObjectiveError("main loss: empty target triplet list")
     try:
         main_val, reg_val, d_zu, d_zi, d_user_reg, d_item_reg = main_loss(
             z_u, z_i, batch.main, state
@@ -474,13 +477,10 @@ def total_loss(
     total = main_val + hp.lambda_rrm * rrm_val + hp.lambda_orm * orm_val
 
     # ---- backward ----
-    d_P = {b: np.zeros_like(embs[b].P) for b in behaviors}
-    d_Q = {b: np.zeros_like(embs[b].Q) for b in behaviors}
-
-    n_beh = len(behaviors)
-    for b in behaviors:
-        d_P[b] += d_zu / n_beh
-        d_Q[b] += d_zi / n_beh
+    # fuse takes the mean over behaviors, so each starts from 1/|B| of the
+    # fused cotangent
+    d_P = {b: d_zu / len(behaviors) for b in behaviors}
+    d_Q = {b: d_zi / len(behaviors) for b in behaviors}
 
     if hp.lambda_rrm != 0.0 and rrm_grads:
         for b, g in rrm_grads.items():

@@ -113,15 +113,13 @@ class TripletSampler:
 
     REJECTION_CAP = 100
 
-    def __init__(self, split: SplitDataset, behaviors: list[str] | None = None):
+    def __init__(self, split: SplitDataset):
         ds = split.train
-        self.behaviors = list(behaviors) if behaviors is not None else list(
-            ds.manifest.behaviors
-        )
+        self.behaviors = list(ds.manifest.behaviors)
         self.target = ds.manifest.target
         self.num_items = ds.manifest.num_items
         self.edges = ds.edges
-        self.rows = {b: ds.user_items(b) for b in {*self.behaviors, self.target}}
+        self.rows = {b: ds.user_items(b) for b in self.behaviors}
         self.saturated_skips = 0
 
     def _draw(self, b: str, u: int, rng: np.random.Generator) -> tuple[int, int] | None:
@@ -245,7 +243,7 @@ def train(
                     "are inactive for this run")
 
     graphs = {b: build_graph(ds, b) for b in active}
-    sampler = TripletSampler(split, active)
+    sampler = TripletSampler(split)
 
     rng_init = seeds.spawn(hp.seed, "init")
     state = ModelState(

@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from mbrobust import cli, losses
+from mbrobust import cli, gradcheck, losses, training
 from mbrobust.cli import build_parser, echo_config, main, resolve_run_config
 from mbrobust.data import diagnose, load_dataset, save_dataset
 from mbrobust.losses import Hyperparameters
@@ -93,6 +93,14 @@ class TestSplitAndPerturbCommands:
                      "--mode", "add", "--ratio", "0.3", "--behaviors", "buy"])
         assert code == 2
 
+    def test_perturb_ratio_above_one_exits_1(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "p"
+        code = main(["--out", str(out), "perturb", dataset_dir,
+                     "--mode", "add", "--ratio", "1.5"])
+        assert code == 1
+        assert "ratio" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_writes_artifacts(self, dataset_dir, tmp_path):
@@ -165,6 +173,21 @@ class TestTrainCommand:
             float("inf"), *real_main_loss(*args)[1:]))
         assert main(_train_args(dataset_dir, str(tmp_path / "run"))) == 3
         assert "non-finite main loss" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lr", "-1", "learning rate"),
+        ("--lr", "inf", "learning rate"),
+        ("--tau", "nan", "temperature"),
+        ("--lambda-orm", "nan", "lambda_orm"),
+        ("--max-epochs", "-1", "max_epochs"),
+    ])
+    def test_bad_hyperparameter_exits_1_before_training(
+        self, dataset_dir, tmp_path, capsys, monkeypatch, flag, value, message
+    ):
+        monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("training started"))
+        code = main(_train_args(dataset_dir, str(tmp_path / "run"), (flag, value)))
+        assert code == 1
+        assert message in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, dataset_dir, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
@@ -484,6 +507,16 @@ class TestSweepCommand:
         assert len(lines) == 8  # header + baseline + 6 cells
         assert lines[1].startswith("baseline,")
 
+    def test_bad_ratio_exits_1_before_training(self, dataset_dir, tmp_path,
+                                               capsys, monkeypatch):
+        monkeypatch.setattr(training, "train",
+                            lambda *args: pytest.fail("training started"))
+        code = main(["--out", str(tmp_path / "sweep"), "sweep", dataset_dir,
+                     "--ratios", "0.1,1.5", "--modes", "add,remove",
+                     "--dim", "4", "--max-epochs", "1"])
+        assert code == 1
+        assert "ratio must be in (0, 1], got 1.5" in capsys.readouterr().err
+
 
 class TestGradcheckCommand:
     def test_small_pass(self, capsys):
@@ -510,3 +543,12 @@ class TestGradcheckCommand:
 
     def test_bad_size_exits_1(self, capsys):
         assert main(["gradcheck", "--sizes", "5by5"]) == 1
+
+    # too few users or items, or no behavior: no fixture could get an edge in
+    # every behavior, so every size is rejected before the first fixture
+    @pytest.mark.parametrize("size", ["5x1x2", "0x5x2", "5x5x0"])
+    def test_unusable_size_exits_1(self, capsys, monkeypatch, size):
+        monkeypatch.setattr(gradcheck, "random_fixture",
+                            lambda *args: pytest.fail("fixture drawn"))
+        assert main(["gradcheck", "--sizes", f"5x5x2,{size}"]) == 1
+        assert f"fixture size {size}" in capsys.readouterr().err

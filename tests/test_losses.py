@@ -19,6 +19,7 @@ from mbrobust.losses import (
     GradientBuffer,
     Hyperparameters,
     ModelState,
+    ObjectiveError,
     TripletBatch,
     _irm_term,
     bpr_loss,
@@ -42,6 +43,21 @@ class TestHyperparameters:
             Hyperparameters(irm_variant="rex2")
         with pytest.raises(ValueError, match="layer count"):
             Hyperparameters(num_layers=-1)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("tau", math.nan, "temperature"),
+        ("tau", math.inf, "temperature"),
+        ("lr", -1.0, "learning rate"),
+        ("lr", 0.0, "learning rate"),
+        ("lr", math.inf, "learning rate"),
+        ("lr", math.nan, "learning rate"),
+        ("lambda_rrm", math.inf, "lambda_rrm"),
+        ("lambda_orm", math.nan, "lambda_orm"),
+        ("lambda_reg", math.nan, "lambda_reg"),
+    ])
+    def test_non_finite_or_non_positive_values_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            Hyperparameters(**{field: value})
 
 
 class TestBprLoss:
@@ -365,6 +381,18 @@ def _two_behavior_setup(rng, lambda_rrm=0.7, lambda_orm=1.1, **hp_kwargs):
 
 
 class TestTotalLoss:
+    def test_target_without_graph_is_objective_error(self):
+        ds, graphs, state, batch, users = _two_behavior_setup(np.random.default_rng(9))
+        del graphs["buy"]
+        with pytest.raises(ObjectiveError, match="target behavior 'buy' has no graph"):
+            total_loss(state, graphs, batch, users, "buy")
+
+    def test_batch_without_main_triplets_is_objective_error(self):
+        ds, graphs, state, batch, users = _two_behavior_setup(np.random.default_rng(9))
+        batch = TripletBatch(batch.per_behavior, np.empty((0, 3), dtype=np.int64))
+        with pytest.raises(ObjectiveError, match="^main loss: empty"):
+            total_loss(state, graphs, batch, users, "buy")
+
     def test_switch_off_reduces_to_main_path(self):
         rng = np.random.default_rng(11)
         ds, graphs, state, batch, users = _two_behavior_setup(
