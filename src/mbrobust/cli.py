@@ -179,6 +179,13 @@ def _load_any_split(path: str):
     return split_leave_one_out(load_dataset(path))
 
 
+def _drop_auxiliary(ds, drop: tuple[str, ...]):
+    """``ds`` without ``drop`` (a config key, so naming the target is a config error)."""
+    if ds.manifest.target in drop:
+        raise ConfigError("drop_behaviors must not name the target behavior")
+    return drop_behaviors(ds, drop) if drop else ds
+
+
 def _write_json(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out in (None, "-"):
@@ -243,10 +250,7 @@ def cmd_perturb(args) -> int:
 def cmd_train(args) -> int:
     cfg, drop = resolve_run_config(args)
     split = _load_any_split(args.dataset)
-    if drop:
-        if split.train.manifest.target in drop:
-            raise ConfigError("drop_behaviors must not name the target behavior")
-        split = replace(split, train=drop_behaviors(split.train, drop))
+    split = replace(split, train=_drop_auxiliary(split.train, drop))
 
     out = args.out or "train_out"
     echo_config(cfg, drop, out)
@@ -285,9 +289,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, drop = resolve_run_config(args)
-    ds = load_dataset(args.dataset)
-    if drop:
-        ds = drop_behaviors(ds, drop)
+    ds = _drop_auxiliary(load_dataset(args.dataset), drop)
     ratios = [float(tok) for tok in args.ratios.split(",") if tok.strip()]
     modes = [tok.strip() for tok in args.modes.split(",") if tok.strip()]
     for mode in modes:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -402,13 +402,9 @@ def split_leave_one_out(ds: InteractionDataset) -> SplitDataset:
         for i, ts in rest:
             train_target[(u, i)] = ts
 
-    edges: EdgeMap = {b: dict(ds.edges[b]) for b in ds.manifest.behaviors}
-    edges[target] = train_target
-    train = InteractionDataset(
-        manifest=ds.manifest, edges=edges, user_ids=ds.user_ids, item_ids=ds.item_ids
-    )
     return SplitDataset(
-        train=train,
+        # the auxiliary edge sets are shared, not copied: datasets are immutable
+        train=replace(ds, edges={**ds.edges, target: train_target}),
         validation=tuple(validation),
         test=tuple(test),
         users_without_holdout=skipped,
@@ -490,25 +486,20 @@ def drop_behaviors(ds: InteractionDataset, names: tuple[str, ...]) -> Interactio
     if unknown:
         raise DatasetError(f"cannot drop undeclared behaviors {sorted(unknown)}")
     kept = tuple(b for b in ds.manifest.behaviors if b not in drop)
-    manifest = DatasetManifest(
-        behaviors=kept,
-        target=ds.manifest.target,
-        num_users=ds.manifest.num_users,
-        num_items=ds.manifest.num_items,
-    )
-    return InteractionDataset(
-        manifest=manifest,
-        edges={b: dict(ds.edges[b]) for b in kept},
-        user_ids=ds.user_ids,
-        item_ids=ds.item_ids,
-    )
+    manifest = replace(ds.manifest, behaviors=kept)
+    return replace(ds, manifest=manifest, edges={b: ds.edges[b] for b in kept})
 
 
 # ----------------------------------------------------------------------
 # Seeded perturbation
 # ----------------------------------------------------------------------
 
-_MAX_ENUMERABLE = 200_000_000  # complement enumeration cap (pairs)
+def nth_absent(present: np.ndarray, ranks):
+    """The ``ranks``-th (0-based) non-negative integers absent from the sorted,
+    distinct ``present``.  ``present[j] - j`` integers are absent below
+    ``present[j]``, so rank k lands k places past the present values it passes."""
+    gaps = present - np.arange(len(present))
+    return ranks + np.searchsorted(gaps, ranks, side="right")
 
 
 def perturb(ds: InteractionDataset, spec: PerturbationSpec) -> InteractionDataset:
@@ -516,10 +507,11 @@ def perturb(ds: InteractionDataset, spec: PerturbationSpec) -> InteractionDatase
 
     ``add`` samples ceil(ratio * |edges(b)|) new pairs uniformly without
     replacement from the lexicographically sorted complement of the
-    behavior's edge set (added edges get timestamp 0); ``remove`` deletes
-    the same count of existing pairs, sampled uniformly without replacement.
-    One generator seeded from ``spec.seed`` drives all behaviors, processed
-    in manifest order.  Target edges are never touched.
+    behavior's edge set, by rank (added edges get timestamp 0); ``remove``
+    deletes the same count of existing pairs, sampled uniformly without
+    replacement.  One generator seeded from ``spec.seed`` drives all
+    behaviors, processed in manifest order.  Target edges are never touched,
+    and every edge set left unchanged is shared with ``ds``.
     """
     target = ds.manifest.target
     for b in spec.behaviors:
@@ -530,7 +522,7 @@ def perturb(ds: InteractionDataset, spec: PerturbationSpec) -> InteractionDatase
 
     n_users, n_items = ds.manifest.num_users, ds.manifest.num_items
     rng = np.random.default_rng(spec.seed)
-    edges: EdgeMap = {b: dict(ds.edges[b]) for b in ds.manifest.behaviors}
+    edges = dict(ds.edges)
 
     for b in ds.manifest.behaviors:
         if b not in spec.behaviors:
@@ -541,27 +533,18 @@ def perturb(ds: InteractionDataset, spec: PerturbationSpec) -> InteractionDatase
         count = math.ceil(spec.ratio * len(codes))
         if count == 0:
             continue
+        edges[b] = dict(edges[b])
         if spec.mode == "remove":
             for code in codes[rng.choice(len(codes), size=count, replace=False)].tolist():
                 del edges[b][divmod(code, n_items)]
         else:
-            total = n_users * n_items
-            if total > _MAX_ENUMERABLE:
+            free = n_users * n_items - len(codes)
+            if free < count:
                 raise DatasetError(
-                    "complement too large to enumerate for edge addition"
+                    f"cannot add {count} edges to {b!r}: only {free} non-edges available"
                 )
-            free = np.full(total, True)
-            free[codes] = False
-            complement = np.flatnonzero(free)
-            if len(complement) < count:
-                raise DatasetError(
-                    f"cannot add {count} edges to {b!r}: only "
-                    f"{len(complement)} non-edges available"
-                )
-            picked = rng.choice(len(complement), size=count, replace=False)
-            for code in complement[picked].tolist():
+            picked = rng.choice(free, size=count, replace=False)
+            for code in nth_absent(codes, picked).tolist():
                 edges[b][divmod(code, n_items)] = 0
 
-    return InteractionDataset(
-        manifest=ds.manifest, edges=edges, user_ids=ds.user_ids, item_ids=ds.item_ids
-    )
+    return replace(ds, edges=edges)

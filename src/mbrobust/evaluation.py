@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -198,13 +198,7 @@ def robustness_sweep(
     rows = [SweepRow("baseline", 0.0, baseline, 0.0, 0.0)]
 
     for spec in specs:
-        noisy_train = perturb(split.train, spec)
-        noisy_split = SplitDataset(
-            train=noisy_train,
-            validation=split.validation,
-            test=split.test,
-            users_without_holdout=split.users_without_holdout,
-        )
+        noisy_split = replace(split, train=perturb(split.train, spec))
         state_n, _ = train(noisy_split, cfg)
         report = evaluate(state_n, noisy_split, ks=(10,))
         rows.append(

@@ -20,6 +20,7 @@ finite differences in the test suite; everything runs in float64.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,12 @@ class Hyperparameters:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("dim", "num_layers", "batch_size", "max_epochs", "patience", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.dim < 1:
             raise ValueError("embedding dimension must be >= 1")
         if self.num_layers < 0:

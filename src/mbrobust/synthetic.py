@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import seeds
-from .data import DatasetManifest, InteractionDataset
+from .data import DatasetManifest, InteractionDataset, nth_absent
 
 
 def _dataset(behaviors, target, edges, num_users, num_items) -> InteractionDataset:
@@ -57,25 +57,22 @@ def planted_dataset(
     users_per_group = num_users // num_groups
     items_per_group = num_items // num_groups
 
-    def group_items(g: int) -> np.ndarray:
-        return np.arange(g * items_per_group, (g + 1) * items_per_group)
-
     edges: dict[str, dict[tuple[int, int], int | None]] = {
         b: {} for b in (*aux_behaviors, target)
     }
     for u in range(num_users):
         g = u // users_per_group
-        own = group_items(g)
+        own = np.arange(g * items_per_group, (g + 1) * items_per_group)
         picked = rng.choice(own, size=target_per_user, replace=False)
         for ts, item in enumerate(picked, start=1):
             edges[target][(u, int(item))] = ts
         n_within = round(within_group * aux_per_user)
-        others = np.setdiff1d(np.arange(num_items), own)
         for b in aux_behaviors:
             inside = rng.choice(own, size=min(n_within, len(own)), replace=False)
-            outside = rng.choice(
-                others, size=aux_per_user - len(inside), replace=False
-            )
+            # the same draw as choosing from the items outside ``own``
+            outside = nth_absent(own, rng.choice(
+                num_items - len(own), size=aux_per_user - len(inside), replace=False
+            ))
             for item in (*inside, *outside):
                 edges[b][(u, int(item))] = 0
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeds
-from .data import DatasetError, DatasetManifest, SplitDataset
+from .data import DatasetError, DatasetManifest, SplitDataset, nth_absent
 from .graph import build_graph
 from .losses import (
     GradientBuffer,
@@ -107,8 +107,9 @@ class TripletSampler:
 
     Positives come from the user's observed edges in a behavior; negatives
     are drawn by rejection (capped at 100 tries) against that behavior's
-    observed set, falling back to enumerating the complement.  Users who
-    interacted with every item in a behavior are skipped for it and counted.
+    observed set, falling back to a uniform rank among the user's non-edges,
+    looked up with `nth_absent`.  Users who interacted with every item in a
+    behavior are skipped for it and counted.
     """
 
     REJECTION_CAP = 100
@@ -133,11 +134,11 @@ class TripletSampler:
             cand = int(rng.integers(self.num_items))
             if (u, cand) not in seen:
                 return pos, cand
-        complement = np.setdiff1d(np.arange(self.num_items), row)
-        if len(complement) == 0:
+        free = self.num_items - len(row)
+        if free == 0:
             self.saturated_skips += 1
             return None
-        return pos, int(complement[rng.integers(len(complement))])
+        return pos, int(nth_absent(row, rng.integers(free)))
 
     def sample(self, batch_users: np.ndarray, rng: np.random.Generator) -> TripletBatch:
         per_behavior: dict[str, list[tuple[int, int, int]]] = {

@@ -189,6 +189,15 @@ class TestTrainCommand:
         assert code == 1
         assert message in capsys.readouterr().err
 
+    def test_negative_seed_exits_1_before_writing(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        args = _train_args(dataset_dir, str(out))
+        assert args[:2] == ["--seed", "0"]
+        code = main(["--seed", "-1", *args[2:]])
+        assert code == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, dataset_dir, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text("learning_rate = 0.1\n")
@@ -441,6 +450,8 @@ _BAD_CHECKPOINTS = {
         lambda h, e: e.update(user_emb=e["user_emb"][:-1]), "user_emb is float64 (15, 4)"),
     "future_version": (lambda h, e: h.update(format_version=3),
                        "unsupported checkpoint version 3"),
+    "non_integer_num_layers": (lambda h, e: h["hyperparameters"].update(num_layers=2.0),
+                               "num_layers must be an integer"),
 }
 
 
@@ -516,6 +527,15 @@ class TestSweepCommand:
                      "--dim", "4", "--max-epochs", "1"])
         assert code == 1
         assert "ratio must be in (0, 1], got 1.5" in capsys.readouterr().err
+
+    def test_dropping_target_exits_1_like_train(self, dataset_dir, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.setattr(training, "train",
+                            lambda *args: pytest.fail("training started"))
+        code = main(["--out", str(tmp_path / "sweep"), "sweep", dataset_dir,
+                     "--drop-behaviors", "buy", "--dim", "4", "--max-epochs", "1"])
+        assert code == 1
+        assert "must not name the target" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbrobust.data import (
     DatasetError,
@@ -23,6 +24,7 @@ from mbrobust.data import (
     drop_behaviors,
     load_dataset,
     load_split,
+    nth_absent,
     perturb,
     save_dataset,
     split_leave_one_out,
@@ -447,6 +449,33 @@ class TestPerturb:
         perturb(ds, PerturbationSpec("remove", 0.5, ("view",), seed=3))
         assert ds.edges == before
 
+    def test_add_on_a_catalog_of_4e8_pairs(self):
+        n = 20_000
+        view = {(0, 0): 1, (0, n - 1): 1, (7, 3): 1, (n - 1, 0): 1, (n - 1, n - 1): 1}
+        ds = make_dataset({"view": view, "buy": {(1, 1): 1}}, "buy", n, n)
+        out = perturb(ds, PerturbationSpec("add", 0.5, ("view",), seed=8))
+        added = set(out.edges["view"]) - set(view)
+        assert len(out.edges["view"]) == len(view) + len(added) == len(view) + 3
+        assert all(0 <= u < n and 0 <= i < n for u, i in added)
+
+
+# ----------------------------------------------------------------------
+# Complement lookup
+# ----------------------------------------------------------------------
+
+@settings(deadline=None)
+@given(st.sets(st.integers(0, 300), max_size=80), st.integers(0, 5))
+def test_nth_absent_is_the_setdiff1d_complement_at_every_rank(values, extra):
+    present = np.array(sorted(values), dtype=np.int64)
+    upper = (int(present[-1]) + 1 if len(present) else 0) + extra
+    complement = np.setdiff1d(np.arange(upper), present)  # the oracle
+    ranks = np.arange(len(complement))
+    assert nth_absent(present, ranks).tolist() == complement.tolist()
+    for k in ranks[:3]:  # a scalar rank gives the scalar answer
+        assert nth_absent(present, k) == complement[k]
+    # past the last present value the missing integers run on unbroken
+    assert nth_absent(present, len(complement) + 2) == upper + 2
+
 
 # ----------------------------------------------------------------------
 # Per-user edge index
@@ -494,6 +523,22 @@ class TestIO:
         assert out.manifest.num_users == ds.manifest.num_users
         with pytest.raises(DatasetError, match="target"):
             drop_behaviors(ds, ("buy",))
+
+    def test_derived_datasets_share_the_edge_sets_they_leave_unchanged(self):
+        ds = make_dataset(
+            {"view": {(0, 1): 1, (1, 0): 2}, "cart": {(0, 2): 1},
+             "buy": {(0, 0): 1, (0, 1): 2, (0, 2): 3, (1, 1): 4}},
+            "buy",
+        )
+        split = split_leave_one_out(ds)
+        assert split.train.edges["buy"] is not ds.edges["buy"]
+        assert all(split.train.edges[b] is ds.edges[b] for b in ("view", "cart"))
+        dropped = drop_behaviors(ds, ("view",))
+        assert all(dropped.edges[b] is ds.edges[b] for b in ("cart", "buy"))
+        for mode in ("add", "remove"):
+            out = perturb(ds, PerturbationSpec(mode, 0.5, ("view",), seed=1))
+            assert out.edges["view"] is not ds.edges["view"]
+            assert all(out.edges[b] is ds.edges[b] for b in ("cart", "buy"))
 
     def test_auxiliary_only_users_and_items_are_kept(self, tmp_path):
         path = write_dataset_dir(
