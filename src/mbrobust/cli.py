@@ -86,6 +86,16 @@ def _parse_ks(raw: str) -> tuple[int, ...]:
     return ks
 
 
+def _parse_seed(raw: str) -> int:
+    try:
+        seed = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+    if seed < 0:  # numpy seeds every sub-stream from it and takes no negatives
+        raise argparse.ArgumentTypeError(f"root seed must be >= 0, got {seed}")
+    return seed
+
+
 def _value_parser(default):
     return _parse_ks if isinstance(default, tuple) else type(default)
 
@@ -354,7 +364,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mbrobust", description=__doc__)
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_parse_seed, default=None,
                         help="root seed for every random sub-stream (default 0)")
     parser.add_argument("--out", help="output file or directory")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -222,13 +222,25 @@ def rrm_loss(
     the target one included.  ``batch_users`` must be distinct: a repeated
     user would be its own negative.
     """
+    return _alignment(user_embs, target, batch_users, tau, mode, backward=True)
+
+
+def _alignment(
+    user_embs: dict[str, np.ndarray],
+    target: str,
+    batch_users: np.ndarray,
+    tau: float,
+    mode: str,
+    backward: bool,
+) -> tuple[float, dict[str, np.ndarray]]:
+    """`rrm_loss`; without ``backward``, its value alone and no gradients."""
     if mode not in RRM_MODES:
         raise ValueError(f"mode must be one of {RRM_MODES}")
     if target not in user_embs:
         raise KeyError(f"target behavior {target!r} missing from embeddings")
     batch_users = np.asarray(batch_users, dtype=np.int64)
     aux = [b for b in user_embs if b != target]
-    grads = {b: np.zeros_like(E) for b, E in user_embs.items()}
+    grads = {b: np.zeros_like(E) for b, E in user_embs.items()} if backward else {}
     if not aux:
         log.warning("alignment loss skipped: no auxiliary behaviors")
         return 0.0, grads
@@ -263,6 +275,8 @@ def rrm_loss(
             denom = lse_neg
             g_pos = np.full(n, -1.0)
         total += float(np.sum(-z_pos + denom)) * scale
+        if not backward:
+            continue
         W *= np.exp(row_max - denom)[:, None]  # exp(Z - denom), zero diagonal
 
         # d z_pos / dX and dY (cosine chain rule)
@@ -279,7 +293,8 @@ def rrm_loss(
         d_X += scale * (n1 - n2) / (tau * x_norm[:, None])
 
         grads[b][batch_users] += d_X  # batch users are distinct
-    grads[target][batch_users] += d_Y
+    if backward:
+        grads[target][batch_users] += d_Y
     return total, grads
 
 
@@ -435,13 +450,16 @@ def total_loss(
     # alignment term
     aux = [b for b in behaviors if b != target]
     if aux and len(batch_users) >= 2:
-        rrm_val, rrm_grads = rrm_loss(
-            {b: embs[b].P for b in behaviors},
-            target,
-            batch_users,
-            hp.tau,
-            hp.rrm_denominator,
-        )
+        user_embs = {b: embs[b].P for b in behaviors}
+        if hp.lambda_rrm != 0.0:
+            rrm_val, rrm_grads = rrm_loss(
+                user_embs, target, batch_users, hp.tau, hp.rrm_denominator
+            )
+        else:  # the value still reaches the log; its gradients would be dropped
+            rrm_val, rrm_grads = _alignment(
+                user_embs, target, batch_users, hp.tau, hp.rrm_denominator,
+                backward=False,
+            )
     else:
         if aux:
             log.warning("alignment loss skipped: batch has fewer than 2 users")
@@ -489,7 +507,7 @@ def total_loss(
     d_P = {b: d_zu / len(behaviors) for b in behaviors}
     d_Q = {b: d_zi / len(behaviors) for b in behaviors}
 
-    if hp.lambda_rrm != 0.0 and rrm_grads:
+    if rrm_grads:
         for b, g in rrm_grads.items():
             d_P[b] += hp.lambda_rrm * g
 

@@ -101,6 +101,11 @@ def planted_dataset_mixed_alignment(
     rng = seeds.spawn(seed, "fixture")
     if num_users % num_groups or num_items % num_groups:
         raise ValueError("users and items must divide evenly into groups")
+    if noise_per_user > num_items - target_per_user:
+        raise ValueError(
+            f"noise_per_user={noise_per_user} exceeds the {num_items - target_per_user} "
+            "items outside each user's target set"
+        )
     users_per_group = num_users // num_groups
     items_per_group = num_items // num_groups
 

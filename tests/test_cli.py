@@ -3,6 +3,7 @@
 import json
 import os
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,8 +85,8 @@ class TestSplitAndPerturbCommands:
             assert code == 0
             outs.append(out)
         for fname in ("view.tsv", "cart.tsv", "buy.tsv"):
-            a = open(os.path.join(outs[0], fname), "rb").read()
-            b = open(os.path.join(outs[1], fname), "rb").read()
+            a = Path(outs[0], fname).read_bytes()
+            b = Path(outs[1], fname).read_bytes()
             assert a == b, fname
 
     def test_perturb_rejects_target(self, dataset_dir, tmp_path, capsys):
@@ -101,6 +102,14 @@ class TestSplitAndPerturbCommands:
         assert "ratio" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_exits_1_naming_the_flag(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "p"
+        code = main(["--seed", "-1", "--out", str(out), "perturb", dataset_dir,
+                     "--mode", "add", "--ratio", "0.1"])
+        assert code == 1
+        assert "--seed: root seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_writes_artifacts(self, dataset_dir, tmp_path):
@@ -109,7 +118,7 @@ class TestTrainCommand:
         for name in ("checkpoint.npz", "train_log.csv", "effective_config.cfg",
                      "validation_report.json"):
             assert os.path.isfile(os.path.join(out, name)), name
-        header = open(os.path.join(out, "train_log.csv")).readline().strip()
+        header = Path(out, "train_log.csv").read_text().splitlines()[0]
         assert header == ("epoch,bpr_view,bpr_cart,bpr_buy,rrm,orm,main,total,"
                           "val_hr10,val_ndcg10,seconds")
 
@@ -119,12 +128,12 @@ class TestTrainCommand:
             out = str(tmp_path / name)
             assert main(_train_args(dataset_dir, out)) == 0
             outs.append(out)
-        ck1 = open(os.path.join(outs[0], "checkpoint.npz"), "rb").read()
-        ck2 = open(os.path.join(outs[1], "checkpoint.npz"), "rb").read()
+        ck1 = Path(outs[0], "checkpoint.npz").read_bytes()
+        ck2 = Path(outs[1], "checkpoint.npz").read_bytes()
         assert ck1 == ck2
 
         def rows_minus_seconds(path):
-            lines = open(os.path.join(path, "train_log.csv")).read().splitlines()
+            lines = Path(path, "train_log.csv").read_text().splitlines()
             return [",".join(line.split(",")[:-1]) for line in lines]
 
         assert rows_minus_seconds(outs[0]) == rows_minus_seconds(outs[1])
@@ -134,7 +143,7 @@ class TestTrainCommand:
         code = main(_train_args(dataset_dir, out,
                                 extra=("--disable-rrm", "--disable-orm")))
         assert code == 0
-        cfg = open(os.path.join(out, "effective_config.cfg")).read()
+        cfg = Path(out, "effective_config.cfg").read_text()
         assert "lambda_rrm = 0.0" in cfg
         assert "lambda_orm = 0.0" in cfg
 
@@ -142,7 +151,7 @@ class TestTrainCommand:
         out = str(tmp_path / "drop")
         assert main(_train_args(dataset_dir, out,
                                 extra=("--drop-behaviors", "view"))) == 0
-        header = open(os.path.join(out, "train_log.csv")).readline()
+        header = Path(out, "train_log.csv").read_text().splitlines()[0]
         assert "bpr_view" not in header
         assert "bpr_cart" in header
 
@@ -162,7 +171,7 @@ class TestTrainCommand:
         code = main(["--out", out, "train", dataset_dir,
                      "--config", str(cfg_path), "--max-epochs", "2"])
         assert code == 0
-        text = open(os.path.join(out, "effective_config.cfg")).read()
+        text = Path(out, "effective_config.cfg").read_text()
         assert "max_epochs = 2" in text  # flag wins over file
         assert "dim = 4" in text
 
@@ -213,8 +222,8 @@ class TestTrainCommand:
         second = str(tmp_path / "second")
         assert main(["--out", second, "train", dataset_dir,
                      "--config", echoed]) == 0
-        ck1 = open(os.path.join(first, "checkpoint.npz"), "rb").read()
-        ck2 = open(os.path.join(second, "checkpoint.npz"), "rb").read()
+        ck1 = Path(first, "checkpoint.npz").read_bytes()
+        ck2 = Path(second, "checkpoint.npz").read_bytes()
         assert ck1 == ck2
 
 
@@ -230,7 +239,7 @@ class TestSplitLoading:
         path = os.path.join(split_dir, fname)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("nosuchuser\tnosuchitem\n")
-        lineno = len(open(path, encoding="utf-8").read().splitlines())
+        lineno = len(Path(path).read_text(encoding="utf-8").splitlines())
         code = main(_train_args(split_dir, str(tmp_path / "run")))
         assert code == 2
         assert f"{fname}:{lineno}:" in capsys.readouterr().err
@@ -248,7 +257,7 @@ class TestSplitLoading:
     @pytest.mark.parametrize("fname", ["test.tsv", "validation.tsv"])
     def test_second_held_out_pair_exits_2(self, split_dir, tmp_path, capsys, fname):
         path = os.path.join(split_dir, fname)
-        first = open(path, encoding="utf-8").readline()
+        first = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)[0]
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(first)
         code = main(_train_args(split_dir, str(tmp_path / "run")))
@@ -260,11 +269,12 @@ class TestSplitLoading:
     @pytest.mark.parametrize("fname", ["test.tsv", "validation.tsv"])
     def test_held_out_training_edge_exits_2(self, split_dir, tmp_path, capsys,
                                             fname):
-        target = json.load(open(os.path.join(split_dir, "manifest.json")))["target"]
-        user, item = open(os.path.join(split_dir, f"train.{target}.tsv"),
-                          encoding="utf-8").readline().split()[:2]
+        target = json.loads(Path(split_dir, "manifest.json").read_text())["target"]
+        user, item = Path(split_dir, f"train.{target}.tsv").read_text(
+            encoding="utf-8").splitlines()[0].split()[:2]
         path = os.path.join(split_dir, fname)
-        lines = [line for line in open(path, encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
+        lines = [line for line in text.splitlines(keepends=True)
                  if line.split()[0] != user]
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(lines + [f"{user}\t{item}\n"])
@@ -278,7 +288,7 @@ class TestSplitLoading:
         path = os.path.join(split_dir, "users.map")
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("no-dense-id\n")
-        lineno = len(open(path, encoding="utf-8").read().splitlines())
+        lineno = len(Path(path).read_text(encoding="utf-8").splitlines())
         code = main(_train_args(split_dir, str(tmp_path / "run")))
         assert code == 2
         assert f"users.map:{lineno}:" in capsys.readouterr().err
@@ -287,7 +297,7 @@ class TestSplitLoading:
                                       "negative id"])
     def test_inconsistent_id_map_exits_2(self, split_dir, tmp_path, capsys, case):
         path = os.path.join(split_dir, "items.map")
-        lines = sorted(open(path, encoding="utf-8").read().splitlines(),
+        lines = sorted(Path(path).read_text(encoding="utf-8").splitlines(),
                        key=lambda line: int(line.split("\t")[1]))
         first, last = (line.split("\t")[0] for line in (lines[0], lines[-1]))
         lines = {
@@ -303,7 +313,7 @@ class TestSplitLoading:
         assert "items.map" in capsys.readouterr().err
 
     def test_empty_training_target_exits_2(self, split_dir, tmp_path, capsys):
-        target = json.load(open(os.path.join(split_dir, "manifest.json")))["target"]
+        target = json.loads(Path(split_dir, "manifest.json").read_text())["target"]
         open(os.path.join(split_dir, f"train.{target}.tsv"), "w").close()
         code = main(_train_args(split_dir, str(tmp_path / "run")))
         assert code == 2
@@ -474,7 +484,7 @@ class TestMalformedCheckpoint:
     def test_truncated_file_exits_2(self, trained_run, tmp_path, capsys):
         data_dir, good = trained_run
         path = tmp_path / "checkpoint.npz"
-        body = open(good, "rb").read()
+        body = Path(good).read_bytes()
         path.write_bytes(body[: len(body) // 2])
         code, err = self._evaluate(data_dir, str(path), capsys)
         assert code == 2
@@ -514,7 +524,7 @@ class TestSweepCommand:
                      "--dim", "4", "--num-layers", "1", "--lr", "0.05",
                      "--batch-size", "16", "--max-epochs", "1"])
         assert code == 0
-        lines = open(os.path.join(out, "sweep.csv")).read().strip().splitlines()
+        lines = Path(out, "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 8  # header + baseline + 6 cells
         assert lines[1].startswith("baseline,")
 
@@ -572,3 +582,9 @@ class TestGradcheckCommand:
                             lambda *args: pytest.fail("fixture drawn"))
         assert main(["gradcheck", "--sizes", f"5x5x2,{size}"]) == 1
         assert f"fixture size {size}" in capsys.readouterr().err
+
+    def test_negative_seed_exits_1_naming_the_flag(self, capsys, monkeypatch):
+        monkeypatch.setattr(gradcheck, "random_fixture",
+                            lambda *args: pytest.fail("fixture drawn"))
+        assert main(["--seed", "-1", "gradcheck"]) == 1
+        assert "--seed: root seed must be >= 0, got -1" in capsys.readouterr().err

@@ -6,14 +6,15 @@ defining formulas.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from mbrobust import gradcheck
+from mbrobust import gradcheck, losses
 from mbrobust.gradcheck import max_rel_error, numeric_gradient, run_gradcheck
-from mbrobust.graph import build_graph
+from mbrobust.graph import build_graph, propagate
 from mbrobust.losses import (
     RRM_MODES,
     GradientBuffer,
@@ -408,6 +409,29 @@ class TestTotalLoss:
 
         fd_user = numeric_gradient(main_only, state.user_emb)
         assert max_rel_error(grads.d_user, fd_user) <= 1e-5
+
+    @pytest.mark.parametrize("mode", RRM_MODES)
+    def test_zero_lambda_rrm_takes_the_alignment_value_alone(self, mode, monkeypatch):
+        # the logged value is rrm_loss's; everything else, gradients included,
+        # matches a batch whose alignment term is skipped outright
+        rng = np.random.default_rng(13)
+        ds, graphs, state, batch, users = _two_behavior_setup(
+            rng, lambda_rrm=0.0, rrm_denominator=mode
+        )
+        embs = {b: propagate(graphs[b], state.user_emb, state.item_emb, 1).P
+                for b in graphs}
+        value, _ = rrm_loss(embs, "buy", users, 0.5, mode)
+        skipped, skipped_grads = total_loss(state, graphs, batch, users[:1], "buy")
+
+        def no_backward(*args, **kwargs):
+            raise AssertionError("rrm_loss computes gradients nobody reads")
+
+        monkeypatch.setattr(losses, "rrm_loss", no_backward)
+        breakdown, grads = total_loss(state, graphs, batch, users, "buy")
+        assert breakdown.rrm == value > 0.0
+        assert replace(breakdown, rrm=0.0) == skipped
+        np.testing.assert_array_equal(grads.d_user, skipped_grads.d_user)
+        np.testing.assert_array_equal(grads.d_item, skipped_grads.d_item)
 
     def test_single_behavior_degenerates_to_main(self):
         rng = np.random.default_rng(12)

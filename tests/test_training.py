@@ -5,9 +5,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbrobust import losses, training
-from mbrobust.data import SplitDataset, split_leave_one_out
+from mbrobust.data import SplitDataset, nth_absent, split_leave_one_out
 from mbrobust.losses import GradientBuffer, Hyperparameters, ModelState
 from mbrobust.synthetic import planted_dataset
 from mbrobust.training import (
@@ -181,6 +183,121 @@ class TestSampling:
         sigma = np.sqrt(n_draws * p * (1 - p))
         for i, c in counts.items():
             assert abs(c - n_draws * p) <= 3 * sigma, (i, c)
+
+
+def scalar_sample(split, batch_users, rng, cap):
+    """The reference sampler: one scalar draw at a time, in the loop order
+    `TripletSampler.sample` keeps.  Returns the batch and the saturated skips."""
+    ds = split.train
+    num_items = ds.manifest.num_items
+    rows = {b: ds.user_items(b) for b in ds.manifest.behaviors}
+    skips = 0
+
+    def draw(b, u):
+        nonlocal skips
+        indptr, items = rows[b]
+        row = items[indptr[u]: indptr[u + 1]]
+        if len(row) == 0:
+            return None
+        pos = int(row[rng.integers(len(row))])
+        for _ in range(cap):
+            cand = int(rng.integers(num_items))
+            if (u, cand) not in ds.edges[b]:
+                return pos, cand
+        free = num_items - len(row)
+        if free == 0:
+            skips += 1
+            return None
+        return pos, int(nth_absent(row, rng.integers(free)))
+
+    per_behavior = {b: [] for b in ds.manifest.behaviors}
+    main = []
+    for u in batch_users:
+        u = int(u)
+        for b in ds.manifest.behaviors:
+            drawn = draw(b, u)
+            if drawn is not None:
+                per_behavior[b].append((u, *drawn))
+        drawn = draw(ds.manifest.target, u)
+        if drawn is not None:
+            main.append((u, *drawn))
+
+    def to_array(triplets):
+        return np.array(triplets, dtype=np.int64).reshape(-1, 3)
+
+    batch = {b: to_array(t) for b, t in per_behavior.items()}
+    return batch, to_array(main), skips
+
+
+@st.composite
+def sampler_cases(draw):
+    """Up to 8 x 8 datasets of 1-3 behaviors whose user rows are empty,
+    sparse, dense or saturated, with batches of possibly repeated users."""
+    num_users = draw(st.integers(1, 8))
+    num_items = draw(st.integers(1, 8))
+    every_item = frozenset(range(num_items))
+    rows = st.one_of(st.just(frozenset()), st.just(every_item),
+                     st.frozensets(st.sampled_from(sorted(every_item))))
+    names = [f"b{k}" for k in range(draw(st.integers(1, 3)))]
+    edges = {
+        b: {(u, i): 0 for u in range(num_users) for i in draw(rows)} for b in names
+    }
+    ds = make_dataset(edges, names[-1], num_users, num_items)
+    users = st.lists(st.integers(0, num_users - 1), max_size=12)
+    batches = draw(st.lists(users, min_size=1, max_size=3))
+    return ds, batches, draw(st.integers(0, 2**32)), draw(st.integers(1, 5))
+
+
+class TestBulkSampler:
+    def test_array_bounds_draw_like_sequential_scalars(self):
+        # the sampler's draws rest on this: numpy's array-bound integers
+        # yields, and consumes, exactly what one scalar call per bound does
+        bounds = np.random.default_rng(0).integers(1, 5000, 300)
+        bounds[::7] = 1
+        bounds[::11] = 2**40
+        bulk, scalar = np.random.default_rng(3), np.random.default_rng(3)
+        values = bulk.integers(bounds)
+        assert values.tolist() == [int(scalar.integers(int(n))) for n in bounds]
+        assert bulk.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 100])
+    @settings(max_examples=60, deadline=None)
+    @given(case=sampler_cases())
+    def test_matches_the_scalar_loop(self, cap, case):
+        ds, batches, seed, window = case
+        split = SplitDataset(ds, (), ())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(TripletSampler, "REJECTION_CAP", cap)
+            mp.setattr(TripletSampler, "WINDOW", window)  # batches cross windows
+            sampler = TripletSampler(split)
+            bulk, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            skips = 0
+            for users in batches:
+                got = sampler.sample(np.array(users, dtype=np.int64), bulk)
+                per_behavior, main, skipped = scalar_sample(split, users, scalar, cap)
+                skips += skipped
+                assert got.main.dtype == np.int64
+                assert got.main.tolist() == main.tolist()
+                assert list(got.per_behavior) == list(per_behavior)
+                for b, triplets in per_behavior.items():
+                    assert got.per_behavior[b].shape == triplets.shape
+                    assert got.per_behavior[b].tolist() == triplets.tolist()
+                assert bulk.bit_generator.state == scalar.bit_generator.state
+            assert sampler.saturated_skips == skips
+
+    def test_matches_the_scalar_loop_on_a_planted_split(self):
+        # 80 users x 4 draws each cross the default window
+        split = split_leave_one_out(planted_dataset(seed=2, num_users=80))
+        sampler = TripletSampler(split)
+        bulk, scalar = np.random.default_rng(8), np.random.default_rng(8)
+        for users in np.random.default_rng(0).permuted(np.tile(np.arange(80), (3, 1)),
+                                                       axis=1):
+            got = sampler.sample(users, bulk)
+            per_behavior, main, _ = scalar_sample(split, users, scalar, 100)
+            assert got.main.tolist() == main.tolist()
+            for b, triplets in per_behavior.items():
+                assert got.per_behavior[b].tolist() == triplets.tolist()
+            assert bulk.bit_generator.state == scalar.bit_generator.state
 
 
 class TestTrainLoop:
