@@ -18,6 +18,7 @@ import logging
 import os
 import sys
 from dataclasses import fields, replace
+from itertools import product
 
 from . import seeds
 from .data import (
@@ -67,15 +68,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
 def _parse_ks(raw: str) -> tuple[int, ...]:
     try:
         ks = tuple(int(tok) for tok in raw.split(",") if tok.strip())
@@ -103,17 +95,13 @@ def _value_parser(default):
 # Config keys and their value parsers.  The Hyperparameters fields and
 # TrainConfig's run fields are derived from the dataclasses (typed by their
 # defaults), so a new field reaches the config file, the flags and the echo
-# at once; the ablation keys are not training-config fields.
+# at once; ``drop_behaviors`` is not a training-config field.  A loss term is
+# switched off by its zero weight, ``lambda_rrm = 0`` or ``lambda_orm = 0``.
 _HP_KEYS = {f.name: _value_parser(f.default) for f in fields(Hyperparameters)}
 _RUN_KEYS = {
     f.name: _value_parser(f.default) for f in fields(TrainConfig) if f.name != "hp"
 }
-_ABLATION_KEYS = {
-    "disable_rrm": _parse_bool,
-    "disable_orm": _parse_bool,
-    "drop_behaviors": str,
-}
-_CONFIG_KEYS = {**_HP_KEYS, **_RUN_KEYS, **_ABLATION_KEYS}
+_CONFIG_KEYS = {**_HP_KEYS, **_RUN_KEYS, "drop_behaviors": str}
 _CHOICES = {
     "irm_variant": IRM_VARIANTS,
     "orm_scope": ORM_SCOPES,
@@ -146,8 +134,7 @@ def read_config_file(path: str) -> dict:
 def resolve_run_config(args) -> tuple[TrainConfig, tuple[str, ...]]:
     """Merge defaults, config file, and flags (flags win).
 
-    Returns the training config, with ``disable_rrm``/``disable_orm``
-    folded into zero loss weights, and the auxiliary behaviors to drop.
+    Returns the training config and the auxiliary behaviors to drop.
     """
     values = read_config_file(args.config) if args.config else {}
     for key in _CONFIG_KEYS:
@@ -156,10 +143,6 @@ def resolve_run_config(args) -> tuple[TrainConfig, tuple[str, ...]]:
             values[key] = flag
     try:
         hp = Hyperparameters(**{k: values[k] for k in _HP_KEYS if k in values})
-        if values.get("disable_rrm"):
-            hp = replace(hp, lambda_rrm=0.0)
-        if values.get("disable_orm"):
-            hp = replace(hp, lambda_orm=0.0)
         cfg = TrainConfig(hp=hp, **{k: values[k] for k in _RUN_KEYS if k in values})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -302,9 +285,10 @@ def cmd_sweep(args) -> int:
     ds = _drop_auxiliary(load_dataset(args.dataset), drop)
     ratios = [float(tok) for tok in args.ratios.split(",") if tok.strip()]
     modes = [tok.strip() for tok in args.modes.split(",") if tok.strip()]
-    for mode in modes:
-        if mode not in ("add", "remove"):
-            raise ConfigError(f"unknown perturbation mode {mode!r}")
+    if not ratios or not modes:  # an empty grid would hide a bad mode or ratio
+        raise ConfigError("sweep needs at least one ratio and one mode")
+    for mode, ratio in product(modes, ratios):  # a bad cell fails before any output
+        PerturbationSpec(mode, ratio, behaviors=(), seed=0)
     out = args.out or "sweep_out"
     echo_config(cfg, drop, out)
     rows = robustness_sweep(ds, cfg, ratios=ratios, modes=modes, seed=cfg.hp.seed)
@@ -356,8 +340,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
         if key != "seed":  # the global --seed
             p.add_argument("--" + key.replace("_", "-"), type=parse,
                            choices=_CHOICES.get(key))
-    p.add_argument("--disable-rrm", action="store_true", default=None)
-    p.add_argument("--disable-orm", action="store_true", default=None)
     p.add_argument("--drop-behaviors",
                    help="comma-separated auxiliary behaviors to drop")
 

@@ -112,10 +112,13 @@ def run_gradcheck(
     """Compare analytic and finite-difference gradients across all variants.
 
     ``sizes`` entries are (num_users, num_items, num_behaviors), all checked
-    before the first fixture is drawn.  Each
+    before the first fixture is drawn; an empty ``sizes`` is a ``ValueError``,
+    since no path would be checked.  Each
     variant combination is one checked path named
     ``"<variant>|<mode>|<scope>|u<U>i<I>b<B>"``.
     """
+    if not sizes:
+        raise ValueError("no fixture sizes to check")
     # below these sizes `random_fixture` has no behavior, or redraws forever
     # for an edge per behavior that leaves every user a non-edge
     for u, i, b in sizes:

@@ -502,30 +502,21 @@ def total_loss(
     total = main_val + hp.lambda_rrm * rrm_val + hp.lambda_orm * orm_val
 
     # ---- backward ----
-    # fuse takes the mean over behaviors, so each starts from 1/|B| of the
-    # fused cotangent
-    d_P = {b: d_zu / len(behaviors) for b in behaviors}
-    d_Q = {b: d_zi / len(behaviors) for b in behaviors}
-
-    if rrm_grads:
-        for b, g in rrm_grads.items():
-            d_P[b] += hp.lambda_rrm * g
-
-    if hp.lambda_orm != 0.0:
-        for b, (w, d_m) in orm_terms.items():
-            _scatter_margin_grads(
-                d_P[b], d_Q[b], embs[b].P, embs[b].Q, trips[b],
-                hp.lambda_orm * w * d_m,
-            )
-
-    d_user = np.zeros_like(state.user_emb)
-    d_item = np.zeros_like(state.item_emb)
+    # fuse takes the mean over behaviors, so each cotangent starts from 1/|B|
+    # of the fused one; the alignment and invariance terms add to it
+    outs = []
     for b in behaviors:
-        du, di = propagate_adjoint(graphs[b], d_P[b], d_Q[b], hp.num_layers)
-        d_user += du
-        d_item += di
-    d_user += d_user_reg
-    d_item += d_item_reg
+        d_P, d_Q = d_zu / len(behaviors), d_zi / len(behaviors)
+        if b in rrm_grads:
+            d_P += hp.lambda_rrm * rrm_grads[b]
+        if b in orm_terms and hp.lambda_orm != 0.0:
+            w, d_m = orm_terms[b]
+            _scatter_margin_grads(
+                d_P, d_Q, embs[b].P, embs[b].Q, trips[b], hp.lambda_orm * w * d_m
+            )
+        outs.append(propagate_adjoint(graphs[b], d_P, d_Q, hp.num_layers))
+    d_user = sum(g.P for g in outs) + d_user_reg
+    d_item = sum(g.Q for g in outs) + d_item_reg
 
     breakdown = LossBreakdown(
         bpr=risks, rrm=rrm_val, orm=orm_val, main=main_val, reg=reg_val, total=total

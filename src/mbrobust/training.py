@@ -108,10 +108,10 @@ class TripletSampler:
     For each batch user, in order, one triplet is drawn per behavior and then
     one more from the target for ``main``.  Each draw takes the positive as a
     uniform offset into the user's sorted items, then negatives by rejection
-    (``REJECTION_CAP`` tries) against that behavior's observed set, falling
-    back to a uniform rank among the user's non-edges, looked up with
-    `nth_absent`.  A user with no items in a behavior draws nothing for it; a
-    user with every item is skipped and counted in ``saturated_skips``.
+    (``REJECTION_CAP`` tries, at least one) against that behavior's observed
+    set, falling back to a uniform rank among the user's non-edges, looked up
+    with `nth_absent`.  A user with no items in a behavior draws nothing for
+    it; a user with every item is skipped and counted in ``saturated_skips``.
 
     The draws are made in bulk but consume the generator exactly as one scalar
     ``rng.integers`` call per value would: numpy's array-bound ``integers``
@@ -153,18 +153,14 @@ class TripletSampler:
     def _observed(self, codes):
         return self.codes[np.searchsorted(self.codes, codes)] == codes
 
-    def _absent(self, row, ranks):
-        """The ``ranks``-th items outside CSR row ``row``.  ``row_start[row]``
-        codes lie below ``row·I``, so rank r within the row is rank
-        ``row·I − row_start[row] + r`` among all integers absent from the codes."""
+    def _retry(self, row: int, rng: np.random.Generator) -> int | None:
+        """The rest of a draw whose first candidate was rejected: the other
+        ``REJECTION_CAP − 1`` candidates, then a uniform rank among the row's
+        non-edges (None when saturated).  ``row_start[row]`` codes lie below ``row·I``, so
+        rank r within the row is rank ``row·I − row_start[row] + r`` among all
+        integers absent from the codes."""
         base = row * self.num_items
-        return nth_absent(self.codes, base - self.row_start[row] + ranks) - base
-
-    def _retry(self, row: int, tries: int, rng: np.random.Generator) -> int | None:
-        """The rest of a draw whose first candidate was rejected: ``tries``
-        more candidates, then the complement fallback (None when saturated)."""
-        base = row * self.num_items
-        for _ in range(tries):
+        for _ in range(self.REJECTION_CAP - 1):
             cand = int(rng.integers(self.num_items))
             if not self._observed(base + cand):
                 return cand
@@ -172,7 +168,8 @@ class TripletSampler:
         if free == 0:
             self.saturated_skips += 1
             return None
-        return int(self._absent(row, rng.integers(free)))
+        rank = base - self.row_start[row] + rng.integers(free)
+        return int(nth_absent(self.codes, rank) - base)
 
     def sample(self, batch_users: np.ndarray, rng: np.random.Generator) -> TripletBatch:
         users = np.asarray(batch_users, dtype=np.int64)
@@ -184,15 +181,9 @@ class TripletSampler:
         slot, user, row = slot[drawn], user[drawn], row[drawn]
         degree = self.degree[row]
         start = self.row_start[row]
-        cap = self.REJECTION_CAP
-        # each draw's bounds when its first try is accepted: the positive's
-        # offset, then a candidate negative, or with no tries the complement
-        # rank (a bound of 1 draws nothing, as the saturated skip does)
-        if cap:
-            second = np.full_like(degree, self.num_items)
-        else:
-            second = np.maximum(self.num_items - degree, 1)
-        bounds = np.column_stack([degree, second]).ravel()
+        # each draw's bounds when its first candidate is accepted: the
+        # positive's offset, then the candidate negative
+        bounds = np.column_stack([degree, np.full_like(degree, self.num_items)]).ravel()
         pos = np.empty_like(row)
         neg = np.empty_like(row)
         kept = np.ones(len(row), dtype=bool)
@@ -202,20 +193,15 @@ class TripletSampler:
             saved = rng.bit_generator.state
             r = rng.integers(bounds[2 * k : 2 * stop]).reshape(-1, 2)
             pos[k:stop] = self.items[start[k:stop] + r[:, 0]]
-            if cap:
-                neg[k:stop] = r[:, 1]
-                rejected = self._observed(row[k:stop] * self.num_items + r[:, 1])
-            else:  # with no tries only a saturated row is rejected
-                neg[k:stop] = self._absent(row[k:stop], r[:, 1])
-                rejected = degree[k:stop] == self.num_items
-            hits = np.flatnonzero(rejected)
+            neg[k:stop] = r[:, 1]
+            hits = np.flatnonzero(self._observed(row[k:stop] * self.num_items + r[:, 1]))
             if len(hits) == 0:
                 k = stop
                 continue
             j = k + int(hits[0])
             rng.bit_generator.state = saved
             rng.integers(bounds[2 * k : 2 * j + 2])  # replay the draws through j
-            cand = self._retry(int(row[j]), cap - 1, rng)
+            cand = self._retry(int(row[j]), rng)
             if cand is None:
                 kept[j] = False
             else:

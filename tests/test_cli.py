@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, determinism, exit codes."""
 
+import argparse
 import json
 import os
 from dataclasses import fields
@@ -138,14 +139,28 @@ class TestTrainCommand:
 
         assert rows_minus_seconds(outs[0]) == rows_minus_seconds(outs[1])
 
-    def test_disable_flags_zero_the_weights(self, dataset_dir, tmp_path):
+    def test_zero_weights_are_the_only_off_switch(self, dataset_dir, tmp_path, capsys):
         out = str(tmp_path / "ablate")
         code = main(_train_args(dataset_dir, out,
-                                extra=("--disable-rrm", "--disable-orm")))
+                                extra=("--lambda-rrm", "0", "--lambda-orm", "0")))
         assert code == 0
         cfg = Path(out, "effective_config.cfg").read_text()
         assert "lambda_rrm = 0.0" in cfg
         assert "lambda_orm = 0.0" in cfg
+
+        # a disable flag or config key is no second spelling: each fails
+        # before any output
+        capsys.readouterr()
+        out = str(tmp_path / "flag")
+        assert main(_train_args(dataset_dir, out, extra=("--disable-rrm",))) == 1
+        assert "unrecognized arguments: --disable-rrm" in capsys.readouterr().err
+        assert not os.path.exists(out)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("dim = 4\ndisable_rrm = true\n")
+        out = str(tmp_path / "key")
+        assert main(_train_args(dataset_dir, out, extra=("--config", str(cfg_path)))) == 1
+        assert f"{cfg_path}:2: unknown config key 'disable_rrm'" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_drop_behavior_removes_column(self, dataset_dir, tmp_path):
         out = str(tmp_path / "drop")
@@ -373,6 +388,23 @@ def test_every_config_field_reaches_flags_file_and_echo(key, tmp_path):
     assert f"{key} = {text}" in echoed
 
 
+def test_config_keys_and_flags_are_the_schema():
+    # one spelling per knob: the config keys are the dataclass fields plus
+    # drop_behaviors, and the train/sweep flags are those keys (seed is the
+    # global --seed) plus --config, and the sweep grid
+    keys = {f.name for f in fields(Hyperparameters)}
+    keys |= {f.name for f in fields(TrainConfig) if f.name != "hp"}
+    keys.add("drop_behaviors")
+    assert set(cli._CONFIG_KEYS) == keys
+    flags = {"--" + k.replace("_", "-") for k in keys - {"seed"}} | {"--config"}
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for command, extra in (("train", set()), ("sweep", {"--ratios", "--modes"})):
+        options = {opt for action in commands[command]._actions
+                   for opt in action.option_strings if opt.startswith("--")}
+        assert options - {"--help"} == flags | extra, command
+
+
 class TestEvaluateCommand:
     def test_roundtrip(self, dataset_dir, tmp_path, capsys):
         out = str(tmp_path / "run")
@@ -537,6 +569,24 @@ class TestSweepCommand:
                      "--dim", "4", "--max-epochs", "1"])
         assert code == 1
         assert "ratio must be in (0, 1], got 1.5" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "sweep")
+
+    # a bad mode is caught even when the grid is empty, since an empty grid is
+    # itself an error
+    @pytest.mark.parametrize("grid, message", [
+        (("--modes", "add,flip"), "unknown perturbation mode 'flip'"),
+        (("--ratios", " , "), "at least one ratio and one mode"),
+        (("--modes", "flip", "--ratios", ""), "at least one ratio and one mode"),
+    ])
+    def test_bad_grid_exits_1_before_any_output(self, dataset_dir, tmp_path, capsys,
+                                                monkeypatch, grid, message):
+        monkeypatch.setattr(training, "train",
+                            lambda *args: pytest.fail("training started"))
+        code = main(["--out", str(tmp_path / "sweep"), "sweep", dataset_dir, *grid,
+                     "--dim", "4", "--max-epochs", "1"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "sweep")
 
     def test_dropping_target_exits_1_like_train(self, dataset_dir, tmp_path, capsys,
                                                 monkeypatch):
@@ -582,6 +632,14 @@ class TestGradcheckCommand:
                             lambda *args: pytest.fail("fixture drawn"))
         assert main(["gradcheck", "--sizes", f"5x5x2,{size}"]) == 1
         assert f"fixture size {size}" in capsys.readouterr().err
+
+    # an empty size list would check no path and pass vacuously
+    @pytest.mark.parametrize("sizes", ["", ",", " , "])
+    def test_no_sizes_exits_1(self, capsys, monkeypatch, sizes):
+        monkeypatch.setattr(gradcheck, "random_fixture",
+                            lambda *args: pytest.fail("fixture drawn"))
+        assert main(["gradcheck", "--sizes", sizes]) == 1
+        assert "no fixture sizes to check" in capsys.readouterr().err
 
     def test_negative_seed_exits_1_naming_the_flag(self, capsys, monkeypatch):
         monkeypatch.setattr(gradcheck, "random_fixture",
