@@ -12,6 +12,7 @@ from .data import (
     DatasetError,
     DatasetManifest,
     DiagnosticsReport,
+    EdgeSet,
     InteractionDataset,
     PerturbationSpec,
     SplitDataset,

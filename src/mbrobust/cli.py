@@ -249,7 +249,7 @@ def cmd_train(args) -> int:
     echo_config(cfg, drop, out)
     state, rows = train(split, cfg)
 
-    active = [b for b in split.train.manifest.behaviors if split.train.edges[b]]
+    active = [b for b in split.train.manifest.behaviors if split.train.edge_count(b)]
     with open(os.path.join(out, "train_log.csv"), "w", encoding="utf-8") as fh:
         fh.write(format_log(rows, active))
     save_checkpoint(state, split.train.manifest, os.path.join(out, "checkpoint.npz"))

@@ -14,17 +14,118 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
 Edge = tuple[int, int]
-# behavior -> {(user, item): earliest timestamp or None}
-EdgeMap = dict[str, dict[Edge, int | None]]
 
 
 class DatasetError(Exception):
     """Raised for malformed or inconsistent dataset inputs."""
+
+
+class EdgeSet(Mapping):
+    """One behavior's edges: distinct (user, item) pairs, each with a
+    timestamp or none, as read-only int64 arrays sorted by the pair code
+    ``user·num_items + item``.
+
+    The arrays are the parallel columns ``user``, ``item``, ``ts`` (−1 where
+    a pair has no timestamp) and ``code``, and the library reads only these.
+    For other readers an edge set is also a read-only mapping ``(user, item)
+    -> timestamp or None``, iterated in code order, and equal to any mapping
+    with the same pairs and timestamps.
+    """
+
+    __slots__ = ("num_items", "user", "item", "ts", "code")
+
+    def __init__(self, users, items, ts, num_items: int):
+        """The edges ``(users[k], items[k])`` stamped ``ts[k]`` (−1 for none),
+        in any order.  A pair given more than once keeps its earliest
+        timestamp; an untimed repeat never replaces a timed one."""
+        users, items, ts = (np.asarray(a, dtype=np.int64) for a in (users, items, ts))
+        if users.ndim != 1 or not users.shape == items.shape == ts.shape:
+            raise ValueError("users, items and timestamps must be parallel 1-d arrays")
+        if len(users) and (min(users.min(), items.min(), ts.min() + 1) < 0
+                           or items.max() >= num_items):
+            raise ValueError(f"an edge is out of range for {num_items} items")
+        codes = users * num_items + items
+        # sort by code, timed before untimed, earliest first; keep the first
+        # of each run of equal codes (the gather copies the caller's arrays)
+        order = np.lexsort((ts, ts < 0, codes))
+        order = order[np.diff(codes[order], prepend=-1) != 0]
+        self.num_items = num_items
+        for name, a in (("user", users), ("item", items), ("ts", ts), ("code", codes)):
+            a = a[order]
+            a.flags.writeable = False
+            setattr(self, name, a)
+
+    def index(self, codes: np.ndarray) -> np.ndarray:
+        """Each of ``codes``' position in ``self.code``, −1 where absent."""
+        if not len(self.code):
+            return np.full(np.shape(codes), -1, dtype=np.int64)
+        pos = np.searchsorted(self.code, codes)
+        hit = self.code[np.minimum(pos, len(self.code) - 1)] == codes
+        return np.where(hit, pos, -1)
+
+    # -- the read-only Mapping protocol -------------------------------------
+
+    def _position(self, key) -> int:
+        """The row of the pair ``key``, −1 where it is not an edge."""
+        try:
+            u, i = key
+            if u < 0 or not 0 <= i < self.num_items:
+                return -1
+        except (TypeError, ValueError):
+            return -1
+        code = u * self.num_items + i
+        k = int(self.code.searchsorted(code))
+        return k if k < len(self.code) and self.code.item(k) == code else -1
+
+    def __getitem__(self, key) -> int | None:
+        k = self._position(key)
+        if k < 0:
+            raise KeyError(key)
+        ts = int(self.ts[k])
+        return None if ts < 0 else ts
+
+    def __contains__(self, key) -> bool:
+        return self._position(key) >= 0
+
+    def __iter__(self):
+        return zip(self.user.tolist(), self.item.tolist())
+
+    def __len__(self) -> int:
+        return len(self.code)
+
+    def items(self):
+        return _EdgeItems(self)
+
+    def __eq__(self, other):
+        if isinstance(other, EdgeSet):
+            return all(np.array_equal(getattr(self, a), getattr(other, a))
+                       for a in ("user", "item", "ts"))
+        if isinstance(other, Mapping):
+            missing = object()
+            return len(self) == len(other) and all(
+                other.get(k, missing) == v for k, v in self.items()
+            )
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{k!r}: {v!r}" for k, v in islice(self.items(), 8))
+        more = ", ..." if len(self) > 8 else ""
+        return f"EdgeSet({{{shown}{more}}}, num_items={self.num_items})"
+
+
+class _EdgeItems(ItemsView):
+    def __iter__(self):
+        stamps = self._mapping.ts.tolist()
+        return zip(self._mapping, (None if ts < 0 else ts for ts in stamps))
 
 
 @dataclass(frozen=True)
@@ -49,27 +150,26 @@ class DatasetManifest:
 
 @dataclass(frozen=True)
 class InteractionDataset:
-    """Deduplicated per-behavior edge sets over a shared user/item universe.
+    """Per-behavior edge sets over a shared user/item universe.
 
     ``user_ids[d]`` / ``item_ids[d]`` give the raw id behind dense id ``d``.
-    Treat instances as immutable; every transformation returns a new dataset.
+    Instances are immutable; every transformation returns a new dataset,
+    which shares the edge sets it leaves unchanged.
     """
 
     manifest: DatasetManifest
-    edges: EdgeMap
+    edges: dict[str, EdgeSet]
     user_ids: tuple[str, ...]
     item_ids: tuple[str, ...]
 
     def edge_count(self, behavior: str) -> int:
-        return len(self.edges[behavior])
+        return len(self.edges[behavior].code)
 
     def user_items(self, behavior: str) -> tuple[np.ndarray, np.ndarray]:
         """The behavior's edges as CSR rows ``(indptr, items)``: user ``u``'s
         items, in ascending order, are ``items[indptr[u]:indptr[u + 1]]``."""
-        edges, n_items = self.edges[behavior], self.manifest.num_items
-        codes = np.fromiter((u * n_items + i for u, i in edges), np.int64, len(edges))
-        users, items = np.divmod(np.sort(codes), n_items)
-        return np.searchsorted(users, np.arange(self.manifest.num_users + 1)), items
+        edges = self.edges[behavior]
+        return np.searchsorted(edges.user, np.arange(self.manifest.num_users + 1)), edges.item
 
 
 @dataclass(frozen=True)
@@ -123,64 +223,81 @@ class PerturbationSpec:
 # Loading and serialization
 # ----------------------------------------------------------------------
 
-def _parse_tsv(
-    path: str, ids: tuple[dict[str, int], dict[str, int]] | None = None
-) -> tuple[list[tuple], list[int | None]]:
-    """The (user, item) pairs of ``user<TAB>item[<TAB>timestamp]`` lines and
-    their timestamps (None where a line has none), as two parallel lists.
+# the code points `str.split()` splits on (none lies above U+3000), as a table
+_SPACE = np.zeros(0x3002, dtype=bool)
+_SPACE[[c for c in range(0x3001) if chr(c).isspace()]] = True
 
-    With ``ids`` (user map, item map) the raw ids are translated to dense
-    ids, and an id missing from the maps is an error naming the line.
-    """
-    pairs, stamps = [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) not in (2, 3):
-                raise DatasetError(
-                    f"{path}:{lineno}: expected 2 or 3 columns, got {len(fields)}"
-                )
-            ts: int | None = None
-            if len(fields) == 3:
-                try:
-                    ts = int(fields[2])
-                except ValueError:
-                    raise DatasetError(
-                        f"{path}:{lineno}: timestamp {fields[2]!r} is not an integer"
-                    ) from None
-                if ts < 0:
-                    raise DatasetError(f"{path}:{lineno}: negative timestamp {ts}")
-            stamps.append(ts)
-            if ids is None:
-                pairs.append((fields[0], fields[1]))
-                continue
+
+def _columns(text: str, ids):
+    """`_parse_tsv` on well-formed text; a malformed line raises ValueError,
+    OverflowError or KeyError."""
+    tokens = text.split()
+    # each token's first code point, the line it is on, and each line's first token
+    cp = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    space = _SPACE[np.minimum(cp, len(_SPACE) - 1)]
+    start = np.flatnonzero(~space & np.r_[True, space[:-1]])
+    line = np.searchsorted(np.flatnonzero(cp == ord("\n")), start)
+    lead = np.flatnonzero(np.diff(line, prepend=-1))
+    width = np.diff(lead, append=len(tokens))
+    data = cp[start[lead]] != ord("#")
+    first, width = lead[data], width[data]
+    if np.any((width < 2) | (width > 3)):
+        raise ValueError("expected 2 or 3 columns")
+    timed = width == 3
+    users, items, stamps = ([tokens[k] for k in rows.tolist()]
+                            for rows in (first, first + 1, first[timed] + 2))
+    value = {s: int(s) for s in set(stamps)}
+    if min(value.values(), default=0) < 0:
+        raise ValueError("negative timestamp")
+    ts = np.full(len(first), -1, dtype=np.int64)
+    ts[timed] = np.fromiter(map(value.__getitem__, stamps), np.int64, len(stamps))
+    if ids is not None:
+        users, items = (np.fromiter(map(m.__getitem__, col), np.int64, len(col))
+                        for m, col in zip(ids, (users, items)))
+    return users, items, ts
+
+
+def _raise_first_error(path: str, text: str, ids) -> None:
+    """Raise the error of the first malformed line of ``text``, in the order
+    of the checks a line goes through."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if len(fields) not in (2, 3):
+            raise DatasetError(f"{path}:{lineno}: expected 2 or 3 columns, got {len(fields)}")
+        if len(fields) == 3:
             try:
-                pairs.append((ids[0][fields[0]], ids[1][fields[1]]))
-            except KeyError as exc:
+                ts = int(fields[2])
+            except ValueError:
                 raise DatasetError(
-                    f"{path}:{lineno}: id {exc.args[0]!r} is not in "
-                    "users.map/items.map"
+                    f"{path}:{lineno}: timestamp {fields[2]!r} is not an integer"
                 ) from None
-    return pairs, stamps
+            if ts < 0:
+                raise DatasetError(f"{path}:{lineno}: negative timestamp {ts}")
+            if ts >= 2**63:
+                raise DatasetError(f"{path}:{lineno}: timestamp {ts} is out of range")
+        for raw, known in zip(fields[:2], ids or ()):
+            if raw not in known:
+                raise DatasetError(
+                    f"{path}:{lineno}: id {raw!r} is not in users.map/items.map"
+                )
 
 
-def _dedup_edges(pairs: list[Edge], stamps: list[int | None]) -> dict[Edge, int | None]:
-    """The map ``pairs[k] -> stamps[k]``.  A duplicate pair keeps its
-    earliest timestamp; an untimed duplicate never overrides."""
-    # a comprehension, not dict(zip(...)): the latter left the resident set
-    # of repeated loads a few MiB larger
-    edges = {pair: ts for pair, ts in zip(pairs, stamps)}
-    if len(edges) == len(pairs):
-        return edges
-    edges = {}
-    for pair, ts in zip(pairs, stamps):
-        prev = edges.get(pair, -1)
-        if prev == -1 or (ts is not None and (prev is None or ts < prev)):
-            edges[pair] = ts
-    return edges
+def _parse_tsv(path: str, ids: tuple[dict[str, int], dict[str, int]] | None = None):
+    """The users, items and timestamps (−1 where a line has none) of the
+    ``user<TAB>item[<TAB>timestamp]`` lines of ``path``, in file order.
+
+    Users and items are raw id strings, or with ``ids`` (user map, item map)
+    dense int64 ids; an id missing from the maps is an error naming the line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return _columns(text, ids)
+    except (ValueError, OverflowError, KeyError):
+        _raise_first_error(path, text, ids)
+        raise
 
 
 def _read_manifest(path: str) -> tuple[tuple[str, ...], str]:
@@ -221,32 +338,46 @@ def load_dataset(path: str) -> InteractionDataset:
         if stem not in declared:
             raise DatasetError(f"file {name!r} references undeclared behavior {stem!r}")
 
-    raw: dict[str, tuple[list[tuple[str, str]], list[int | None]]] = {}
+    raw = {}
     for b in behaviors:
         tsv = os.path.join(path, f"{b}.tsv")
         if not os.path.isfile(tsv):
             raise DatasetError(f"missing behavior file {tsv}")
         raw[b] = _parse_tsv(tsv)
 
-    if not raw[target][0]:
+    if not len(raw[target][0]):
         raise DatasetError(f"empty target behavior {target!r}")
 
-    users = sorted({u for pairs, _ in raw.values() for u, _ in pairs})
-    items = sorted({i for pairs, _ in raw.values() for _, i in pairs})
+    users = sorted(set().union(*(u for u, _, _ in raw.values())))
+    items = sorted(set().union(*(i for _, i, _ in raw.values())))
     u_map = {u: d for d, u in enumerate(users)}
     i_map = {i: d for d, i in enumerate(items)}
 
-    edges: EdgeMap = {
-        b: _dedup_edges([(u_map[u], i_map[i]) for u, i in pairs], stamps)
-        for b, (pairs, stamps) in raw.items()
-    }
+    def dense(m, col):
+        return np.fromiter(map(m.__getitem__, col), np.int64, len(col))
 
+    edges = {
+        b: EdgeSet(dense(u_map, u), dense(i_map, i), ts, len(items))
+        for b, (u, i, ts) in raw.items()
+    }
     manifest = DatasetManifest(
         behaviors=behaviors, target=target, num_users=len(users), num_items=len(items)
     )
     return InteractionDataset(
         manifest=manifest, edges=edges, user_ids=tuple(users), item_ids=tuple(items)
     )
+
+
+def _tsv_text(ds: InteractionDataset, users, items, ts) -> str:
+    """``user<TAB>item[<TAB>timestamp]`` lines in raw ids, one per edge;
+    a line has no timestamp where ``ts`` is −1."""
+    stamps, which = np.unique(ts, return_inverse=True)
+    cols = np.empty((len(users), 3), dtype=object)
+    cols[:, 0] = np.array([u + "\t" for u in ds.user_ids], dtype=object)[users]
+    cols[:, 1] = np.array(ds.item_ids, dtype=object)[items]
+    cols[:, 2] = np.array([f"\t{t}\n" if t >= 0 else "\n" for t in stamps.tolist()],
+                          dtype=object)[which]
+    return "".join(cols.ravel().tolist())
 
 
 def _write_tables(ds: InteractionDataset, path: str, prefix: str) -> None:
@@ -260,12 +391,9 @@ def _write_tables(ds: InteractionDataset, path: str, prefix: str) -> None:
         )
         fh.write("\n")
     for b in ds.manifest.behaviors:
+        e = ds.edges[b]
         with open(os.path.join(path, f"{prefix}{b}.tsv"), "w", encoding="utf-8") as fh:
-            for (u, i), ts in sorted(ds.edges[b].items()):
-                cols = [ds.user_ids[u], ds.item_ids[i]]
-                if ts is not None:
-                    cols.append(str(ts))
-                fh.write("\t".join(cols) + "\n")
+            fh.write(_tsv_text(ds, e.user, e.item, e.ts))
 
 
 def save_dataset(ds: InteractionDataset, path: str) -> None:
@@ -277,9 +405,9 @@ def write_id_maps(ds: InteractionDataset, out_dir: str) -> None:
     """Persist users.map / items.map (``raw_id<TAB>dense_id``, sorted by raw id)."""
     os.makedirs(out_dir, exist_ok=True)
     for fname, ids in (("users.map", ds.user_ids), ("items.map", ds.item_ids)):
+        order = sorted(range(len(ids)), key=ids.__getitem__)
         with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as fh:
-            for dense, raw in sorted(enumerate(ids), key=lambda p: p[1]):
-                fh.write(f"{raw}\t{dense}\n")
+            fh.write("".join(f"{ids[d]}\t{d}\n" for d in order))
 
 
 def write_split(split: SplitDataset, out_dir: str) -> None:
@@ -288,9 +416,9 @@ def write_split(split: SplitDataset, out_dir: str) -> None:
     _write_tables(ds, out_dir, "train.")
     write_id_maps(ds, out_dir)
     for fname, pairs in (("validation.tsv", split.validation), ("test.tsv", split.test)):
+        users, items = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
         with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as fh:
-            for u, i in pairs:
-                fh.write(f"{ds.user_ids[u]}\t{ds.item_ids[i]}\n")
+            fh.write(_tsv_text(ds, users, items, np.full(len(users), -1)))
 
 
 def _read_map(path: str) -> tuple[dict[str, int], tuple[str, ...]]:
@@ -326,41 +454,55 @@ def load_split(path: str) -> SplitDataset:
     """Load a directory previously written by `write_split`.
 
     The training target is nonempty, each user has at most one test and one
-    validation pair, and no held-out pair is also a training target edge.
+    validation pair, the two differ, and no held-out pair is also a training
+    target edge.
     """
     behaviors, target = _read_manifest(path)
     u_map, user_ids = _read_map(os.path.join(path, "users.map"))
     i_map, item_ids = _read_map(os.path.join(path, "items.map"))
+    num_items = len(i_map)
 
-    def read(fname: str) -> tuple[list[Edge], list[int | None]]:
+    def read(fname: str):
         return _parse_tsv(os.path.join(path, fname), (u_map, i_map))
 
-    edges: EdgeMap = {b: _dedup_edges(*read(f"train.{b}.tsv")) for b in behaviors}
-    if not edges[target]:
+    edges = {b: EdgeSet(*read(f"train.{b}.tsv"), num_items) for b in behaviors}
+    if not len(edges[target].code):
         tsv = os.path.join(path, f"train.{target}.tsv")
         raise DatasetError(f"{tsv}: empty target behavior {target!r}")
 
-    def held_out(fname: str) -> tuple[Edge, ...]:
-        item_of: dict[int, int] = {}
-        for u, i in read(fname)[0]:
-            if u in item_of or (u, i) in edges[target]:
-                problem = "has more than one held-out pair" if u in item_of else (
-                    f"held-out item {item_ids[i]!r} is a training {target!r} edge"
-                )
-                raise DatasetError(
-                    f"{os.path.join(path, fname)}: user {user_ids[u]!r} {problem}"
-                )
-            item_of[u] = i
-        return tuple(item_of.items())
+    def check(fname: str, users: np.ndarray, bad: np.ndarray, problem) -> None:
+        """Fail on the first line flagged in ``bad``, naming its user."""
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise DatasetError(
+                f"{os.path.join(path, fname)}: user {user_ids[users[k]]!r} {problem(k)}"
+            )
+
+    def held_out(fname: str) -> tuple[np.ndarray, np.ndarray]:
+        users, items, _ = read(fname)
+        repeat = np.ones(len(users), dtype=bool)
+        repeat[np.unique(users, return_index=True)[1]] = False
+        trained = edges[target].index(users * num_items + items) >= 0
+        check(fname, users, repeat | trained, lambda k: "has more than one held-out pair"
+              if repeat[k] else
+              f"held-out item {item_ids[items[k]]!r} is a training {target!r} edge")
+        return users, items
+
+    (v_users, v_items), (t_users, t_items) = held_out("validation.tsv"), held_out("test.tsv")
+    shared = np.isin(v_users * num_items + v_items, t_users * num_items + t_items)
+    check("validation.tsv", v_users, shared,
+          lambda k: f"has held-out item {item_ids[v_items[k]]!r} in test.tsv too")
 
     manifest = DatasetManifest(
-        behaviors=behaviors, target=target, num_users=len(u_map), num_items=len(i_map)
+        behaviors=behaviors, target=target, num_users=len(u_map), num_items=num_items
     )
     train = InteractionDataset(
         manifest=manifest, edges=edges, user_ids=user_ids, item_ids=item_ids
     )
     return SplitDataset(
-        train=train, validation=held_out("validation.tsv"), test=held_out("test.tsv")
+        train=train,
+        validation=tuple(zip(v_users.tolist(), v_items.tolist())),
+        test=tuple(zip(t_users.tolist(), t_items.tolist())),
     )
 
 
@@ -368,46 +510,34 @@ def load_split(path: str) -> SplitDataset:
 # Leave-one-out split
 # ----------------------------------------------------------------------
 
-def _order_key(item: int, ts: int | None) -> tuple[int, int]:
-    # missing timestamps sort as 0; ties broken by ascending item id
-    return (0 if ts is None else ts, item)
-
-
 def split_leave_one_out(ds: InteractionDataset) -> SplitDataset:
     """Per user with >= 3 target interactions, hold out the latest for test
-    and the second latest for validation (ordered by (timestamp, item id)).
+    and the second latest for validation (ordered by (timestamp, item id),
+    a missing timestamp sorting as 0).
 
     Users with fewer target interactions keep everything in train and are
     counted in ``users_without_holdout``.  Auxiliary edges are never held out.
     """
     target = ds.manifest.target
-    by_user: dict[int, list[tuple[int, int | None]]] = {}
-    for (u, i), ts in ds.edges[target].items():
-        by_user.setdefault(u, []).append((i, ts))
+    e = ds.edges[target]
+    order = np.lexsort((e.item, np.maximum(e.ts, 0), e.user))
+    last = np.flatnonzero(np.diff(e.user[order], append=-1))  # each user's latest
+    count = np.diff(last, prepend=-1)
+    latest = last[count >= 3]
+    test, validation = order[latest], order[latest - 1]
+    keep = np.ones(len(order), dtype=bool)
+    keep[test] = keep[validation] = False
+    train_target = EdgeSet(e.user[keep], e.item[keep], e.ts[keep], e.num_items)
 
-    train_target: dict[Edge, int | None] = {}
-    validation: list[Edge] = []
-    test: list[Edge] = []
-    skipped = 0
-    for u in sorted(by_user):
-        entries = sorted(by_user[u], key=lambda e: _order_key(e[0], e[1]))
-        if len(entries) < 3:
-            skipped += 1
-            for i, ts in entries:
-                train_target[(u, i)] = ts
-            continue
-        *rest, second_latest, latest = entries
-        test.append((u, latest[0]))
-        validation.append((u, second_latest[0]))
-        for i, ts in rest:
-            train_target[(u, i)] = ts
+    def pairs(k: np.ndarray) -> tuple[Edge, ...]:
+        return tuple(zip(e.user[k].tolist(), e.item[k].tolist()))
 
     return SplitDataset(
         # the auxiliary edge sets are shared, not copied: datasets are immutable
         train=replace(ds, edges={**ds.edges, target: train_target}),
-        validation=tuple(validation),
-        test=tuple(test),
-        users_without_holdout=skipped,
+        validation=pairs(validation),
+        test=pairs(test),
+        users_without_holdout=int(np.count_nonzero(count < 3)),
     )
 
 
@@ -419,35 +549,29 @@ def compute_bar(ds: InteractionDataset, behavior: str) -> float:
     """Fraction of target (user, item) pairs that also occur in ``behavior``."""
     if behavior not in ds.manifest.behaviors:
         raise DatasetError(f"behavior {behavior!r} not declared in manifest")
-    target_pairs = ds.edges[ds.manifest.target].keys()
-    if not target_pairs:
+    target_codes = ds.edges[ds.manifest.target].code
+    if not len(target_codes):
         raise DatasetError("empty target behavior: alignment ratio is undefined")
-    return len(ds.edges[behavior].keys() & target_pairs) / len(target_pairs)
+    shared = np.intersect1d(ds.edges[behavior].code, target_codes, assume_unique=True)
+    return len(shared) / len(target_codes)
 
 
 def _dt_with_flag(ds: InteractionDataset) -> tuple[float, bool]:
-    target = ds.manifest.target
-    target_edges = ds.edges[target]
-    if not target_edges:
+    target = ds.edges[ds.manifest.target]
+    if not len(target.code):
         raise DatasetError("empty target behavior: direct-target ratio is undefined")
-    aux = ds.manifest.auxiliary
     approximate = False
-    direct = 0
-    for pair, t_ts in target_edges.items():
-        preceded = False
-        for b in aux:
-            a_ts = ds.edges[b].get(pair, -1)
-            if a_ts == -1:  # pair absent from this behavior
-                continue
-            if t_ts is None or a_ts is None:
-                # no usable event times: degrade "preceding" to "co-occurring"
-                preceded = True
-                approximate = True
-            elif a_ts < t_ts:
-                preceded = True
-        if not preceded:
-            direct += 1
-    return direct / len(target_edges), approximate
+    preceded = np.zeros(len(target.code), dtype=bool)
+    for b in ds.manifest.auxiliary:
+        aux = ds.edges[b]
+        pos = aux.index(target.code)
+        found = pos >= 0
+        a_ts, t_ts = aux.ts[pos[found]], target.ts[found]
+        # no usable event times: degrade "preceding" to "co-occurring"
+        untimed = (a_ts < 0) | (t_ts < 0)
+        approximate = approximate or bool(untimed.any())
+        preceded[found] |= untimed | (a_ts < t_ts)
+    return int(np.count_nonzero(~preceded)) / len(target.code), approximate
 
 
 def compute_dt(ds: InteractionDataset) -> float:
@@ -527,24 +651,23 @@ def perturb(ds: InteractionDataset, spec: PerturbationSpec) -> InteractionDatase
     for b in ds.manifest.behaviors:
         if b not in spec.behaviors:
             continue
-        # pair codes u * I + i, ascending: the sorted order of the edge set
-        indptr, items = ds.user_items(b)
-        codes = np.repeat(np.arange(n_users), np.diff(indptr)) * n_items + items
-        count = math.ceil(spec.ratio * len(codes))
+        e = edges[b]
+        count = math.ceil(spec.ratio * len(e.code))
         if count == 0:
             continue
-        edges[b] = dict(edges[b])
         if spec.mode == "remove":
-            for code in codes[rng.choice(len(codes), size=count, replace=False)].tolist():
-                del edges[b][divmod(code, n_items)]
+            keep = np.ones(len(e.code), dtype=bool)
+            keep[rng.choice(len(e.code), size=count, replace=False)] = False
+            edges[b] = EdgeSet(e.user[keep], e.item[keep], e.ts[keep], n_items)
         else:
-            free = n_users * n_items - len(codes)
+            free = n_users * n_items - len(e.code)
             if free < count:
                 raise DatasetError(
                     f"cannot add {count} edges to {b!r}: only {free} non-edges available"
                 )
             picked = rng.choice(free, size=count, replace=False)
-            for code in nth_absent(codes, picked).tolist():
-                edges[b][divmod(code, n_items)] = 0
+            users, items = np.divmod(nth_absent(e.code, picked), n_items)
+            edges[b] = EdgeSet(np.r_[e.user, users], np.r_[e.item, items],
+                               np.r_[e.ts, np.zeros(count, dtype=np.int64)], n_items)
 
     return replace(ds, edges=edges)

@@ -14,7 +14,7 @@ from itertools import product
 import numpy as np
 
 from . import seeds
-from .data import DatasetManifest, InteractionDataset, SplitDataset
+from .data import DatasetManifest, EdgeSet, InteractionDataset, SplitDataset
 from .graph import build_graph
 from .losses import (
     Hyperparameters,
@@ -65,16 +65,16 @@ def random_fixture(
     target = names[-1]
     edges = {}
     for b in names:
-        bucket = {}
-        while not bucket:
+        users = ()
+        while not len(users):
             mask = rng.random((num_users, num_items)) < density
             # keep at least one non-edge per user so negatives exist
             for u in range(num_users):
                 if mask[u].all():
                     mask[u, rng.integers(num_items)] = False
-            for u, i in zip(*np.nonzero(mask)):
-                bucket[(int(u), int(i))] = int(rng.integers(0, 100))
-        edges[b] = bucket
+            users, items = np.nonzero(mask)
+        # the stream of one scalar draw per edge, in row-major order
+        edges[b] = EdgeSet(users, items, rng.integers(0, 100, size=len(users)), num_items)
     manifest = DatasetManifest(
         behaviors=tuple(names), target=target,
         num_users=num_users, num_items=num_items,

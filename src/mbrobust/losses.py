@@ -302,20 +302,12 @@ def _alignment(
 # Cross-behavior invariance penalties
 # ----------------------------------------------------------------------
 
-def _variance_scope(
-    risks: dict[str, float], scope: str, target: str
-) -> tuple[list[str], int]:
+def _orm_scope(behaviors, scope: str, target: str) -> list[str]:
+    """The behaviors an invariance penalty covers: all of them, or all but
+    the target under ``aux_only``."""
     if scope not in ORM_SCOPES:
         raise ValueError(f"scope must be one of {ORM_SCOPES}")
-    if len(risks) < 2:
-        raise ValueError("risk variance needs at least 2 behaviors")
-    keys = list(risks)
-    if scope == "all_behaviors":
-        return keys, len(keys)
-    in_scope = [b for b in keys if b != target]
-    if not in_scope:
-        raise ValueError("aux_only scope has no auxiliary risks")
-    return in_scope, len(keys) - 1
+    return [b for b in behaviors if scope == "all_behaviors" or b != target]
 
 
 def orm_loss(
@@ -328,8 +320,13 @@ def orm_loss(
     still taken over all behaviors.  Partials account for each risk's
     effect through the shared mean.
     """
-    in_scope, denom = _variance_scope(risks, scope, target)
+    in_scope = _orm_scope(risks, scope, target)
+    if len(risks) < 2:
+        raise ValueError("risk variance needs at least 2 behaviors")
+    if not in_scope:
+        raise ValueError("aux_only scope has no auxiliary risks")
     keys = list(risks)
+    denom = len(keys) if scope == "all_behaviors" else len(keys) - 1
     values = np.array([risks[b] for b in keys], dtype=np.float64)
     if np.ptp(values) == 0.0:  # equal risks: exactly zero, no rounding residue
         return 0.0, {b: 0.0 for b in keys}
@@ -480,9 +477,7 @@ def total_loss(
         else:
             log.debug("invariance penalty skipped: fewer than 2 sampled risks")
     else:  # irm_v1 and irm_v2 share one penalty
-        scope = sampled if hp.orm_scope == "all_behaviors" else [
-            b for b in sampled if b != target
-        ]
+        scope = _orm_scope(sampled, hp.orm_scope, target)
         for b in scope:
             term, d_m = _irm_term(margins[b])
             orm_val += term

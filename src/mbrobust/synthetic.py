@@ -14,10 +14,15 @@ import math
 import numpy as np
 
 from . import seeds
-from .data import DatasetManifest, InteractionDataset, nth_absent
+from .data import DatasetManifest, EdgeSet, InteractionDataset, nth_absent
 
 
-def _dataset(behaviors, target, edges, num_users, num_items) -> InteractionDataset:
+def _dataset(behaviors, target, rows, num_users, num_items) -> InteractionDataset:
+    """A dataset from per-behavior lists of (user, item, timestamp) rows."""
+    edges = {
+        b: EdgeSet(*np.array(rows[b], dtype=np.int64).reshape(-1, 3).T, num_items)
+        for b in behaviors
+    }
     manifest = DatasetManifest(
         behaviors=tuple(behaviors),
         target=target,
@@ -57,15 +62,12 @@ def planted_dataset(
     users_per_group = num_users // num_groups
     items_per_group = num_items // num_groups
 
-    edges: dict[str, dict[tuple[int, int], int | None]] = {
-        b: {} for b in (*aux_behaviors, target)
-    }
+    rows: dict[str, list[tuple[int, int, int]]] = {b: [] for b in (*aux_behaviors, target)}
     for u in range(num_users):
         g = u // users_per_group
         own = np.arange(g * items_per_group, (g + 1) * items_per_group)
         picked = rng.choice(own, size=target_per_user, replace=False)
-        for ts, item in enumerate(picked, start=1):
-            edges[target][(u, int(item))] = ts
+        rows[target] += [(u, item, ts) for ts, item in enumerate(picked.tolist(), start=1)]
         n_within = round(within_group * aux_per_user)
         for b in aux_behaviors:
             inside = rng.choice(own, size=min(n_within, len(own)), replace=False)
@@ -73,10 +75,9 @@ def planted_dataset(
             outside = nth_absent(own, rng.choice(
                 num_items - len(own), size=aux_per_user - len(inside), replace=False
             ))
-            for item in (*inside, *outside):
-                edges[b][(u, int(item))] = 0
+            rows[b] += [(u, item, 0) for item in (*inside.tolist(), *outside.tolist())]
 
-    return _dataset((*aux_behaviors, target), target, edges, num_users, num_items)
+    return _dataset((*aux_behaviors, target), target, rows, num_users, num_items)
 
 
 def planted_dataset_mixed_alignment(
@@ -109,36 +110,32 @@ def planted_dataset_mixed_alignment(
     users_per_group = num_users // num_groups
     items_per_group = num_items // num_groups
 
-    edges: dict[str, dict[tuple[int, int], int | None]] = {
-        aligned_behavior: {}, noise_behavior: {}, target: {}
-    }
+    picked = []
     for u in range(num_users):
         g = u // users_per_group
         own = np.arange(g * items_per_group, (g + 1) * items_per_group)
-        picked = rng.choice(own, size=target_per_user, replace=False)
-        for ts, item in enumerate(picked, start=1):
-            edges[target][(u, int(item))] = ts
+        picked.append(rng.choice(own, size=target_per_user, replace=False).tolist())
+    rows = {target: [(u, item, ts) for u, items in enumerate(picked)
+                     for ts, item in enumerate(items, start=1)]}
 
-    target_pairs = sorted(edges[target])
+    target_pairs = sorted((u, item) for u, item, _ in rows[target])
     n_copy = math.ceil(aligned_fraction * len(target_pairs))
     copied = rng.choice(len(target_pairs), size=n_copy, replace=False)
-    for k in copied:
-        edges[aligned_behavior][target_pairs[k]] = 0
+    rows[aligned_behavior] = [(*target_pairs[k], 0) for k in copied.tolist()]
 
-    target_set = set(target_pairs)
-    for u in range(num_users):
-        count = 0
-        while count < noise_per_user:
+    rows[noise_behavior] = []
+    for u, items in enumerate(picked):
+        taken = set(items)  # the user's target items, then their noise items
+        while len(taken) < len(items) + noise_per_user:
             item = int(rng.integers(num_items))
-            if (u, item) in target_set or (u, item) in edges[noise_behavior]:
-                continue
-            edges[noise_behavior][(u, item)] = 0
-            count += 1
+            if item not in taken:
+                taken.add(item)
+                rows[noise_behavior].append((u, item, 0))
 
     return _dataset(
         (aligned_behavior, noise_behavior, target),
         target,
-        edges,
+        rows,
         num_users,
         num_items,
     )

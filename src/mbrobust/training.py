@@ -282,10 +282,10 @@ def train(
     ds = split.train
     hp = cfg.hp
     target = ds.manifest.target
-    if not ds.edges[target]:
+    if not ds.edge_count(target):
         raise ValueError("target behavior has no training edges")
 
-    active = [b for b in ds.manifest.behaviors if ds.edges[b]]
+    active = [b for b in ds.manifest.behaviors if ds.edge_count(b)]
     for b in ds.manifest.behaviors:
         if b not in active:
             log.warning("behavior %r has no training edges; dropped from training", b)

@@ -1,10 +1,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from mbrobust.data import DatasetManifest, InteractionDataset
+from mbrobust.data import DatasetManifest, EdgeSet, InteractionDataset
 
 
 def write_dataset_dir(path, behaviors, target, files):
@@ -28,9 +29,14 @@ def make_dataset(edges, target, num_users=None, num_items=None):
     manifest = DatasetManifest(
         behaviors=behaviors, target=target, num_users=num_users, num_items=num_items
     )
+
+    def edge_set(pairs):
+        rows = [(u, i, -1 if ts is None else ts) for (u, i), ts in pairs.items()]
+        return EdgeSet(*np.array(rows, dtype=np.int64).reshape(-1, 3).T, num_items)
+
     return InteractionDataset(
         manifest=manifest,
-        edges={b: dict(v) for b, v in edges.items()},
+        edges={b: edge_set(v) for b, v in edges.items()},
         user_ids=tuple(f"u{k:03d}" for k in range(num_users)),
         item_ids=tuple(f"i{k:03d}" for k in range(num_items)),
     )

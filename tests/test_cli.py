@@ -299,6 +299,20 @@ class TestSplitLoading:
         assert fname in err and repr(user) in err
         assert f"training {target!r} edge" in err
 
+    def test_validation_pair_equal_to_test_pair_exits_2(self, split_dir, tmp_path,
+                                                         capsys):
+        user, item = Path(split_dir, "test.tsv").read_text(
+            encoding="utf-8").splitlines()[0].split()
+        path = os.path.join(split_dir, "validation.tsv")
+        lines = [line if line.split()[0] != user else f"{user}\t{item}\n"
+                 for line in Path(path).read_text(encoding="utf-8").splitlines(True)]
+        assert f"{user}\t{item}\n" in lines  # the user's validation pair is now their test pair
+        Path(path).write_text("".join(lines), encoding="utf-8")
+        code = main(_train_args(split_dir, str(tmp_path / "run")))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "validation.tsv" in err and repr(user) in err and repr(item) in err
+
     def test_malformed_id_map_line_exits_2(self, split_dir, tmp_path, capsys):
         path = os.path.join(split_dir, "users.map")
         with open(path, "a", encoding="utf-8") as fh:

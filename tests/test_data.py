@@ -4,19 +4,24 @@ Expected values for the fixture-based tests come from independent oracles
 implemented inside this file: a separate parse/dedup pass for loading, a
 sort-based oracle for the leave-one-out split, exhaustive grid enumeration
 for the alignment/direct-target ratios, and a re-implementation of the
-seeded complement sampler for perturbation.
+seeded complement sampler for perturbation.  The property tests at the end
+compare the array store with the dict-based implementation it replaced,
+kept in ``dict_reference.py``.
 """
 
 import math
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mbrobust.data import (
     DatasetError,
+    EdgeSet,
     PerturbationSpec,
     compute_bar,
     compute_dt,
@@ -32,7 +37,9 @@ from mbrobust.data import (
     write_split,
 )
 
+import dict_reference as reference
 from conftest import edge_datasets, make_dataset, random_dataset, write_dataset_dir
+from dict_reference import as_ref
 
 
 # ----------------------------------------------------------------------
@@ -550,3 +557,166 @@ class TestIO:
         assert "lurker" in ds.user_ids
         assert "ghost_item" in ds.item_ids
         assert ds.manifest.num_users == 2 and ds.manifest.num_items == 2
+
+
+# ----------------------------------------------------------------------
+# The array store against the dict reference it replaced
+# ----------------------------------------------------------------------
+
+def _outcome(f, *args):
+    """``("ok", result)``, or ``("error", message)`` for a `DatasetError`."""
+    try:
+        return "ok", f(*args)
+    except DatasetError as exc:
+        return "error", str(exc)
+
+
+def _tree_bytes(path):
+    return {name: (path / name).read_bytes() for name in sorted(os.listdir(path))}
+
+
+# few raw ids, so pairs repeat; non-ASCII ones, and one that starts a comment
+_RAW_IDS = st.sampled_from(["a", "b", "c1", "ü", "xé", "#h"])
+_SEPARATORS = st.sampled_from(["\t", " ", "\t\t", " \u3000", "\x1f"])
+
+
+@st.composite
+def tsv_texts(draw):
+    """Behavior files of timed and untimed edges with repeated pairs,
+    comments, blank lines, CRLF ends and, now and then, one malformed line."""
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        u, i, sep = draw(_RAW_IDS), draw(_RAW_IDS), draw(_SEPARATORS)
+        line = draw(st.sampled_from([
+            sep.join([u, i, str(draw(st.integers(0, 4)))]),
+            sep.join([u, i, str(draw(st.integers(0, 4)))]),
+            sep.join([u, i]),
+            "# a comment", "  #\tx\ty", "", " \t",
+        ]))
+        lines.append(draw(st.sampled_from(["", " "])) + line + draw(st.sampled_from(["\n", "\r\n"])))
+    if draw(st.integers(0, 4)) == 0:
+        bad = draw(st.sampled_from(["a", "a b 1 2", "a b x", "a b -3", "a b 1_0", "a b \u0663"]))
+        lines.insert(draw(st.integers(0, len(lines))), bad + "\n")
+    return "".join(lines) + draw(st.sampled_from(["", "c1\tb"]))  # maybe no final newline
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(tsv_texts(), min_size=1, max_size=3))
+# as many tokens as three per data line, with an untimed edge and a comment
+@example(["a\ta\t0\na\ta\n# a comment\nc1\tb\n"])
+def test_load_write_split_and_diagnose_match_the_dict_reference(texts):
+    names = [f"b{k}" for k in range(len(texts))]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = write_dataset_dir(tmp / "in", names, names[-1], dict(zip(names, texts)))
+        status, ds = _outcome(load_dataset, path)
+        assert (status, as_ref(ds) if status == "ok" else ds) == _outcome(
+            reference.load_dataset, path)
+        if status != "ok":
+            return
+        ref = as_ref(ds)
+        assert all(ds.edges[b] == ref.edges[b] for b in names)
+        assert _outcome(diagnose, ds) == _outcome(reference.diagnose, ref)
+
+        save_dataset(ds, str(tmp / "new"))
+        reference.write_tables(ref, str(tmp / "old"), "")
+        write_split(split_leave_one_out(ds), str(tmp / "new_split"))
+        reference.write_split(*reference.split_leave_one_out(ref)[:3], str(tmp / "old_split"))
+        for new, old in (("new", "old"), ("new_split", "old_split")):
+            assert _tree_bytes(tmp / new) == _tree_bytes(tmp / old)
+
+
+def test_a_timestamp_beyond_int64_is_a_data_error(tmp_path):
+    path = write_dataset_dir(tmp_path / "big", ["buy"], "buy",
+                             {"buy": f"u\ti\t1\nu\tj\t{2**63}\n"})
+    with pytest.raises(DatasetError, match=r"buy\.tsv:2: timestamp .* out of range"):
+        load_dataset(path)
+
+
+@st.composite
+def dict_datasets(draw):
+    """An up to 6 x 6 dataset of 1-3 behaviors with timed and untimed edges,
+    and the same dataset as a `RefDataset` of the drawn dicts."""
+    num_users, num_items = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    names = [f"b{k}" for k in range(draw(st.integers(1, 3)))]
+    pairs = st.tuples(st.integers(0, num_users - 1), st.integers(0, num_items - 1))
+    stamps = st.one_of(st.none(), st.integers(0, 4))
+    edges = {b: draw(st.dictionaries(pairs, stamps)) for b in names}
+    ds = make_dataset(edges, names[-1], num_users, num_items)
+    return ds, reference.RefDataset(ds.manifest, edges, ds.user_ids, ds.item_ids)
+
+
+@settings(deadline=None, max_examples=150)
+@given(dict_datasets())
+def test_split_and_diagnose_match_the_dict_reference(case):
+    ds, ref = case
+    split = split_leave_one_out(ds)
+    train, validation, test, skipped = reference.split_leave_one_out(ref)
+    assert as_ref(split.train) == train
+    assert (split.validation, split.test, split.users_without_holdout) == (
+        validation, test, skipped)
+    assert _outcome(diagnose, ds) == _outcome(reference.diagnose, ref)
+
+
+@settings(deadline=None, max_examples=150)
+@given(dict_datasets(), st.sampled_from(["add", "remove"]),
+       st.floats(0.01, 1.0), st.integers(0, 2**32 - 1))
+def test_perturb_matches_the_dict_reference(case, mode, ratio, seed):
+    ds, ref = case
+    spec = PerturbationSpec(mode, ratio, ds.manifest.auxiliary, seed)
+    status, out = _outcome(perturb, ds, spec)
+    assert (status, as_ref(out) if status == "ok" else out) == _outcome(
+        reference.perturb, ref, spec)
+    if status != "ok":
+        return
+    target = ds.manifest.target
+    assert out.edges[target] is ds.edges[target]
+    sign = 1 if mode == "add" else -1
+    for b in ds.manifest.auxiliary:
+        count = math.ceil(ratio * len(ref.edges[b]))
+        assert len(out.edges[b]) == len(ref.edges[b]) + sign * count
+
+
+def test_edge_set_answers_the_mapping_reads_of_the_benchmark():
+    """`perfbench/workloads.py` and `perfbench/tracing.py` read ``ds.edges[b]``
+    as a mapping ``(user, item) -> timestamp or None``."""
+    pairs = {(2, 1): 7, (0, 3): None, (0, 1): 4, (1, 0): 0}
+    edges = make_dataset({"buy": pairs}, "buy", 3, 4).edges["buy"]
+    empty = EdgeSet([], [], [], 4)
+    assert len(edges) == 4 and edges and len(empty) == 0 and not empty
+    assert list(edges) == [(0, 1), (0, 3), (1, 0), (2, 1)]  # code order
+    assert all(type(u) is int and type(i) is int for u, i in edges)
+    assert np.array(list(edges), dtype=np.int64).T.tolist() == [[0, 0, 1, 2], [1, 3, 0, 1]]
+    assert (0, 3) in edges and (1, 1) not in edges and "ab" not in edges
+    assert (0, 4) not in edges  # not the code of (1, 0)
+    assert edges[(2, 1)] == 7 and edges[(0, 3)] is None
+    with pytest.raises(KeyError):
+        edges[(1, 1)]
+    assert edges.get((1, 1), -1) == -1 and edges.get((0, 3), -1) is None
+    assert list(edges.items()) == sorted(pairs.items())
+    assert list(edges.values()) == [4, None, 0, 7]
+    assert edges == pairs and pairs == edges and not edges != pairs
+    assert edges != {**pairs, (1, 1): 0} and edges != {**pairs, (0, 3): 0}
+    assert dict(edges) == pairs
+    same = EdgeSet([1, 0, 2, 0], [0, 1, 1, 3], [0, 4, 7, -1], 4)
+    assert edges == same and edges != EdgeSet([1, 0, 2, 0], [0, 1, 1, 3], [0, 4, 7, 2], 4)
+    with pytest.raises(ValueError):
+        edges.code[0] = 5  # the arrays are read-only
+    with pytest.raises(TypeError):
+        edges[(1, 1)] = 0
+
+
+def test_edge_set_keeps_each_pairs_earliest_timestamp():
+    edges = EdgeSet([0, 0, 0, 1, 1], [1, 1, 1, 0, 0], [5, -1, 3, -1, -1], 2)
+    assert edges == {(0, 1): 3, (1, 0): None}
+    with pytest.raises(ValueError, match="out of range"):
+        EdgeSet([0], [2], [0], 2)
+
+
+def test_edge_set_does_not_share_the_callers_arrays():
+    # already sorted by code, so no reordering would be needed
+    users, items, ts = (np.array(a, dtype=np.int64) for a in ([0, 0, 1], [0, 1, 0], [3, -1, 5]))
+    edges = EdgeSet(users, items, ts, 2)
+    users[0], items[1], ts[2] = 1, 0, 9
+    assert edges == {(0, 0): 3, (0, 1): None, (1, 0): 5}
+    assert edges.code.tolist() == [0, 1, 2]
