@@ -13,24 +13,25 @@ from mbrobust import diagnose, load_dataset, split_leave_one_out
 
 # --- write a small dataset by hand -----------------------------------------
 # Three users buy things; "view" precedes most buys, "cart" is mostly noise.
-tmp = tempfile.mkdtemp(prefix="mbrobust_demo_")
-with open(f"{tmp}/manifest.json", "w") as fh:
-    json.dump({"behaviors": ["view", "cart", "buy"], "target": "buy"}, fh)
+with tempfile.TemporaryDirectory(prefix="mbrobust_demo_") as tmp:
+    with open(f"{tmp}/manifest.json", "w") as fh:
+        json.dump({"behaviors": ["view", "cart", "buy"], "target": "buy"}, fh)
 
-with open(f"{tmp}/view.tsv", "w") as fh:
-    fh.write("# user  item  timestamp\n")
-    fh.write("ann\tapple\t1\nann\tbread\t2\nbob\tbread\t1\nbob\tcocoa\t3\n")
-    fh.write("cid\tapple\t2\ncid\tdates\t1\n")
+    with open(f"{tmp}/view.tsv", "w") as fh:
+        fh.write("# user  item  timestamp\n")
+        fh.write("ann\tapple\t1\nann\tbread\t2\nbob\tbread\t1\nbob\tcocoa\t3\n")
+        fh.write("cid\tapple\t2\ncid\tdates\t1\n")
 
-with open(f"{tmp}/cart.tsv", "w") as fh:
-    fh.write("ann\tcocoa\t1\nbob\tdates\t2\ncid\tbread\t9\n")
+    with open(f"{tmp}/cart.tsv", "w") as fh:
+        fh.write("ann\tcocoa\t1\nbob\tdates\t2\ncid\tbread\t9\n")
 
-with open(f"{tmp}/buy.tsv", "w") as fh:
-    fh.write("ann\tapple\t5\nann\tbread\t6\nann\tcocoa\t7\n")
-    fh.write("bob\tbread\t5\nbob\tcocoa\t6\nbob\tapple\t7\n")
-    fh.write("cid\tapple\t5\ncid\tdates\t6\ncid\tbread\t7\n")
+    with open(f"{tmp}/buy.tsv", "w") as fh:
+        fh.write("ann\tapple\t5\nann\tbread\t6\nann\tcocoa\t7\n")
+        fh.write("bob\tbread\t5\nbob\tcocoa\t6\nbob\tapple\t7\n")
+        fh.write("cid\tapple\t5\ncid\tdates\t6\ncid\tbread\t7\n")
 
-ds = load_dataset(tmp)
+    ds = load_dataset(tmp)
+
 print("users:", ds.user_ids)
 print("items:", ds.item_ids)
 

@@ -409,8 +409,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DatasetError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
-            PermissionError) as exc:  # an OS error's message names the path
+    except (DatasetError, OSError) as exc:  # an OS error's message names the path
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NonFiniteGradientError as exc:

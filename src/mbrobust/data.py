@@ -71,6 +71,8 @@ class EdgeSet(Mapping):
         return np.where(hit, pos, -1)
 
     # -- the read-only Mapping protocol -------------------------------------
+    # `Mapping` supplies ``in``, ``get``, ``keys``, ``values`` and ``==``
+    # against other mappings from these methods
 
     def _position(self, key) -> int:
         """The row of the pair ``key``, −1 where it is not an edge."""
@@ -91,9 +93,6 @@ class EdgeSet(Mapping):
         ts = int(self.ts[k])
         return None if ts < 0 else ts
 
-    def __contains__(self, key) -> bool:
-        return self._position(key) >= 0
-
     def __iter__(self):
         return zip(self.user.tolist(), self.item.tolist())
 
@@ -107,14 +106,7 @@ class EdgeSet(Mapping):
         if isinstance(other, EdgeSet):
             return all(np.array_equal(getattr(self, a), getattr(other, a))
                        for a in ("user", "item", "ts"))
-        if isinstance(other, Mapping):
-            missing = object()
-            return len(self) == len(other) and all(
-                other.get(k, missing) == v for k, v in self.items()
-            )
-        return NotImplemented
-
-    __hash__ = None
+        return super().__eq__(other)
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{k!r}: {v!r}" for k, v in islice(self.items(), 8))
@@ -138,6 +130,12 @@ class DatasetManifest:
     def __post_init__(self):
         if len(self.behaviors) == 0:
             raise DatasetError("manifest declares no behaviors")
+        for b in self.behaviors:  # a name is a file stem and a log column
+            if b in ("", ".", "..") or b != b.strip() or any(c in b for c in "/\\,"):
+                raise DatasetError(
+                    f"behavior name {b!r} must be a plain file name: not empty, '.' "
+                    "or '..', with no '/', '\\' or ',' and no leading or trailing whitespace"
+                )
         if len(set(self.behaviors)) != len(self.behaviors):
             raise DatasetError("duplicate behavior names in manifest")
         if self.target not in self.behaviors:
@@ -318,6 +316,10 @@ def _read_manifest(path: str) -> tuple[tuple[str, ...], str]:
         raise DatasetError(
             f"{manifest_path}: manifest must declare 'behaviors' and a 'target' in them"
         )
+    try:  # the names, before any is joined into a path; the counts come later
+        DatasetManifest(tuple(behaviors), target, num_users=0, num_items=0)
+    except DatasetError as exc:
+        raise DatasetError(f"{manifest_path}: {exc}") from None
     return tuple(behaviors), target
 
 

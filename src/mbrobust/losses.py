@@ -123,6 +123,17 @@ class LossBreakdown:
     reg: float
     total: float
 
+    def terms(self) -> dict[str, float]:
+        """Every term by its log name, the constituents before the total."""
+        return {
+            "main": self.main,
+            "reg": self.reg,
+            "rrm": self.rrm,
+            "orm": self.orm,
+            **{f"bpr_{b}": v for b, v in self.bpr.items()},
+            "total": self.total,
+        }
+
 
 @dataclass
 class GradientBuffer:

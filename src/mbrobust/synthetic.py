@@ -39,6 +39,18 @@ def _dataset(behaviors, target, rows, num_users, num_items) -> InteractionDatase
     )
 
 
+def _matched_items(num_users: int, num_items: int, num_groups: int):
+    """Each user's matched item group, in user order: users and items fall
+    into ``num_groups`` equal runs of consecutive ids, and user run g is
+    matched to item run g."""
+    if num_users % num_groups or num_items % num_groups:
+        raise ValueError("users and items must divide evenly into groups")
+    users_per_group = num_users // num_groups
+    items_per_group = num_items // num_groups
+    starts = (u // users_per_group * items_per_group for u in range(num_users))
+    return (np.arange(s, s + items_per_group) for s in starts)
+
+
 def planted_dataset(
     seed: int,
     num_users: int = 40,
@@ -56,16 +68,10 @@ def planted_dataset(
     Target timestamps run 1..k per user so the leave-one-out split is well
     defined; auxiliary edges get timestamp 0 (they precede every target).
     """
-    if num_users % num_groups or num_items % num_groups:
-        raise ValueError("users and items must divide evenly into groups")
+    groups = _matched_items(num_users, num_items, num_groups)
     rng = seeds.spawn(seed, "fixture")
-    users_per_group = num_users // num_groups
-    items_per_group = num_items // num_groups
-
     rows: dict[str, list[tuple[int, int, int]]] = {b: [] for b in (*aux_behaviors, target)}
-    for u in range(num_users):
-        g = u // users_per_group
-        own = np.arange(g * items_per_group, (g + 1) * items_per_group)
+    for u, own in enumerate(groups):
         picked = rng.choice(own, size=target_per_user, replace=False)
         rows[target] += [(u, item, ts) for ts, item in enumerate(picked.tolist(), start=1)]
         n_within = round(within_group * aux_per_user)
@@ -99,22 +105,14 @@ def planted_dataset_mixed_alignment(
     samples user-item pairs disjoint from the target set, keeping its
     alignment ratio at 0.
     """
-    rng = seeds.spawn(seed, "fixture")
-    if num_users % num_groups or num_items % num_groups:
-        raise ValueError("users and items must divide evenly into groups")
+    groups = _matched_items(num_users, num_items, num_groups)
     if noise_per_user > num_items - target_per_user:
         raise ValueError(
             f"noise_per_user={noise_per_user} exceeds the {num_items - target_per_user} "
             "items outside each user's target set"
         )
-    users_per_group = num_users // num_groups
-    items_per_group = num_items // num_groups
-
-    picked = []
-    for u in range(num_users):
-        g = u // users_per_group
-        own = np.arange(g * items_per_group, (g + 1) * items_per_group)
-        picked.append(rng.choice(own, size=target_per_user, replace=False).tolist())
+    rng = seeds.spawn(seed, "fixture")
+    picked = [rng.choice(own, size=target_per_user, replace=False).tolist() for own in groups]
     rows = {target: [(u, item, ts) for u, items in enumerate(picked)
                      for ts, item in enumerate(items, start=1)]}
 

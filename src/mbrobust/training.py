@@ -9,6 +9,7 @@ import logging
 import math
 import time
 import zipfile
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,15 +37,7 @@ class NonFiniteGradientError(Exception):
 def _check_finite_loss(breakdown: LossBreakdown) -> None:
     """Raise `NonFiniteGradientError` naming the first NaN or infinite term of
     a batch's loss; the constituents come before the total they make up."""
-    terms = {
-        "main": breakdown.main,
-        "reg": breakdown.reg,
-        "rrm": breakdown.rrm,
-        "orm": breakdown.orm,
-        **{f"bpr_{b}": v for b, v in breakdown.bpr.items()},
-        "total": breakdown.total,
-    }
-    for name, value in terms.items():
+    for name, value in breakdown.terms().items():
         if not math.isfinite(value):
             raise NonFiniteGradientError(f"non-finite {name} loss ({value})")
 
@@ -317,10 +310,9 @@ def train(
     for epoch in range(1, hp.max_epochs + 1):
         tic = time.perf_counter()
         perm = rng_sample.permutation(num_users)
-        sums = {"rrm": 0.0, "orm": 0.0, "main": 0.0, "total": 0.0}
-        bpr_sums: dict[str, float] = {b: 0.0 for b in active}
-        bpr_counts: dict[str, int] = {b: 0 for b in active}
-        batches = 0
+        # per term: its sum and the number of batches that had it (a
+        # behavior with no triplets in a batch has no bpr term there)
+        sums, counts = defaultdict(float), Counter()
         for start in range(0, num_users, hp.batch_size):
             batch_users = perm[start : start + hp.batch_size]
             batch = sampler.sample(batch_users, rng_sample)
@@ -330,15 +322,10 @@ def train(
             breakdown, grads = total_loss(state, graphs, batch, batch_users, target)
             _check_finite_loss(breakdown)
             adam_step(state, opt, grads, hp.lr)
-            batches += 1
-            sums["rrm"] += breakdown.rrm
-            sums["orm"] += breakdown.orm
-            sums["main"] += breakdown.main
-            sums["total"] += breakdown.total
-            for b, v in breakdown.bpr.items():
-                bpr_sums[b] += v
-                bpr_counts[b] += 1
-        if batches == 0:
+            for name, value in breakdown.terms().items():
+                sums[name] += value
+                counts[name] += 1
+        if not counts:
             raise ValueError("no usable batches in epoch; target edges missing")
 
         val_hr = val_ndcg = None
@@ -355,17 +342,15 @@ def train(
             else:
                 evals_since_improvement += 1
 
+        mean = {name: sums[name] / counts[name] for name in sums}
         rows.append(
             LogRow(
                 epoch=epoch,
-                bpr={
-                    b: (bpr_sums[b] / bpr_counts[b] if bpr_counts[b] else None)
-                    for b in active
-                },
-                rrm=sums["rrm"] / batches,
-                orm=sums["orm"] / batches,
-                main=sums["main"] / batches,
-                total=sums["total"] / batches,
+                bpr={b: mean.get(f"bpr_{b}") for b in active},
+                rrm=mean["rrm"],
+                orm=mean["orm"],
+                main=mean["main"],
+                total=mean["total"],
                 val_hr10=val_hr,
                 val_ndcg10=val_ndcg,
                 seconds=time.perf_counter() - tic,
@@ -386,14 +371,14 @@ def train(
 CHECKPOINT_VERSION = 2
 _ZIP_MAGIC = b"PK\x03\x04"
 _ENTRIES = ("header", "user_emb", "item_emb")
+# the manifest fields that identify a checkpoint's data -> their type in the
+# header; they are hashed, stored in the header and returned by the loader
+_MANIFEST_FIELDS = {"behaviors": list, "target": str, "num_users": int, "num_items": int}
 # header key -> type; the header also holds the hyperparameter values
 _HEADER_TYPES = {
     "format_version": int,
     "manifest_hash": str,
-    "behaviors": list,
-    "target": str,
-    "num_users": int,
-    "num_items": int,
+    **_MANIFEST_FIELDS,
     "hyperparameters": dict,
 }
 
@@ -402,16 +387,14 @@ class CheckpointError(DatasetError, ValueError):
     """A checkpoint file that cannot be loaded; the message names the file."""
 
 
+def _identity(manifest: DatasetManifest) -> dict:
+    """The `_MANIFEST_FIELDS` of ``manifest`` (JSON writes the behavior
+    tuple as a list)."""
+    return {k: getattr(manifest, k) for k in _MANIFEST_FIELDS}
+
+
 def manifest_hash(manifest: DatasetManifest) -> str:
-    payload = json.dumps(
-        {
-            "behaviors": list(manifest.behaviors),
-            "target": manifest.target,
-            "num_users": manifest.num_users,
-            "num_items": manifest.num_items,
-        },
-        sort_keys=True,
-    )
+    payload = json.dumps(_identity(manifest), sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -426,10 +409,7 @@ def save_checkpoint(state: ModelState, manifest: DatasetManifest, path: str) -> 
     header = {
         "format_version": CHECKPOINT_VERSION,
         "manifest_hash": manifest_hash(manifest),
-        "behaviors": list(manifest.behaviors),
-        "target": manifest.target,
-        "num_users": manifest.num_users,
-        "num_items": manifest.num_items,
+        **_identity(manifest),
         "hyperparameters": {k: getattr(hp, k) for k in hp.__dataclass_fields__},
     }
     text = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -499,7 +479,4 @@ def load_checkpoint(path: str) -> tuple[ModelState, dict]:
                 f"{path}: {name} is {table.dtype} {table.shape}, expected float64 {shape}"
             )
     state = ModelState(user_emb=tables["user_emb"], item_emb=tables["item_emb"], hp=hp)
-    meta = {k: header[k] for k in (
-        "manifest_hash", "behaviors", "target", "num_users", "num_items"
-    )}
-    return state, meta
+    return state, {k: header[k] for k in ("manifest_hash", *_MANIFEST_FIELDS)}

@@ -112,6 +112,63 @@ class TestSplitAndPerturbCommands:
         assert not out.exists()
 
 
+def _tree(root: Path) -> dict:
+    """Every path under ``root``, with the bytes of each file."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+class TestBehaviorNames:
+    def test_absolute_name_exits_2_and_writes_nothing(self, dataset_dir, tmp_path,
+                                                      capsys):
+        # the name points at a file in tmp_path outside both the dataset and
+        # the output directory, so a run that follows it stays in tmp_path
+        outside = tmp_path / "elsewhere" / "escaped"
+        outside.parent.mkdir()
+        os.replace(os.path.join(dataset_dir, "view.tsv"), f"{outside}.tsv")
+        manifest = Path(dataset_dir, "manifest.json")
+        manifest.write_text(json.dumps(
+            {"behaviors": [str(outside), "cart", "buy"], "target": "buy"}))
+        before = _tree(tmp_path)
+        code = main(["--out", str(tmp_path / "out"), "perturb", dataset_dir,
+                     "--mode", "add", "--ratio", "0.5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and repr(str(outside)) in err
+        assert _tree(tmp_path) == before
+
+    def test_comma_name_exits_2_before_training(self, dataset_dir, tmp_path, capsys):
+        # a comma would add a cell to the train_log.csv header
+        os.replace(os.path.join(dataset_dir, "view.tsv"),
+                   os.path.join(dataset_dir, "vi,ew.tsv"))
+        manifest = Path(dataset_dir, "manifest.json")
+        manifest.write_text(json.dumps(
+            {"behaviors": ["vi,ew", "cart", "buy"], "target": "buy"}))
+        out = tmp_path / "run"
+        assert main(_train_args(dataset_dir, str(out))) == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and repr("vi,ew") in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["split", "perturb", "train", "sweep", "diagnose"])
+def test_os_error_on_the_output_path_exits_2(dataset_dir, tmp_path, capsys, command):
+    # a regular file where the output directory goes; diagnose writes a file,
+    # so it gets a name longer than a file system allows
+    out = tmp_path / ("x" * 300 if command == "diagnose" else "file")
+    if command != "diagnose":
+        out.write_text("")
+    extra = {
+        "perturb": ["--mode", "add", "--ratio", "0.1"],
+        "train": ["--max-epochs", "1"],
+        "sweep": ["--ratios", "0.1", "--modes", "add", "--max-epochs", "1"],
+    }
+    code = main(["--out", str(out), command, dataset_dir, *extra.get(command, [])])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(out) in err
+
+
 class TestTrainCommand:
     def test_writes_artifacts(self, dataset_dir, tmp_path):
         out = str(tmp_path / "run")

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mbrobust import data
 from mbrobust.data import (
     DatasetError,
     EdgeSet,
@@ -161,6 +162,22 @@ class TestLoad:
         )
         with pytest.raises(DatasetError, match="undeclared behavior"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("loader", [load_dataset, load_split])
+    @pytest.mark.parametrize("name", ["", ".", "..", "../x", "/x", "a\\b", "a,b",
+                                      " a", "a\n"])
+    def test_bad_behavior_name_rejected_before_any_behavior_file(
+        self, tmp_path, monkeypatch, loader, name
+    ):
+        path = write_dataset_dir(tmp_path / "n", [name, "buy"], "buy",
+                                 {"buy": "u\ti\t1\n"})
+        opened = []
+        monkeypatch.setattr(data, "_parse_tsv", lambda *args: opened.append(args))
+        with pytest.raises(DatasetError) as exc:
+            loader(path)
+        assert os.path.join(path, "manifest.json") in str(exc.value)
+        assert repr(name) in str(exc.value)
+        assert opened == []
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = write_dataset_dir(

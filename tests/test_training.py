@@ -1,7 +1,9 @@
 """Adam updates against hand-computed recurrences, sampler contracts, and
 the training loop's determinism and bookkeeping."""
 
+import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbrobust import losses, training
-from mbrobust.data import SplitDataset, nth_absent, split_leave_one_out
-from mbrobust.losses import GradientBuffer, Hyperparameters, ModelState
+from mbrobust.data import DatasetManifest, SplitDataset, nth_absent, split_leave_one_out
+from mbrobust.losses import GradientBuffer, Hyperparameters, LossBreakdown, ModelState
 from mbrobust.synthetic import planted_dataset
 from mbrobust.training import (
     NonFiniteGradientError,
@@ -310,6 +312,17 @@ class TestBulkSampler:
             assert bulk.bit_generator.state == scalar.bit_generator.state
 
 
+# a breakdown over the behaviors of `TestTrainLoop._split`
+_ZERO_LOSS = LossBreakdown(bpr={"view": 0.0, "cart": 0.0, "buy": 0.0},
+                           rrm=0.0, orm=0.0, main=0.0, reg=0.0, total=0.0)
+
+
+def test_loss_terms_put_the_constituents_before_the_total():
+    assert list(_ZERO_LOSS.terms()) == [
+        "main", "reg", "rrm", "orm", "bpr_view", "bpr_cart", "bpr_buy", "total"
+    ]
+
+
 class TestTrainLoop:
     def _split(self):
         return split_leave_one_out(planted_dataset(seed=3, num_users=16,
@@ -380,6 +393,27 @@ class TestTrainLoop:
             train(self._split(), TrainConfig(hp=self._hp()))
         assert steps == []
 
+    @pytest.mark.parametrize("term", list(_ZERO_LOSS.terms()))
+    def test_each_non_finite_term_is_the_one_named(self, monkeypatch, term):
+        # a NaN in one term also makes the total NaN; the term is named first
+        real_total_loss = training.total_loss
+
+        def nan_term(*args):
+            breakdown, grads = real_total_loss(*args)
+            nan = float("nan")
+            if term.startswith("bpr_"):
+                breakdown = replace(breakdown, bpr={**breakdown.bpr, term[4:]: nan})
+            else:
+                breakdown = replace(breakdown, **{term: nan})
+            return replace(breakdown, total=nan), grads
+
+        steps = []
+        monkeypatch.setattr(training, "total_loss", nan_term)
+        monkeypatch.setattr(training, "adam_step", lambda *args: steps.append(args))
+        with pytest.raises(NonFiniteGradientError, match=f"non-finite {term} loss"):
+            train(self._split(), TrainConfig(hp=self._hp()))
+        assert steps == []
+
     def test_empty_validation_trains_to_max_epochs(self):
         split = self._split()
         no_val = type(split)(train=split.train, validation=(), test=split.test)
@@ -401,6 +435,22 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.item_emb, state.item_emb)
         assert loaded.hp == hp
         assert meta["manifest_hash"] == manifest_hash(ds.manifest)
+
+    def test_header_manifest_fields_rehash_to_its_hash(self, tmp_path):
+        hp = Hyperparameters(dim=2)
+        state = ModelState(np.zeros((3, 2)), np.zeros((4, 2)), hp)
+        ds = make_dataset({"view": {(1, 2): None}, "buy": {(0, 0): 1}}, "buy",
+                          num_users=3, num_items=4)
+        path = str(tmp_path / "ckpt.npz")
+        save_checkpoint(state, ds.manifest, path)
+        with np.load(path) as npz:
+            header = json.loads(npz["header"].tobytes())
+        stored = DatasetManifest(
+            behaviors=tuple(header["behaviors"]), target=header["target"],
+            num_users=header["num_users"], num_items=header["num_items"],
+        )
+        assert stored == ds.manifest
+        assert manifest_hash(stored) == header["manifest_hash"]
 
     def test_roundtrip_is_bit_exact_at_the_given_path(self, tmp_path):
         special = [-0.0, 5e-324, -2.5e-310, 1e308, -1e308, 0.1]
