@@ -49,4 +49,5 @@ print(f"DT = {report.dt:.3f}  (approximate: {report.dt_approximate})")
 split = split_leave_one_out(ds)
 print("\ntest pairs      :", split.test)
 print("validation pairs:", split.validation)
-print("train buy edges :", sorted(split.train.edges["buy"]))
+buy = split.train.edges["buy"]  # edges are sorted by (user, item)
+print("train buy edges :", list(zip(buy.user.tolist(), buy.item.tolist())))

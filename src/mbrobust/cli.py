@@ -57,10 +57,6 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 
-class ConfigError(Exception):
-    """Bad configuration (unknown key, bad value, conflicting flags)."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
@@ -68,9 +64,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _split_list(raw: str) -> tuple[str, ...]:
+    """The entries of a comma-separated list, stripped, empty ones dropped."""
+    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+
+
 def _parse_ks(raw: str) -> tuple[int, ...]:
     try:
-        ks = tuple(int(tok) for tok in raw.split(",") if tok.strip())
+        ks = tuple(int(tok) for tok in _split_list(raw))
     except ValueError:
         ks = ()
     if not ks or any(k < 1 for k in ks):
@@ -118,14 +119,14 @@ def read_config_file(path: str) -> dict:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, raw = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
                 values[key] = _CONFIG_KEYS[key](raw)
             except (ValueError, argparse.ArgumentTypeError):
-                raise ConfigError(
+                raise ValueError(
                     f"{path}:{lineno}: bad value {raw!r} for {key!r}"
                 ) from None
     return values
@@ -141,13 +142,9 @@ def resolve_run_config(args) -> tuple[TrainConfig, tuple[str, ...]]:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    try:
-        hp = Hyperparameters(**{k: values[k] for k in _HP_KEYS if k in values})
-        cfg = TrainConfig(hp=hp, **{k: values[k] for k in _RUN_KEYS if k in values})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    drop_raw = values.get("drop_behaviors", "")
-    return cfg, tuple(tok.strip() for tok in drop_raw.split(",") if tok.strip())
+    hp = Hyperparameters(**{k: values[k] for k in _HP_KEYS if k in values})
+    cfg = TrainConfig(hp=hp, **{k: values[k] for k in _RUN_KEYS if k in values})
+    return cfg, _split_list(values.get("drop_behaviors", ""))
 
 
 def echo_config(cfg: TrainConfig, drop: tuple[str, ...], out_dir: str) -> None:
@@ -164,10 +161,10 @@ def echo_config(cfg: TrainConfig, drop: tuple[str, ...], out_dir: str) -> None:
 
 
 def _load_any_split(path: str):
-    """Accept either a raw dataset directory or a pre-split directory."""
-    if os.path.isfile(os.path.join(path, "test.tsv")) and os.path.isfile(
-        os.path.join(path, "validation.tsv")
-    ):
+    """Accept either a raw dataset directory or a pre-split directory, which
+    is recognized by its ``users.map``: only `write_split` writes one, and no
+    behavior file can have that name."""
+    if os.path.isfile(os.path.join(path, "users.map")):
         return load_split(path)
     return split_leave_one_out(load_dataset(path))
 
@@ -175,7 +172,7 @@ def _load_any_split(path: str):
 def _drop_auxiliary(ds, drop: tuple[str, ...]):
     """``ds`` without ``drop`` (a config key, so naming the target is a config error)."""
     if ds.manifest.target in drop:
-        raise ConfigError("drop_behaviors must not name the target behavior")
+        raise ValueError("drop_behaviors must not name the target behavior")
     return drop_behaviors(ds, drop) if drop else ds
 
 
@@ -197,7 +194,7 @@ def cmd_diagnose(args) -> int:
     report = diagnose(ds)
     payload = report.to_json_dict()
     if args.behaviors:
-        wanted = [b.strip() for b in args.behaviors.split(",") if b.strip()]
+        wanted = _split_list(args.behaviors)
         unknown = set(wanted) - set(ds.manifest.behaviors)
         if unknown:
             raise DatasetError(f"unknown behaviors {sorted(unknown)}")
@@ -222,11 +219,7 @@ def cmd_split(args) -> int:
 
 def cmd_perturb(args) -> int:
     ds = load_dataset(args.dataset)
-    behaviors = (
-        tuple(b.strip() for b in args.behaviors.split(",") if b.strip())
-        if args.behaviors
-        else ds.manifest.auxiliary
-    )
+    behaviors = _split_list(args.behaviors) if args.behaviors else ds.manifest.auxiliary
     root_seed = args.seed if args.seed is not None else 0
     spec = PerturbationSpec(
         mode=args.mode,
@@ -249,9 +242,8 @@ def cmd_train(args) -> int:
     echo_config(cfg, drop, out)
     state, rows = train(split, cfg)
 
-    active = [b for b in split.train.manifest.behaviors if split.train.edge_count(b)]
     with open(os.path.join(out, "train_log.csv"), "w", encoding="utf-8") as fh:
-        fh.write(format_log(rows, active))
+        fh.write(format_log(rows, split.train.active_behaviors))
     save_checkpoint(state, split.train.manifest, os.path.join(out, "checkpoint.npz"))
     if split.validation:
         report = evaluate(state, split, ks=cfg.ks, pairs=split.validation)
@@ -283,10 +275,10 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg, drop = resolve_run_config(args)
     ds = _drop_auxiliary(load_dataset(args.dataset), drop)
-    ratios = [float(tok) for tok in args.ratios.split(",") if tok.strip()]
-    modes = [tok.strip() for tok in args.modes.split(",") if tok.strip()]
+    ratios = [float(tok) for tok in _split_list(args.ratios)]
+    modes = _split_list(args.modes)
     if not ratios or not modes:  # an empty grid would hide a bad mode or ratio
-        raise ConfigError("sweep needs at least one ratio and one mode")
+        raise ValueError("sweep needs at least one ratio and one mode")
     for mode, ratio in product(modes, ratios):  # a bad cell fails before any output
         PerturbationSpec(mode, ratio, behaviors=(), seed=0)
     out = args.out or "sweep_out"
@@ -301,14 +293,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     sizes = []
-    for token in args.sizes.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    for token in _split_list(args.sizes):
         try:
             u, i, b = (int(part) for part in token.split("x"))
         except ValueError:
-            raise ConfigError(f"bad size {token!r}; expected UxIxB") from None
+            raise ValueError(f"bad size {token!r}; expected UxIxB") from None
         sizes.append((u, i, b))
     seed = args.seed if args.seed is not None else 0
     results = run_gradcheck(
@@ -406,9 +395,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (DatasetError, OSError) as exc:  # an OS error's message names the path
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

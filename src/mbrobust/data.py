@@ -163,6 +163,11 @@ class InteractionDataset:
     def edge_count(self, behavior: str) -> int:
         return len(self.edges[behavior].code)
 
+    @property
+    def active_behaviors(self) -> tuple[str, ...]:
+        """The behaviors with at least one edge, in manifest order."""
+        return tuple(b for b in self.manifest.behaviors if self.edge_count(b))
+
     def user_items(self, behavior: str) -> tuple[np.ndarray, np.ndarray]:
         """The behavior's edges as CSR rows ``(indptr, items)``: user ``u``'s
         items, in ascending order, are ``items[indptr[u]:indptr[u + 1]]``."""
@@ -331,13 +336,11 @@ def load_dataset(path: str) -> InteractionDataset:
     strings, which makes reloads bit-identical.
     """
     behaviors, target = _read_manifest(path)
-    declared = set(behaviors)
-    reserved = {"validation", "test"}
+    # a split written into the directory adds these files
+    known = {*behaviors, "validation", "test", *(f"train.{b}" for b in behaviors)}
     for name in sorted(os.listdir(path)):
         stem, ext = os.path.splitext(name)
-        if ext != ".tsv" or stem in reserved or stem.startswith("train."):
-            continue
-        if stem not in declared:
+        if ext == ".tsv" and stem not in known:
             raise DatasetError(f"file {name!r} references undeclared behavior {stem!r}")
 
     raw = {}

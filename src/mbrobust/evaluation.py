@@ -126,8 +126,7 @@ def evaluate(
     if not eval_pairs:
         raise ValueError("no held-out pairs to evaluate")
     if graphs is None:
-        ds = split.train
-        graphs = {b: build_graph(ds, b) for b in ds.manifest.behaviors if ds.edge_count(b)}
+        graphs = {b: build_graph(split.train, b) for b in split.train.active_behaviors}
     z_user, z_item = fused_embeddings(state, graphs)
     rows = split.train.user_items(split.train.manifest.target) if exclude_train else None
     users, held = np.array(eval_pairs, dtype=np.int64).reshape(-1, 2).T

@@ -221,6 +221,8 @@ def rrm_loss(
     batch_users: np.ndarray,
     tau: float,
     mode: str = "with_positive",
+    *,
+    backward: bool = True,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """InfoNCE-style alignment of auxiliary user embeddings to the target.
 
@@ -230,21 +232,10 @@ def rrm_loss(
     term in the denominator (bounded below); ``literal`` uses the
     negatives-only denominator.  The loss is averaged over batch users and
     auxiliary behaviors; gradients flow into every passed embedding matrix,
-    the target one included.  ``batch_users`` must be distinct: a repeated
-    user would be its own negative.
+    the target one included.  Without ``backward`` only the value is
+    computed and the gradient dict is empty.  ``batch_users`` must be
+    distinct: a repeated user would be its own negative.
     """
-    return _alignment(user_embs, target, batch_users, tau, mode, backward=True)
-
-
-def _alignment(
-    user_embs: dict[str, np.ndarray],
-    target: str,
-    batch_users: np.ndarray,
-    tau: float,
-    mode: str,
-    backward: bool,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """`rrm_loss`; without ``backward``, its value alone and no gradients."""
     if mode not in RRM_MODES:
         raise ValueError(f"mode must be one of {RRM_MODES}")
     if target not in user_embs:
@@ -458,16 +449,11 @@ def total_loss(
     # alignment term
     aux = [b for b in behaviors if b != target]
     if aux and len(batch_users) >= 2:
-        user_embs = {b: embs[b].P for b in behaviors}
-        if hp.lambda_rrm != 0.0:
-            rrm_val, rrm_grads = rrm_loss(
-                user_embs, target, batch_users, hp.tau, hp.rrm_denominator
-            )
-        else:  # the value still reaches the log; its gradients would be dropped
-            rrm_val, rrm_grads = _alignment(
-                user_embs, target, batch_users, hp.tau, hp.rrm_denominator,
-                backward=False,
-            )
+        # at lambda_rrm = 0 only the value is used: it still reaches the log
+        rrm_val, rrm_grads = rrm_loss(
+            {b: embs[b].P for b in behaviors}, target, batch_users, hp.tau,
+            hp.rrm_denominator, backward=hp.lambda_rrm != 0.0,
+        )
     else:
         if aux:
             log.warning("alignment loss skipped: batch has fewer than 2 users")

@@ -278,7 +278,7 @@ def train(
     if not ds.edge_count(target):
         raise ValueError("target behavior has no training edges")
 
-    active = [b for b in ds.manifest.behaviors if ds.edge_count(b)]
+    active = ds.active_behaviors
     for b in ds.manifest.behaviors:
         if b not in active:
             log.warning("behavior %r has no training edges; dropped from training", b)
@@ -478,5 +478,9 @@ def load_checkpoint(path: str) -> tuple[ModelState, dict]:
             raise CheckpointError(
                 f"{path}: {name} is {table.dtype} {table.shape}, expected float64 {shape}"
             )
+        # ranking takes a NaN score for an excluded item, which never outranks
+        # the held-out one
+        if not np.isfinite(table).all():
+            raise CheckpointError(f"{path}: {name} has a NaN or infinite entry")
     state = ModelState(user_emb=tables["user_emb"], item_emb=tables["item_emb"], hp=hp)
     return state, {k: header[k] for k in ("manifest_hash", *_MANIFEST_FIELDS)}

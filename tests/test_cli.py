@@ -521,6 +521,25 @@ class TestEvaluateCommand:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["users"] == 16
 
+    def test_behaviors_named_like_split_files_train_and_evaluate(self, tmp_path,
+                                                               capsys):
+        # such a directory holds validation.tsv and test.tsv; only a
+        # users.map makes a split directory
+        ds = planted_dataset(seed=5, num_users=16, num_items=16, num_groups=4,
+                             target_per_user=4, aux_per_user=5,
+                             aux_behaviors=("validation",), target="test")
+        data_dir = str(tmp_path / "data")
+        save_dataset(ds, data_dir)
+        out = str(tmp_path / "run")
+        assert main(_train_args(data_dir, out)) == 0
+        assert Path(out, "train_log.csv").read_text().startswith(
+            "epoch,bpr_validation,bpr_test,")
+        capsys.readouterr()
+        code = main(["evaluate", data_dir,
+                     "--checkpoint", os.path.join(out, "checkpoint.npz")])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["users"] == 16
+
     def test_manifest_mismatch_exits_2(self, dataset_dir, tmp_path, capsys):
         out = str(tmp_path / "run")
         assert main(_train_args(dataset_dir, out)) == 0
@@ -583,6 +602,24 @@ class TestMalformedCheckpoint:
         code, err = self._evaluate(data_dir, path, capsys)
         assert code == 2
         assert path in err and fragment in err
+
+    @pytest.mark.parametrize("table", ["user_emb", "item_emb"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_table_entry_exits_2(self, trained_run, tmp_path, capsys,
+                                           table, value):
+        # ranking takes a NaN score for an excluded item: a NaN entry read as
+        # a near-perfect model
+        data_dir, good = trained_run
+        path = str(tmp_path / "checkpoint.npz")
+
+        def edit(header, entries):
+            entries[table] = entries[table].copy()
+            entries[table][3, 0] = value
+
+        _rewrite_checkpoint(good, path, edit)
+        code, err = self._evaluate(data_dir, path, capsys)
+        assert code == 2
+        assert path in err and f"{table} has a NaN or infinite entry" in err
 
     def test_truncated_file_exits_2(self, trained_run, tmp_path, capsys):
         data_dir, good = trained_run

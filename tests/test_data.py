@@ -163,6 +163,16 @@ class TestLoad:
         with pytest.raises(DatasetError, match="undeclared behavior"):
             load_dataset(path)
 
+    def test_split_files_of_declared_behaviors_only(self, tmp_path):
+        # a split written into a dataset directory is not a behavior file
+        files = {"buy": "u\ti\t1\n", "train.buy": "u\ti\t1\n", "validation": "",
+                 "test": ""}
+        load_dataset(write_dataset_dir(tmp_path / "ok", ["buy"], "buy", files))
+        path = write_dataset_dir(tmp_path / "stray", ["buy"], "buy",
+                                 {**files, "train.click": "u\ti\t1\n"})
+        with pytest.raises(DatasetError, match=r"'train\.click\.tsv'"):
+            load_dataset(path)
+
     @pytest.mark.parametrize("loader", [load_dataset, load_split])
     @pytest.mark.parametrize("name", ["", ".", "..", "../x", "/x", "a\\b", "a,b",
                                       " a", "a\n"])
@@ -673,6 +683,26 @@ def test_split_and_diagnose_match_the_dict_reference(case):
     assert (split.validation, split.test, split.users_without_holdout) == (
         validation, test, skipped)
     assert _outcome(diagnose, ds) == _outcome(reference.diagnose, ref)
+
+
+@settings(deadline=None, max_examples=150)
+@given(dict_datasets())
+def test_write_split_then_load_split_gives_the_split_back(case):
+    split = split_leave_one_out(case[0])
+    target = split.train.manifest.target
+    with tempfile.TemporaryDirectory() as tmp:
+        write_split(split, tmp)
+        if not split.train.edge_count(target):
+            with pytest.raises(DatasetError, match=f"empty target behavior {target!r}"):
+                load_split(tmp)
+            return
+        loaded = load_split(tmp)
+    # users_without_holdout is not stored on disk
+    assert loaded.train.manifest == split.train.manifest
+    assert (loaded.train.user_ids, loaded.train.item_ids) == (
+        split.train.user_ids, split.train.item_ids)
+    assert loaded.train.edges == split.train.edges
+    assert (loaded.validation, loaded.test) == (split.validation, split.test)
 
 
 @settings(deadline=None, max_examples=150)

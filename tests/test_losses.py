@@ -423,8 +423,10 @@ class TestTotalLoss:
         value, _ = rrm_loss(embs, "buy", users, 0.5, mode)
         skipped, skipped_grads = total_loss(state, graphs, batch, users[:1], "buy")
 
-        def no_backward(*args, **kwargs):
-            raise AssertionError("rrm_loss computes gradients nobody reads")
+        def no_backward(*args, backward=True, **kwargs):
+            if backward:
+                raise AssertionError("rrm_loss computes gradients nobody reads")
+            return rrm_loss(*args, backward=False, **kwargs)
 
         monkeypatch.setattr(losses, "rrm_loss", no_backward)
         breakdown, grads = total_loss(state, graphs, batch, users, "buy")
