@@ -416,8 +416,22 @@ def write_id_maps(ds: InteractionDataset, out_dir: str) -> None:
 
 
 def write_split(split: SplitDataset, out_dir: str) -> None:
-    """Write the split TSVs plus id maps and manifest into ``out_dir``."""
+    """Write the split TSVs plus id maps and manifest into ``out_dir``.
+
+    A dataset directory may take its own split, but no file of a behavior
+    that a ``manifest.json`` already in ``out_dir`` declares is overwritten:
+    the split's ``train.<b>.tsv``, ``validation.tsv`` or ``test.tsv`` landing
+    on one is a `DatasetError`, raised before anything is written.
+    """
     ds = split.train
+    if os.path.isfile(os.path.join(out_dir, "manifest.json")):
+        declared, _ = _read_manifest(out_dir)
+        for stem in (*(f"train.{b}" for b in ds.manifest.behaviors), "validation", "test"):
+            if stem in declared:
+                raise DatasetError(
+                    f"{os.path.join(out_dir, stem + '.tsv')} is the file of behavior "
+                    f"{stem!r} declared in {out_dir}; the split would overwrite it"
+                )
     _write_tables(ds, out_dir, "train.")
     write_id_maps(ds, out_dir)
     for fname, pairs in (("validation.tsv", split.validation), ("test.tsv", split.test)):

@@ -77,6 +77,27 @@ class TestSplitAndPerturbCommands:
                      "train.view.tsv", "train.cart.tsv"):
             assert os.path.isfile(os.path.join(out, name)), name
 
+    @pytest.mark.parametrize("aux, clobbered", [
+        (("x", "train.x"), "train.x.tsv"),  # the split's training edges of x
+        (("validation",), "validation.tsv"),
+    ])
+    def test_split_never_overwrites_a_behavior_file(self, tmp_path, capsys, aux,
+                                                    clobbered):
+        data_dir = tmp_path / "data"
+        save_dataset(planted_dataset(7, aux_behaviors=aux), str(data_dir))
+        before = _tree(data_dir)
+        assert main(["--out", str(data_dir), "split", str(data_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(data_dir / clobbered) in err
+        assert _tree(data_dir) == before
+
+    def test_split_into_the_dataset_directory_keeps_the_dataset(self, dataset_dir):
+        before, original = _tree(Path(dataset_dir)), load_dataset(dataset_dir)
+        assert main(["--out", dataset_dir, "split", dataset_dir]) == 0
+        after = _tree(Path(dataset_dir))
+        assert {k: after[k] for k in before} == before
+        assert load_dataset(dataset_dir) == original
+
     def test_perturb_deterministic(self, dataset_dir, tmp_path):
         outs = []
         for name in ("p1", "p2"):

@@ -705,6 +705,61 @@ def test_write_split_then_load_split_gives_the_split_back(case):
     assert (loaded.validation, loaded.test) == (split.validation, split.test)
 
 
+def _edge_triples(edges):
+    """An edge set as ``(user, item, timestamp)`` triples, −1 for no timestamp."""
+    return set(zip(edges.user.tolist(), edges.item.tolist(), edges.ts.tolist()))
+
+
+def _raw_edges(ds, behavior):
+    """A behavior's edges as ``(raw user, raw item, timestamp)`` triples."""
+    return {(ds.user_ids[u], ds.item_ids[i], t) for u, i, t in _edge_triples(ds.edges[behavior])}
+
+
+@settings(deadline=None, max_examples=150)
+@given(dict_datasets())
+def test_save_dataset_then_load_dataset_gives_the_dataset_back(case):
+    ds = case[0]
+    target = ds.manifest.target
+    with tempfile.TemporaryDirectory() as tmp:
+        save_dataset(ds, tmp)
+        if not ds.edge_count(target):
+            with pytest.raises(DatasetError, match=f"empty target behavior {target!r}"):
+                load_dataset(tmp)
+            return
+        loaded = load_dataset(tmp)
+    # loading keeps the ids that occur in an edge, in sorted raw-id order
+    used = [{ds.user_ids[u] for e in ds.edges.values() for u in e.user.tolist()},
+            {ds.item_ids[i] for e in ds.edges.values() for i in e.item.tolist()}]
+    assert (loaded.user_ids, loaded.item_ids) == (tuple(sorted(used[0])), tuple(sorted(used[1])))
+    assert (loaded.manifest.behaviors, loaded.manifest.target) == (
+        ds.manifest.behaviors, target)
+    assert all(_raw_edges(loaded, b) == _raw_edges(ds, b) for b in ds.manifest.behaviors)
+
+
+@settings(deadline=None, max_examples=150)
+@given(dict_datasets())
+def test_split_holds_out_each_users_latest_two_target_pairs(case):
+    ds, ref = case
+    target = ds.manifest.target
+    split = split_leave_one_out(ds)
+    by_user = {}
+    for (u, i), ts in ref.edges[target].items():
+        by_user.setdefault(u, []).append((0 if ts is None else ts, i))
+    test, validation, kept = [], [], dict(ref.edges[target])
+    for u in sorted(by_user):
+        order = sorted(by_user[u])  # by (timestamp, item id)
+        if len(order) >= 3:
+            test.append((u, order[-1][1]))
+            validation.append((u, order[-2][1]))
+            del kept[(u, order[-1][1])], kept[(u, order[-2][1])]
+    assert (split.test, split.validation) == (tuple(test), tuple(validation))
+    assert split.users_without_holdout == sum(len(v) < 3 for v in by_user.values())
+    assert _edge_triples(split.train.edges[target]) == {
+        (u, i, -1 if t is None else t) for (u, i), t in kept.items()}
+    for b in ds.manifest.auxiliary:
+        assert split.train.edges[b] is ds.edges[b]
+
+
 @settings(deadline=None, max_examples=150)
 @given(dict_datasets(), st.sampled_from(["add", "remove"]),
        st.floats(0.01, 1.0), st.integers(0, 2**32 - 1))

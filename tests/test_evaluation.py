@@ -22,6 +22,7 @@ from mbrobust.losses import Hyperparameters, ModelState
 from mbrobust.synthetic import planted_dataset
 from mbrobust.training import TrainConfig
 
+import rank_reference
 from conftest import make_dataset
 
 
@@ -49,6 +50,59 @@ def oracle_metrics(ranks, k):
     hr = sum(1 for r in ranks if r <= k) / len(ranks)
     ndcg = sum(1.0 / math.log2(r + 1) for r in ranks if r <= k) / len(ranks)
     return hr, ndcg
+
+
+def _csr_rows(exclusions):
+    """CSR rows ``(indptr, items)`` of per-user item sets."""
+    indptr = np.cumsum([0] + [len(e) for e in exclusions])
+    items = np.array([i for e in exclusions for i in sorted(e)], dtype=np.int64)
+    return indptr, items
+
+
+@st.composite
+def dyadic_rank_cases(draw):
+    """Tables of integers times one power of two per table, so every float64
+    score is exact under any summation order, with the cases a float32 screen
+    must hand to float64: duplicate item rows (exact ties), reordered copies
+    of a held-out item's row (exact ties in float64 that float32 rounds
+    apart) and such copies one unit step away, in entries near 2**21 where
+    float32 rounds a score by more than the step, all-zero tables, and
+    entries scaled by 2**±400, beyond float32's range."""
+    n_u, n_i = draw(st.integers(1, 6), label="users"), draw(st.integers(1, 8), label="items")
+    # float32 rounds a long dot product by several steps more often
+    dim = draw(st.one_of(st.integers(1, 256), st.sampled_from([64, 256])), label="dim")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    user = rng.integers(-3, 4, (n_u, dim)).astype(float)
+    item = rng.integers(-3, 4, (n_i, dim)).astype(float)
+    held = rng.integers(0, n_i, n_u)
+    if draw(st.integers(0, 3), label="near ties") > 0:
+        item = item * 2.0**20 + rng.integers(-7, 8, (n_i, dim))
+        for j in range(n_i):
+            # a copy of user k's held-out item with the entries shuffled among
+            # coordinates where user k's entries are equal: an exact float64
+            # tie that float32 rounds differently, then maybe a unit step
+            k = rng.integers(n_u)
+            row = item[held[k]].copy()
+            for v in np.unique(user[k]):
+                at = np.flatnonzero(user[k] == v)
+                row[at] = row[rng.permutation(at)]
+            row[rng.integers(dim)] += rng.integers(-1, 2)
+            item[j] = row
+    if draw(st.booleans(), label="duplicate items"):
+        item[rng.integers(0, n_i, n_i)] = item[rng.integers(0, n_i, n_i)]
+    if draw(st.integers(0, 3), label="zero tables") == 0:
+        zero = draw(st.sampled_from(["user", "item", "both"]))
+        if zero != "item":
+            user[:] = 0.0
+        if zero != "user":
+            item[:] = 0.0
+    scales = st.sampled_from([-400, 0, 400])
+    user = np.ldexp(user, draw(scales, label="user scale"))
+    item = np.ldexp(item, draw(scales, label="item scale"))
+    exclusions = [set(rng.choice(n_i, rng.integers(0, n_i), replace=False).tolist()) - {h}
+                  for h in held.tolist()]
+    rows = _csr_rows(exclusions) if draw(st.booleans(), label="exclude") else None
+    return user, item, np.arange(n_u), held, rows
 
 
 class TestRank:
@@ -83,6 +137,62 @@ class TestRank:
         z = np.ones((1, 1))
         with pytest.raises(ValueError, match="excluded"):
             rank_of(z, np.ones((2, 1)), 0, 0, {0})
+
+    @settings(max_examples=300, deadline=None)
+    @given(dyadic_rank_cases(), st.integers(1, 3))
+    def test_float32_screen_equals_the_float64_ranking(self, case, per_block):
+        user, item, users, held, rows = case
+        with pytest.MonkeyPatch.context() as mp:
+            # blocks of one to three users
+            mp.setattr(evaluation, "RANK_BLOCK_SCORES", len(item) * per_block)
+            ranks = held_out_rank(user, item, users, held, rows)
+        assert np.array_equal(ranks, rank_reference.held_out_rank(user, item, users, held, rows))
+
+    def test_float32_tie_that_float64_breaks_is_ranked_in_float64(self):
+        z_user = np.array([[1.0, 1.0]])
+        z_item = np.array([[1.0, 0.0], [1.0, 2.0**-30]])
+        scores32 = z_user.astype(np.float32) @ z_item.astype(np.float32).T
+        assert scores32[0, 0] == scores32[0, 1]
+        # item 1 scores higher in float64, so the held-out item 0 is second;
+        # the float32 tie would put it first, ahead of the higher id
+        assert rank_of(z_user, z_item, 0, 0, set()) == 2
+        assert rank_reference.held_out_rank(z_user, z_item, np.array([0]), np.array([0]),
+                                            None).tolist() == [2]
+
+    def test_screen_ranks_separated_scores_without_float64(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        z_user, z_item = rng.normal(size=(40, 16)), rng.normal(size=(300, 16))
+        users, held = np.arange(40), rng.integers(0, 300, 40)
+        exclusions = [set(rng.choice(300, 20, replace=False).tolist()) - {h}
+                      for h in held.tolist()]
+        rows = _csr_rows(exclusions)
+        expected = rank_reference.held_out_rank(z_user, z_item, users, held, rows)
+
+        def no_float64(*args):
+            raise AssertionError("a row fell back to float64")
+
+        monkeypatch.setattr(evaluation, "_float64_ranks", no_float64)
+        assert np.array_equal(held_out_rank(z_user, z_item, users, held, rows), expected)
+
+    @pytest.mark.parametrize("case", ["nan", "inf", "overflow", "underflow"])
+    def test_tables_the_screen_cannot_bound_rank_in_float64(self, case, monkeypatch):
+        z_user = np.array([[1.0, 2.0], [3.0, 1.0]])
+        z_item = np.array([[1.0, 1.0], [0.5, 3.0], [2.0, 1.0]])
+        if case in ("nan", "inf"):
+            z_item[0, 0] = np.nan if case == "nan" else np.inf
+        else:  # float64 scores beyond its range: inf, or 0 after underflow
+            e = 600 if case == "overflow" else -600
+            z_user, z_item = np.ldexp(z_user, e), np.ldexp(z_item, e)
+        users, held = np.array([0, 1]), np.array([1, 2])
+        calls = []
+        full = evaluation._float64_ranks
+        monkeypatch.setattr(evaluation, "_float64_ranks",
+                            lambda *args: calls.append(len(args[2])) or full(*args))
+        with np.errstate(over="ignore"):  # the overflow case overflows by design
+            ranks = held_out_rank(z_user, z_item, users, held, None)
+            expected = rank_reference.held_out_rank(z_user, z_item, users, held, None)
+        assert calls == [2]
+        assert np.array_equal(ranks, expected)
 
     def test_rank_from_fused_embeddings(self):
         ds = make_dataset({"buy": {(0, 0): 1}}, "buy", num_users=1, num_items=3)
