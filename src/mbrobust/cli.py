@@ -35,12 +35,7 @@ from .data import (
 )
 from .evaluation import evaluate, robustness_sweep, sweep_csv
 from .gradcheck import DEFAULT_TOLERANCE, run_gradcheck
-from .losses import (
-    IRM_VARIANTS,
-    ORM_SCOPES,
-    RRM_MODES,
-    Hyperparameters,
-)
+from .losses import CHOICES, IRM_VARIANTS, ORM_SCOPES, RRM_MODES, Hyperparameters
 from .training import (
     NonFiniteGradientError,
     TrainConfig,
@@ -89,25 +84,14 @@ def _parse_seed(raw: str) -> int:
     return seed
 
 
-def _value_parser(default):
-    return _parse_ks if isinstance(default, tuple) else type(default)
-
-
 # Config keys and their value parsers.  The Hyperparameters fields and
 # TrainConfig's run fields are derived from the dataclasses (typed by their
 # defaults), so a new field reaches the config file, the flags and the echo
 # at once; ``drop_behaviors`` is not a training-config field.  A loss term is
 # switched off by its zero weight, ``lambda_rrm = 0`` or ``lambda_orm = 0``.
-_HP_KEYS = {f.name: _value_parser(f.default) for f in fields(Hyperparameters)}
-_RUN_KEYS = {
-    f.name: _value_parser(f.default) for f in fields(TrainConfig) if f.name != "hp"
-}
+_HP_KEYS = {f.name: type(f.default) for f in fields(Hyperparameters)}
+_RUN_KEYS = {f.name: type(f.default) for f in fields(TrainConfig) if f.name != "hp"}
 _CONFIG_KEYS = {**_HP_KEYS, **_RUN_KEYS, "drop_behaviors": str}
-_CHOICES = {
-    "irm_variant": IRM_VARIANTS,
-    "orm_scope": ORM_SCOPES,
-    "rrm_denominator": RRM_MODES,
-}
 
 
 def read_config_file(path: str) -> dict:
@@ -125,7 +109,7 @@ def read_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
                 values[key] = _CONFIG_KEYS[key](raw)
-            except (ValueError, argparse.ArgumentTypeError):
+            except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: bad value {raw!r} for {key!r}"
                 ) from None
@@ -150,11 +134,8 @@ def resolve_run_config(args) -> tuple[TrainConfig, tuple[str, ...]]:
 def echo_config(cfg: TrainConfig, drop: tuple[str, ...], out_dir: str) -> None:
     items = [(k, getattr(cfg.hp, k)) for k in _HP_KEYS]
     items += [(k, getattr(cfg, k)) for k in _RUN_KEYS]
-    items.append(("drop_behaviors", drop))
-    lines = [
-        f"{k} = " + (",".join(map(str, v)) if isinstance(v, tuple) else str(v))
-        for k, v in items
-    ]
+    items.append(("drop_behaviors", ",".join(drop)))
+    lines = [f"{k} = {v}" for k, v in items]
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "effective_config.cfg"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -246,7 +227,7 @@ def cmd_train(args) -> int:
         fh.write(format_log(rows, split.train.active_behaviors))
     save_checkpoint(state, split.train.manifest, os.path.join(out, "checkpoint.npz"))
     if split.validation:
-        report = evaluate(state, split, ks=cfg.ks, pairs=split.validation)
+        report = evaluate(state, split, pairs=split.validation)
         _write_json(report.to_json_dict(), os.path.join(out, "validation_report.json"))
     print(f"wrote checkpoint and log to {out}")
     return EXIT_OK
@@ -328,7 +309,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     for key, parse in {**_HP_KEYS, **_RUN_KEYS}.items():
         if key != "seed":  # the global --seed
             p.add_argument("--" + key.replace("_", "-"), type=parse,
-                           choices=_CHOICES.get(key))
+                           choices=CHOICES.get(key))
     p.add_argument("--drop-behaviors",
                    help="comma-separated auxiliary behaviors to drop")
 

@@ -160,6 +160,12 @@ class InteractionDataset:
     user_ids: tuple[str, ...]
     item_ids: tuple[str, ...]
 
+    @classmethod
+    def assemble(cls, behaviors, target, edges, user_ids, item_ids) -> InteractionDataset:
+        """The dataset of ``edges``; the manifest counts the raw ids (in dense order)."""
+        manifest = DatasetManifest(tuple(behaviors), target, len(user_ids), len(item_ids))
+        return cls(manifest, edges, tuple(user_ids), tuple(item_ids))
+
     def edge_count(self, behavior: str) -> int:
         return len(self.edges[behavior].code)
 
@@ -365,12 +371,7 @@ def load_dataset(path: str) -> InteractionDataset:
         b: EdgeSet(dense(u_map, u), dense(i_map, i), ts, len(items))
         for b, (u, i, ts) in raw.items()
     }
-    manifest = DatasetManifest(
-        behaviors=behaviors, target=target, num_users=len(users), num_items=len(items)
-    )
-    return InteractionDataset(
-        manifest=manifest, edges=edges, user_ids=tuple(users), item_ids=tuple(items)
-    )
+    return InteractionDataset.assemble(behaviors, target, edges, users, items)
 
 
 def _tsv_text(ds: InteractionDataset, users, items, ts) -> str:
@@ -512,14 +513,8 @@ def load_split(path: str) -> SplitDataset:
     check("validation.tsv", v_users, shared,
           lambda k: f"has held-out item {item_ids[v_items[k]]!r} in test.tsv too")
 
-    manifest = DatasetManifest(
-        behaviors=behaviors, target=target, num_users=len(u_map), num_items=num_items
-    )
-    train = InteractionDataset(
-        manifest=manifest, edges=edges, user_ids=user_ids, item_ids=item_ids
-    )
     return SplitDataset(
-        train=train,
+        train=InteractionDataset.assemble(behaviors, target, edges, user_ids, item_ids),
         validation=tuple(zip(v_users.tolist(), v_items.tolist())),
         test=tuple(zip(t_users.tolist(), t_items.tolist())),
     )

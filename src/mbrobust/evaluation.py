@@ -12,6 +12,7 @@ import numpy as np
 
 from . import seeds
 from .data import (
+    DatasetError,
     InteractionDataset,
     PerturbationSpec,
     SplitDataset,
@@ -286,6 +287,8 @@ def robustness_sweep(
     from .training import train  # local import to avoid a module cycle
 
     split = split_leave_one_out(ds)
+    if not split.test:  # before any training run, which could not be evaluated
+        raise DatasetError("no held-out pairs to evaluate: no user has >= 3 target interactions")
     aux = split.train.manifest.auxiliary
     # every cell's spec is built, and so checked, before the first training run
     specs = [

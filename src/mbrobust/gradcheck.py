@@ -14,7 +14,7 @@ from itertools import product
 import numpy as np
 
 from . import seeds
-from .data import DatasetManifest, EdgeSet, InteractionDataset, SplitDataset
+from .data import EdgeSet, InteractionDataset, SplitDataset
 from .graph import build_graph
 from .losses import (
     Hyperparameters,
@@ -75,16 +75,8 @@ def random_fixture(
             users, items = np.nonzero(mask)
         # the stream of one scalar draw per edge, in row-major order
         edges[b] = EdgeSet(users, items, rng.integers(0, 100, size=len(users)), num_items)
-    manifest = DatasetManifest(
-        behaviors=tuple(names), target=target,
-        num_users=num_users, num_items=num_items,
-    )
-    ds = InteractionDataset(
-        manifest=manifest,
-        edges=edges,
-        user_ids=tuple(f"u{k}" for k in range(num_users)),
-        item_ids=tuple(f"i{k}" for k in range(num_items)),
-    )
+    ds = InteractionDataset.assemble(names, target, edges, [f"u{k}" for k in range(num_users)],
+                                     [f"i{k}" for k in range(num_items)])
 
     batch_users = np.arange(num_users, dtype=np.int64)
     batch = TripletSampler(SplitDataset(ds, (), ())).sample(batch_users, rng)

@@ -35,6 +35,8 @@ log = logging.getLogger(__name__)
 IRM_VARIANTS = ("rex", "irm_v1", "irm_v2")
 ORM_SCOPES = ("all_behaviors", "aux_only")
 RRM_MODES = ("with_positive", "literal")
+# the choice-valued hyperparameters and their values
+CHOICES = {"irm_variant": IRM_VARIANTS, "orm_scope": ORM_SCOPES, "rrm_denominator": RRM_MODES}
 
 _NORM_FLOOR = 1e-30  # cosine guard; embeddings are never legitimately zero
 
@@ -75,12 +77,9 @@ class Hyperparameters:
         for name in ("lambda_rrm", "lambda_orm", "lambda_reg"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be >= 0 and finite")
-        if self.irm_variant not in IRM_VARIANTS:
-            raise ValueError(f"irm_variant must be one of {IRM_VARIANTS}")
-        if self.orm_scope not in ORM_SCOPES:
-            raise ValueError(f"orm_scope must be one of {ORM_SCOPES}")
-        if self.rrm_denominator not in RRM_MODES:
-            raise ValueError(f"rrm_denominator must be one of {RRM_MODES}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}")
         if self.max_epochs < 0:  # 0 is legal: train returns the initial state
             raise ValueError("max_epochs must be >= 0")
         if self.patience < 1:

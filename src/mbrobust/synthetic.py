@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import seeds
-from .data import DatasetManifest, EdgeSet, InteractionDataset, nth_absent
+from .data import EdgeSet, InteractionDataset, nth_absent
 
 
 def _dataset(behaviors, target, rows, num_users, num_items) -> InteractionDataset:
@@ -23,20 +23,11 @@ def _dataset(behaviors, target, rows, num_users, num_items) -> InteractionDatase
         b: EdgeSet(*np.array(rows[b], dtype=np.int64).reshape(-1, 3).T, num_items)
         for b in behaviors
     }
-    manifest = DatasetManifest(
-        behaviors=tuple(behaviors),
-        target=target,
-        num_users=num_users,
-        num_items=num_items,
-    )
     width_u = len(str(num_users - 1))
     width_i = len(str(num_items - 1))
-    return InteractionDataset(
-        manifest=manifest,
-        edges=edges,
-        user_ids=tuple(f"u{k:0{width_u}d}" for k in range(num_users)),
-        item_ids=tuple(f"i{k:0{width_i}d}" for k in range(num_items)),
-    )
+    return InteractionDataset.assemble(behaviors, target, edges,
+                                       [f"u{k:0{width_u}d}" for k in range(num_users)],
+                                       [f"i{k:0{width_i}d}" for k in range(num_items)])
 
 
 def _matched_items(num_users: int, num_items: int, num_groups: int):

@@ -10,7 +10,7 @@ import math
 import time
 import zipfile
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -217,7 +217,6 @@ class TripletSampler:
 class TrainConfig:
     hp: Hyperparameters
     eval_every: int = 5
-    ks: tuple[int, ...] = (10, 20)
 
     def __post_init__(self):
         if self.eval_every < 1:
@@ -238,23 +237,17 @@ class LogRow:
 
 
 def format_log(rows: list[LogRow], behaviors: list[str]) -> str:
-    """Render the per-epoch log as CSV (empty cell = not measured)."""
-    header = (
-        ["epoch"]
-        + [f"bpr_{b}" for b in behaviors]
-        + ["rrm", "orm", "main", "total", "val_hr10", "val_ndcg10", "seconds"]
-    )
+    """Render the per-epoch log as CSV: one column per `LogRow` field, in
+    field order, and one ``bpr_<behavior>`` column per behavior (empty cell =
+    not measured)."""
+    names = [f.name for f in fields(LogRow)]
+    header = [c for n in names
+              for c in ([f"bpr_{b}" for b in behaviors] if n == "bpr" else [n])]
     lines = [",".join(header)]
-
-    def cell(v) -> str:
-        return "" if v is None else repr(v)
-
     for r in rows:
-        cols = [str(r.epoch)]
-        cols += [cell(r.bpr.get(b)) for b in behaviors]
-        cols += [cell(r.rrm), cell(r.orm), cell(r.main), cell(r.total)]
-        cols += [cell(r.val_hr10), cell(r.val_ndcg10), cell(r.seconds)]
-        lines.append(",".join(cols))
+        values = [v for n in names for v in
+                  ([r.bpr.get(b) for b in behaviors] if n == "bpr" else [getattr(r, n)])]
+        lines.append(",".join("" if v is None else repr(v) for v in values))
     return "\n".join(lines) + "\n"
 
 
@@ -472,6 +465,7 @@ def load_checkpoint(path: str) -> tuple[ModelState, dict]:
         hp = Hyperparameters(**header["hyperparameters"])
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad hyperparameters ({exc})") from None
+    scale, size = 0, 0  # a power of two above every entry, and the entry count
     for name, count in (("user_emb", "num_users"), ("item_emb", "num_items")):
         table, shape = tables[name], (header[count], hp.dim)
         if table.dtype != np.float64 or table.shape != shape:
@@ -479,8 +473,17 @@ def load_checkpoint(path: str) -> tuple[ModelState, dict]:
                 f"{path}: {name} is {table.dtype} {table.shape}, expected float64 {shape}"
             )
         # ranking takes a NaN score for an excluded item, which never outranks
-        # the held-out one
-        if not np.isfinite(table).all():
+        # the held-out one; np.max and np.maximum keep a NaN
+        top = float(np.maximum(np.max(table, initial=0.0), -np.min(table, initial=0.0)))
+        if not math.isfinite(top):
             raise CheckpointError(f"{path}: {name} has a NaN or infinite entry")
+        scale, size = max(scale, math.frexp(top)[1]), size + table.size
+    # every graph operator has spectral norm <= 1, so no fused score exceeds
+    # ||[user_emb; item_emb]||_F^2 < size·4^scale; where that could reach
+    # 2^1023 the norm is summed at 2^-scale, where it cannot overflow
+    scaled = (np.ldexp(tables[n], -scale).ravel() for n in ("user_emb", "item_emb"))
+    if 2 * scale + size.bit_length() > 1023 and (
+            2 * scale + math.frexp(float(sum(t @ t for t in scaled)))[1] > 1023):
+        raise CheckpointError(f"{path}: tables so large that scores could overflow float64")
     state = ModelState(user_emb=tables["user_emb"], item_emb=tables["item_emb"], hp=hp)
     return state, {k: header[k] for k in ("manifest_hash", *_MANIFEST_FIELDS)}

@@ -11,10 +11,11 @@ import pytest
 
 from mbrobust import cli, gradcheck, losses, training
 from mbrobust.cli import build_parser, echo_config, main, resolve_run_config
-from mbrobust.data import diagnose, load_dataset, save_dataset
+from mbrobust.data import diagnose, load_dataset, save_dataset, split_leave_one_out
+from mbrobust.evaluation import evaluate
 from mbrobust.losses import Hyperparameters
 from mbrobust.synthetic import planted_dataset
-from mbrobust.training import TrainConfig
+from mbrobust.training import TrainConfig, load_checkpoint
 
 from conftest import write_dataset_dir
 
@@ -240,6 +241,22 @@ class TestTrainCommand:
         assert f"{cfg_path}:2: unknown config key 'disable_rrm'" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_ks_flag_is_gone(self, dataset_dir, tmp_path, capsys, command):
+        # no training code read it; evaluate --ks takes other cutoffs
+        out = str(tmp_path / "run")
+        assert main(["--out", out, command, dataset_dir, "--ks", "5,10"]) == 1
+        assert "unrecognized arguments: --ks" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_ks_config_key_is_gone(self, dataset_dir, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("dim = 4\nks = 5,10\n")
+        out = str(tmp_path / "run")
+        assert main(_train_args(dataset_dir, out, extra=("--config", str(cfg_path)))) == 1
+        assert f"{cfg_path}:2: unknown config key 'ks'" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_drop_behavior_removes_column(self, dataset_dir, tmp_path):
         out = str(tmp_path / "drop")
         assert main(_train_args(dataset_dir, out,
@@ -318,6 +335,10 @@ class TestTrainCommand:
         ck1 = Path(first, "checkpoint.npz").read_bytes()
         ck2 = Path(second, "checkpoint.npz").read_bytes()
         assert ck1 == ck2
+        for name in ("effective_config.cfg", "validation_report.json"):
+            assert Path(first, name).read_bytes() == Path(second, name).read_bytes(), name
+        # the validation report takes evaluate's default cutoffs
+        assert json.loads(Path(first, "validation_report.json").read_text())["ks"] == [10, 20]
 
 
 class TestSplitLoading:
@@ -438,7 +459,7 @@ class TestSplitLoading:
 
 
 # Every Hyperparameters field (``seed`` is the global --seed) and every
-# TrainConfig run field (``eval_every``, ``ks``), each with a
+# TrainConfig run field (``eval_every``), each with a
 # non-default value to pass through the flags, a config file and the echo.
 _STR_VALUES = {"irm_variant": "irm_v2", "orm_scope": "aux_only",
                "rrm_denominator": "literal"}
@@ -448,16 +469,13 @@ _SCHEMA.update((f.name, f.default) for f in fields(TrainConfig) if f.name != "hp
 
 def _schema_text(key):
     default = _SCHEMA[key]
-    if isinstance(default, tuple):
-        return "5"
     if isinstance(default, str):
         return _STR_VALUES[key]
     return str(default * 2)
 
 
 def _resolved_text(cfg, key):
-    value = getattr(cfg.hp, key) if hasattr(cfg.hp, key) else getattr(cfg, key)
-    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    return str(getattr(cfg.hp, key) if hasattr(cfg.hp, key) else getattr(cfg, key))
 
 
 @pytest.mark.parametrize("key", list(_SCHEMA))
@@ -510,6 +528,22 @@ class TestEvaluateCommand:
         assert payload["ks"] == [5, 10]
         assert payload["users"] == 16
         assert payload["excluded_train_items"] is True
+
+    def test_no_exclusion_matches_the_library(self, dataset_dir, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert main(_train_args(dataset_dir, out)) == 0
+        checkpoint = os.path.join(out, "checkpoint.npz")
+        capsys.readouterr()
+        code = main(["evaluate", dataset_dir, "--checkpoint", checkpoint,
+                     "--no-exclusion"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["excluded_train_items"] is False
+        state, _ = load_checkpoint(checkpoint)
+        split = split_leave_one_out(load_dataset(dataset_dir))
+        report = evaluate(state, split, exclude_train=False)
+        assert payload["hr"] == {str(k): v for k, v in report.hr.items()}
+        assert payload["ndcg"] == {str(k): v for k, v in report.ndcg.items()}
 
     def test_trained_planted_fixture_scores_perfectly(self, tmp_path, capsys):
         ds = planted_dataset(seed=7)
@@ -642,6 +676,29 @@ class TestMalformedCheckpoint:
         assert code == 2
         assert path in err and f"{table} has a NaN or infinite entry" in err
 
+    @pytest.mark.parametrize("overflows", [True, False])
+    def test_tables_whose_scores_overflow_exit_2(self, tmp_path, capsys, overflows):
+        # finite entries, but scores beyond float64: a 2^600-scaled checkpoint
+        # used to evaluate with exit 0 (HR@10 0.375) and only a RuntimeWarning.
+        # Scaled to ||[user_emb; item_emb]||_F^2 within 2^1020..2^1022 it
+        # evaluates, and the pytest configuration fails any overflow on the way
+        data_dir = str(tmp_path / "planted")
+        ds = planted_dataset(seed=7)
+        save_dataset(ds, data_dir)
+        rng = np.random.default_rng(0)
+        user, item = rng.normal(size=(40, 8)), rng.normal(size=(40, 8))
+        shift = 600 if overflows else int((1022 - np.log2(np.sum(user**2) + np.sum(item**2))) // 2)
+        state = losses.ModelState(np.ldexp(user, shift), np.ldexp(item, shift),
+                                  Hyperparameters(dim=8))
+        path = str(tmp_path / "checkpoint.npz")
+        training.save_checkpoint(state, ds.manifest, path)
+        code, err = self._evaluate(data_dir, path, capsys)
+        if overflows:
+            assert code == 2
+            assert path in err and "overflow" in err
+        else:
+            assert code == 0, err
+
     def test_truncated_file_exits_2(self, trained_run, tmp_path, capsys):
         data_dir, good = trained_run
         path = tmp_path / "checkpoint.npz"
@@ -688,6 +745,18 @@ class TestSweepCommand:
         lines = Path(out, "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 8  # header + baseline + 6 cells
         assert lines[1].startswith("baseline,")
+
+    def test_no_held_out_pairs_exits_2_before_training(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # two target interactions per user: the split holds nothing out
+        data_dir = str(tmp_path / "data")
+        save_dataset(planted_dataset(7, target_per_user=2), data_dir)
+        monkeypatch.setattr(training, "train",
+                            lambda *args: pytest.fail("training started"))
+        code = main(["--out", str(tmp_path / "sweep"), "sweep", data_dir,
+                     "--ratios", "0.3", "--modes", "add"])
+        assert code == 2
+        assert "no held-out pairs to evaluate" in capsys.readouterr().err
 
     def test_bad_ratio_exits_1_before_training(self, dataset_dir, tmp_path,
                                                capsys, monkeypatch):

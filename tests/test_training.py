@@ -15,6 +15,7 @@ from mbrobust.data import DatasetManifest, SplitDataset, nth_absent, split_leave
 from mbrobust.losses import GradientBuffer, Hyperparameters, LossBreakdown, ModelState
 from mbrobust.synthetic import planted_dataset
 from mbrobust.training import (
+    CheckpointError,
     NonFiniteGradientError,
     TrainConfig,
     TripletSampler,
@@ -453,7 +454,9 @@ class TestCheckpoint:
         assert manifest_hash(stored) == header["manifest_hash"]
 
     def test_roundtrip_is_bit_exact_at_the_given_path(self, tmp_path):
-        special = [-0.0, 5e-324, -2.5e-310, 1e308, -1e308, 0.1]
+        # subnormals, a signed zero, and large entries whose scores still fit
+        # in float64 (`load_checkpoint` rejects tables of ±1e308 entries)
+        special = [-0.0, 5e-324, -2.5e-310, 1e150, -1e150, 0.1]
         hp = Hyperparameters(dim=3)
         state = ModelState(np.array(special).reshape(2, 3),
                            np.array(special[::-1] * 2).reshape(4, 3), hp)
@@ -468,6 +471,24 @@ class TestCheckpoint:
                           (loaded.item_emb, state.item_emb)):
             np.testing.assert_array_equal(got, want)
             assert got.tobytes() == want.tobytes()  # -0.0 keeps its sign
+
+    @pytest.mark.parametrize("second, loads", [(0.99, True), (1.01, False)])
+    def test_tables_are_rejected_where_scores_could_overflow(self, tmp_path, second,
+                                                             loads):
+        # every score is at most ||[user_emb; item_emb]||_F^2, here
+        # (1 + second^2)·2^1022: 1% below 2^1023, or 1% above, where float64
+        # has no factor 2 left
+        hp = Hyperparameters(dim=1)
+        user = np.array([[2.0**511], [second * 2.0**511]])
+        state = ModelState(user, np.zeros((4, 1)), hp)
+        ds = make_dataset({"buy": {(0, 0): 1}}, "buy", num_users=2, num_items=4)
+        path = str(tmp_path / "ckpt.npz")
+        save_checkpoint(state, ds.manifest, path)
+        if loads:
+            np.testing.assert_array_equal(load_checkpoint(path)[0].user_emb, user)
+        else:
+            with pytest.raises(CheckpointError, match="could overflow float64"):
+                load_checkpoint(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
