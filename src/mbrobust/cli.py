@@ -18,7 +18,6 @@ import logging
 import os
 import sys
 from dataclasses import fields, replace
-from itertools import product
 
 from . import seeds
 from .data import (
@@ -260,11 +259,10 @@ def cmd_sweep(args) -> int:
     modes = _split_list(args.modes)
     if not ratios or not modes:  # an empty grid would hide a bad mode or ratio
         raise ValueError("sweep needs at least one ratio and one mode")
-    for mode, ratio in product(modes, ratios):  # a bad cell fails before any output
-        PerturbationSpec(mode, ratio, behaviors=(), seed=0)
     out = args.out or "sweep_out"
-    echo_config(cfg, drop, out)
-    rows = robustness_sweep(ds, cfg, ratios=ratios, modes=modes, seed=cfg.hp.seed)
+    # a bad cell or data without held-out pairs fails before any output
+    rows = robustness_sweep(ds, cfg, ratios=ratios, modes=modes, seed=cfg.hp.seed,
+                            on_checked=lambda: echo_config(cfg, drop, out))
     csv_text = sweep_csv(rows)
     with open(os.path.join(out, "sweep.csv"), "w", encoding="utf-8") as fh:
         fh.write(csv_text)

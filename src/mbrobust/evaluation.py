@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -276,25 +277,30 @@ def robustness_sweep(
     ratios: list[float],
     modes: list[str],
     seed: int,
+    *,
+    on_checked: Callable[[], None] = lambda: None,
 ) -> list[SweepRow]:
     """Train on the clean split, then retrain after perturbing auxiliary
     training edges at each (mode, ratio) and measure the relative metric
     drop on the untouched test set.
 
     Each sweep cell perturbs with its own sub-seed derived from ``seed``;
-    every training run restarts from the same initialization.
+    every training run restarts from the same initialization.  The grid and
+    the data are checked first; ``on_checked`` runs once they pass, before
+    the first training run.
     """
     from .training import train  # local import to avoid a module cycle
 
-    split = split_leave_one_out(ds)
-    if not split.test:  # before any training run, which could not be evaluated
-        raise DatasetError("no held-out pairs to evaluate: no user has >= 3 target interactions")
-    aux = split.train.manifest.auxiliary
+    aux = ds.manifest.auxiliary
     # every cell's spec is built, and so checked, before the first training run
     specs = [
         PerturbationSpec(mode, ratio, aux, seeds.stream_seed(seed, "perturbation", cell))
         for cell, (mode, ratio) in enumerate(product(modes, ratios), start=1)
     ]
+    split = split_leave_one_out(ds)
+    if not split.test:  # before any training run, which could not be evaluated
+        raise DatasetError("no held-out pairs to evaluate: no user has >= 3 target interactions")
+    on_checked()
     state, _ = train(split, cfg)
     baseline = evaluate(state, split, ks=(10,))
     rows = [SweepRow("baseline", 0.0, baseline, 0.0, 0.0)]

@@ -757,6 +757,7 @@ class TestSweepCommand:
                      "--ratios", "0.3", "--modes", "add"])
         assert code == 2
         assert "no held-out pairs to evaluate" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "sweep")  # not even the config echo
 
     def test_bad_ratio_exits_1_before_training(self, dataset_dir, tmp_path,
                                                capsys, monkeypatch):

@@ -6,6 +6,7 @@ defining formulas.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -145,17 +146,27 @@ def _rrm_reference(embs, target, users, tau, mode):
 
 
 class TestRrmLoss:
-    @pytest.mark.parametrize("tau", [0.2, 1e-3])
-    @pytest.mark.parametrize("mode", RRM_MODES)
-    def test_matches_per_row_reference(self, mode, tau):
+    @staticmethod
+    def _blocks(monkeypatch, rows, n):
+        """Walk n batch users in blocks of ``rows`` (None: one block)."""
+        if rows is not None:
+            monkeypatch.setattr(losses, "ALIGN_BLOCK_SCORES", rows * n)
+
+    @pytest.mark.parametrize("mode, tau, rows", [
+        pytest.param(m, t, r, id=f"{m}-{t}" + (f"-rows{r}" if r else ""))
+        for r in (None, 3) for m in RRM_MODES for t in (0.2, 1e-3)
+    ])
+    def test_matches_per_row_reference(self, mode, tau, rows, monkeypatch):
         # tau = 1e-3 puts logits near 1000, where an unshifted exp overflows
         rng = np.random.default_rng(5)
         embs = {b: rng.normal(size=(80, 8)) for b in ("view", "cart", "buy")}
-        users = rng.permutation(80)[:64]
+        users = rng.permutation(80)[:64]  # 3-row blocks leave a ragged last one
+        self._blocks(monkeypatch, rows, len(users))
         value, grads = rrm_loss(embs, "buy", users, tau, mode)
         ref_value, ref_grads = _rrm_reference(embs, "buy", users, tau, mode)
         assert math.isfinite(value)
         assert value == pytest.approx(ref_value, rel=1e-12)
+        assert rrm_loss(embs, "buy", users, tau, mode, backward=False)[0] == value
         for b in embs:
             scale = np.max(np.abs(ref_grads[b]))
             assert np.max(np.abs(grads[b] - ref_grads[b])) <= 1e-12 * scale, b
@@ -184,21 +195,40 @@ class TestRrmLoss:
         loss, _ = rrm_loss(embs, "buy", np.array([0, 1]), 0.2, "literal")
         assert loss == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("mode", ["with_positive", "literal"])
-    def test_gradient_matches_finite_differences(self, mode):
+    @pytest.mark.parametrize("mode, tau, rows", [
+        *(pytest.param(m, 0.4, None, id=m) for m in RRM_MODES),
+        *(pytest.param(m, t, 3, id=f"{m}-{t}-rows3") for m in RRM_MODES for t in (0.2, 1e-3)),
+    ])
+    def test_gradient_matches_finite_differences(self, mode, tau, rows, monkeypatch):
         rng = np.random.default_rng(2)
         embs = {
             "view": rng.normal(size=(5, 3)),
             "cart": rng.normal(size=(5, 3)),
             "buy": rng.normal(size=(5, 3)),
         }
-        users = np.array([0, 1, 2, 3])
-        _, grads = rrm_loss(embs, "buy", users, 0.4, mode)
+        users = np.array([0, 1, 2, 3])  # 3-row blocks leave a ragged last one
+        self._blocks(monkeypatch, rows, len(users))
+        value, grads = rrm_loss(embs, "buy", users, tau, mode)
+        assert rrm_loss(embs, "buy", users, tau, mode, backward=False)[0] == value
         for b in embs:
             fd = numeric_gradient(
-                lambda: rrm_loss(embs, "buy", users, 0.4, mode)[0], embs[b]
+                lambda: rrm_loss(embs, "buy", users, tau, mode)[0], embs[b]
             )
             assert max_rel_error(grads[b], fd) <= 1e-6, b
+
+    def test_scratch_stays_below_one_batch_by_batch_matrix(self):
+        # the logits are walked in row blocks, so no n x n matrix is ever
+        # allocated
+        n, d = 2048, 16
+        rng = np.random.default_rng(6)
+        embs = {b: rng.normal(size=(n, d)) for b in ("view", "cart", "buy")}
+        tracemalloc.start()
+        try:
+            _, grads = rrm_loss(embs, "buy", np.arange(n), 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(g.nbytes for g in grads.values()) < n * n * 8
 
     def test_scale_invariance_of_value(self):
         rng = np.random.default_rng(3)
