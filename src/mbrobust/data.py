@@ -15,7 +15,7 @@ import json
 import math
 import os
 from collections.abc import ItemsView, Mapping
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import islice
 
 import numpy as np
@@ -162,8 +162,16 @@ class InteractionDataset:
 
     @classmethod
     def assemble(cls, behaviors, target, edges, user_ids, item_ids) -> InteractionDataset:
-        """The dataset of ``edges``; the manifest counts the raw ids (in dense order)."""
+        """The dataset of ``edges``; the manifest counts the raw ids (in dense
+        order), and every edge set must be a behavior's, within those ids."""
         manifest = DatasetManifest(tuple(behaviors), target, len(user_ids), len(item_ids))
+        if set(edges) != set(manifest.behaviors):
+            raise DatasetError(f"edge sets and behaviors differ on "
+                               f"{sorted(set(edges) ^ set(manifest.behaviors))}")
+        for b, e in edges.items():  # the user column is sorted
+            if e.num_items != len(item_ids) or (len(e.user) and e.user[-1] >= len(user_ids)):
+                raise DatasetError(f"behavior {b!r} has edges outside "
+                                   f"{len(user_ids)} users and {len(item_ids)} items")
         return cls(manifest, edges, tuple(user_ids), tuple(item_ids))
 
     def edge_count(self, behavior: str) -> int:
@@ -195,22 +203,17 @@ class SplitDataset:
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
+    """The `diagnose` report; its fields, in order, are the JSON keys."""
+
+    num_users: int
+    num_items: int
+    counts: dict[str, int]
     bar: dict[str, float]
     dt: float
     dt_approximate: bool
-    counts: dict[str, int]
-    num_users: int
-    num_items: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "num_users": self.num_users,
-            "num_items": self.num_items,
-            "counts": dict(self.counts),
-            "bar": dict(self.bar),
-            "dt": self.dt,
-            "dt_approximate": self.dt_approximate,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -600,15 +603,14 @@ def compute_dt(ds: InteractionDataset) -> float:
 
 def diagnose(ds: InteractionDataset) -> DiagnosticsReport:
     dt, approximate = _dt_with_flag(ds)
-    bar = {b: compute_bar(ds, b) for b in ds.manifest.behaviors}
-    counts = {b: ds.edge_count(b) for b in ds.manifest.behaviors}
+    m = ds.manifest
     return DiagnosticsReport(
-        bar=bar,
+        num_users=m.num_users,
+        num_items=m.num_items,
+        counts={b: ds.edge_count(b) for b in m.behaviors},
+        bar={b: compute_bar(ds, b) for b in m.behaviors},
         dt=dt,
         dt_approximate=approximate,
-        counts=counts,
-        num_users=ds.manifest.num_users,
-        num_items=ds.manifest.num_items,
     )
 
 

@@ -46,6 +46,14 @@ _NORM_FLOOR = 1e-30  # cosine guard; embeddings are never legitimately zero
 ALIGN_BLOCK_SCORES = 1 << 17
 
 
+def _require_integers(config, *names: str) -> None:
+    """Raise `ValueError` unless each named field is an integer (not a bool)."""
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Hyperparameters:
     dim: int = 64
@@ -64,10 +72,8 @@ class Hyperparameters:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("dim", "num_layers", "batch_size", "max_epochs", "patience", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _require_integers(self, "dim", "num_layers", "batch_size", "max_epochs",
+                          "patience", "seed")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.dim < 1:
@@ -248,7 +254,7 @@ def rrm_loss(
     aux = [b for b in user_embs if b != target]
     grads = {b: np.zeros_like(E) for b, E in user_embs.items()} if backward else {}
     if not aux:
-        log.warning("alignment loss skipped: no auxiliary behaviors")
+        log.debug("alignment loss skipped: no auxiliary behaviors")
         return 0.0, grads
     n = len(batch_users)
     if n < 2:
@@ -343,10 +349,8 @@ def orm_loss(
     effect through the shared mean.
     """
     in_scope = _orm_scope(risks, scope, target)
-    if len(risks) < 2:
+    if len(risks) < 2:  # 2 distinct keys leave either scope nonempty
         raise ValueError("risk variance needs at least 2 behaviors")
-    if not in_scope:
-        raise ValueError("aux_only scope has no auxiliary risks")
     keys = list(risks)
     denom = len(keys) if scope == "all_behaviors" else len(keys) - 1
     values = np.array([risks[b] for b in keys], dtype=np.float64)
@@ -447,67 +451,47 @@ def total_loss(
     if target not in behaviors:
         raise ObjectiveError(f"target behavior {target!r} has no graph")
 
-    embs = {
-        b: propagate(graphs[b], state.user_emb, state.item_emb, hp.num_layers)
-        for b in behaviors
-    }
+    embs = {b: propagate(graphs[b], state.user_emb, state.item_emb, hp.num_layers)
+            for b in behaviors}
 
-    sampled = [
-        b
-        for b in behaviors
-        if b in batch.per_behavior and len(batch.per_behavior[b]) > 0
-    ]
-    trips: dict[str, np.ndarray] = {}
-    margins: dict[str, np.ndarray] = {}
-    risks: dict[str, float] = {}
-    d_risks: dict[str, np.ndarray] = {}
-    for b in sampled:
-        trips[b] = _check_triplets(batch.per_behavior[b])
-        margins[b] = _margins(embs[b].P, embs[b].Q, trips[b])
-        risks[b], d_risks[b] = _bpr_risk(margins[b])
+    # the sampled behaviors, in graph order: it orders the variance's sum and bpr_*
+    trips, margins, risks, d_risks = {}, {}, {}, {}
+    for b in behaviors:
+        if len(batch.per_behavior.get(b, ())):
+            trips[b] = _check_triplets(batch.per_behavior[b])
+            margins[b] = _margins(embs[b].P, embs[b].Q, trips[b])
+            risks[b], d_risks[b] = _bpr_risk(margins[b])
 
-    # alignment term
-    aux = [b for b in behaviors if b != target]
-    if aux and len(batch_users) >= 2:
-        # at lambda_rrm = 0 only the value is used: it still reaches the log
+    # which terms run is decided here alone.  Alignment: on every batch of 2
+    # or more users, zero without an auxiliary behavior; at lambda_rrm = 0
+    # only its value is used, for the log
+    if len(batch_users) >= 2:
         rrm_val, rrm_grads = rrm_loss(
             {b: embs[b].P for b in behaviors}, target, batch_users, hp.tau,
             hp.rrm_denominator, backward=hp.lambda_rrm != 0.0,
         )
     else:
-        if aux:
-            log.warning("alignment loss skipped: batch has fewer than 2 users")
-        else:
-            log.debug("alignment loss skipped: no auxiliary behaviors")
+        log.warning("alignment loss skipped: batch has fewer than 2 users")
         rrm_val, rrm_grads = 0.0, {}
 
     # invariance term, kept per behavior as (weight, d(term)/d(margin)) so one
     # scatter serves every variant in the backward pass
     orm_val = 0.0
     orm_terms: dict[str, tuple[float, np.ndarray]] = {}
-    if hp.irm_variant == "rex":
-        # two distinct sampled behaviors include an auxiliary one, so either
-        # scope of the variance is nonempty
-        if len(sampled) >= 2:
-            orm_val, partials = orm_loss(risks, hp.orm_scope, target)
-            orm_terms = {b: (w, d_risks[b]) for b, w in partials.items()}
-        else:
-            log.debug("invariance penalty skipped: fewer than 2 sampled risks")
-    else:  # irm_v1 and irm_v2 share one penalty
-        scope = _orm_scope(sampled, hp.orm_scope, target)
-        for b in scope:
+    if hp.irm_variant != "rex":  # irm_v1 and irm_v2 share one penalty
+        for b in _orm_scope(risks, hp.orm_scope, target):
             term, d_m = _irm_term(margins[b])
             orm_val += term
             orm_terms[b] = (1.0, d_m)
-        if not scope:
-            log.debug("invariance penalty skipped: no sampled behaviors in scope")
+    elif len(risks) >= 2:
+        orm_val, partials = orm_loss(risks, hp.orm_scope, target)
+        orm_terms = {b: (w, d_risks[b]) for b, w in partials.items()}
 
     # fused main term
     z_u, z_i = fuse({b: embs[b].P for b in behaviors}, {b: embs[b].Q for b in behaviors})
     try:
         main_val, reg_val, d_zu, d_zi, d_user_reg, d_item_reg = main_loss(
-            z_u, z_i, batch.main, state
-        )
+            z_u, z_i, batch.main, state)
     except ValueError as exc:
         raise ObjectiveError(f"main loss: {exc}") from exc
 
@@ -523,14 +507,12 @@ def total_loss(
             d_P += hp.lambda_rrm * rrm_grads[b]
         if b in orm_terms and hp.lambda_orm != 0.0:
             w, d_m = orm_terms[b]
-            _scatter_margin_grads(
-                d_P, d_Q, embs[b].P, embs[b].Q, trips[b], hp.lambda_orm * w * d_m
-            )
+            _scatter_margin_grads(d_P, d_Q, embs[b].P, embs[b].Q, trips[b],
+                                  hp.lambda_orm * w * d_m)
         outs.append(propagate_adjoint(graphs[b], d_P, d_Q, hp.num_layers))
     d_user = sum(g.P for g in outs) + d_user_reg
     d_item = sum(g.Q for g in outs) + d_item_reg
 
-    breakdown = LossBreakdown(
-        bpr=risks, rrm=rrm_val, orm=orm_val, main=main_val, reg=reg_val, total=total
-    )
+    breakdown = LossBreakdown(bpr=risks, rrm=rrm_val, orm=orm_val, main=main_val,
+                              reg=reg_val, total=total)
     return breakdown, GradientBuffer(d_user=d_user, d_item=d_item)

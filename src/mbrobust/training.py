@@ -23,6 +23,7 @@ from .losses import (
     LossBreakdown,
     ModelState,
     TripletBatch,
+    _require_integers,
     total_loss,
 )
 
@@ -219,6 +220,7 @@ class TrainConfig:
     eval_every: int = 5
 
     def __post_init__(self):
+        _require_integers(self, "eval_every")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
 
@@ -294,7 +296,7 @@ def train(
     has_validation = len(split.validation) > 0
     if not has_validation:
         log.warning("empty validation set: early stopping disabled")
-    best_state = state.copy()
+    best_state = state  # a copy is taken at each improvement
     best_hr = -1.0
     evals_since_improvement = 0
     rows: list[LogRow] = []
@@ -353,8 +355,7 @@ def train(
             log.info("early stop at epoch %d (best validation HR@10 %.4f)", epoch, best_hr)
             break
 
-    final = best_state if best_hr >= 0.0 else state
-    return final, rows
+    return best_state, rows
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from mbrobust.data import diagnose, load_dataset, save_dataset, split_leave_one_
 from mbrobust.evaluation import evaluate
 from mbrobust.losses import Hyperparameters
 from mbrobust.synthetic import planted_dataset
-from mbrobust.training import TrainConfig, load_checkpoint
+from mbrobust.training import TrainConfig, format_log, load_checkpoint
 
 from conftest import write_dataset_dir
 
@@ -513,6 +514,23 @@ def test_config_keys_and_flags_are_the_schema():
         options = {opt for action in commands[command]._actions
                    for opt in action.option_strings if opt.startswith("--")}
         assert options - {"--help"} == flags | extra, command
+
+
+def test_readme_lists_match_the_code():
+    # each list is the backquoted text of one README passage
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def passage(start, end):
+        return re.search(re.escape(start) + "(.*?)" + re.escape(end), readme, re.S).group(1)
+
+    keys = passage("The keys, in\nthe order `effective_config.cfg` lists them, are", ". ")
+    assert re.findall(r"`(\w+)`", keys) == list(cli._CONFIG_KEYS)
+    columns = passage("`bpr_<behavior>` column per trained behavior:", ". ")
+    assert ",".join(re.findall(r"`([^`]+)`", columns)) == format_log([], ["<behavior>"]).strip()
+    codes = dict(re.findall(r"`(\d)` (\w+)", passage("Exit codes:", "\n\n")))
+    assert codes == {str(cli.EXIT_OK): "success", str(cli.EXIT_USAGE): "usage",
+                     str(cli.EXIT_DATA): "data", str(cli.EXIT_NUMERIC): "numerical"}
+    assert sorted(str(v) for k, v in vars(cli).items() if k.startswith("EXIT_")) == sorted(codes)
 
 
 class TestEvaluateCommand:

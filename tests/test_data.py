@@ -23,6 +23,7 @@ from mbrobust import data
 from mbrobust.data import (
     DatasetError,
     EdgeSet,
+    InteractionDataset,
     PerturbationSpec,
     compute_bar,
     compute_dt,
@@ -213,6 +214,25 @@ class TestLoad:
             assert (map_a / name).read_bytes() == (map_b / name).read_bytes()
 
 
+class TestAssemble:
+    @pytest.mark.parametrize("edges, message", [
+        ({"buy": EdgeSet([0, 5], [0, 1], [1, 2], 2)}, "'buy' has edges outside 2 users"),
+        ({"buy": EdgeSet([0], [2], [1], 3)}, "'buy' has edges outside 2 users and 2 items"),
+        ({"buy": EdgeSet([0], [0], [1], 2), "view": EdgeSet([], [], [], 2)},
+         r"differ on \['view'\]"),
+        ({}, r"differ on \['buy'\]"),
+    ], ids=["user", "items", "extra", "missing"])
+    def test_edges_outside_the_dataset_rejected(self, edges, message):
+        # an edge past the last user would drop out of user_items
+        with pytest.raises(DatasetError, match=message):
+            InteractionDataset.assemble(("buy",), "buy", edges, ["u0", "u1"], ["i0", "i1"])
+
+    def test_edges_at_the_last_ids_accepted(self):
+        edges = {"buy": EdgeSet([0, 1], [0, 1], [1, 2], 2)}
+        ds = InteractionDataset.assemble(("buy",), "buy", edges, ["u0", "u1"], ["i0", "i1"])
+        np.testing.assert_array_equal(ds.user_items("buy")[0], [0, 1, 2])
+
+
 # ----------------------------------------------------------------------
 # Leave-one-out split
 # ----------------------------------------------------------------------
@@ -376,6 +396,12 @@ class TestDiagnostics:
         assert report.bar["cart"] == oracle_bar(ds, "cart")
         assert report.dt == oracle_dt(ds)
         assert report.counts == {"view": 1, "cart": 1, "buy": 2}
+
+    def test_report_keys_are_its_fields_in_order(self):
+        report = diagnose(make_dataset({"view": {(0, 0): 3}, "buy": {(0, 0): 5}}, "buy"))
+        assert list(report.to_json_dict()) == [
+            "num_users", "num_items", "counts", "bar", "dt", "dt_approximate"
+        ]
 
     def test_single_behavior_diagnose(self):
         ds = make_dataset({"buy": {(0, 0): 1}}, "buy")

@@ -17,6 +17,8 @@ from mbrobust import gradcheck, losses
 from mbrobust.gradcheck import max_rel_error, numeric_gradient, run_gradcheck
 from mbrobust.graph import build_graph, propagate
 from mbrobust.losses import (
+    IRM_VARIANTS,
+    ORM_SCOPES,
     RRM_MODES,
     GradientBuffer,
     Hyperparameters,
@@ -481,6 +483,42 @@ class TestTotalLoss:
         assert breakdown.rrm == 0.0
         assert breakdown.orm == 0.0
         assert breakdown.total == breakdown.main
+
+    def test_one_user_batch_without_auxiliary_behavior(self):
+        ds = make_dataset({"buy": {(0, 0): 1, (1, 1): 1}}, "buy", num_users=2, num_items=3)
+        hp = Hyperparameters(dim=2, num_layers=1, lambda_reg=0.0)
+        rng = np.random.default_rng(15)
+        state = ModelState(rng.normal(size=(2, 2)), rng.normal(size=(3, 2)), hp)
+        batch = TripletBatch({"buy": np.array([[0, 0, 2]])}, np.array([[0, 0, 1]]))
+        breakdown, _ = total_loss(state, {"buy": build_graph(ds, "buy")}, batch,
+                                  np.array([0]), "buy")
+        assert breakdown.rrm == breakdown.orm == 0.0
+        assert breakdown.total == breakdown.main
+
+    @pytest.mark.parametrize("scope", ORM_SCOPES)
+    @pytest.mark.parametrize("variant", IRM_VARIANTS)
+    def test_target_alone_sampled(self, variant, scope):
+        # one sampled risk: no variance, and IRM covers the target only when
+        # its scope includes the target
+        _, graphs, state, batch, users = _two_behavior_setup(
+            np.random.default_rng(16), irm_variant=variant, orm_scope=scope
+        )
+        trips = batch.per_behavior["buy"]
+        batch = TripletBatch({"view": np.empty((0, 3), dtype=np.int64), "buy": trips},
+                             batch.main)
+        breakdown, grads = total_loss(state, graphs, batch, users, "buy")
+        assert list(breakdown.bpr) == ["buy"]
+        if variant != "rex" and scope == "all_behaviors":
+            emb = propagate(graphs["buy"], state.user_emb, state.item_emb, 1)
+            margins = np.einsum("ij,ij->i", emb.P[trips[:, 0]],
+                                emb.Q[trips[:, 1]] - emb.Q[trips[:, 2]])
+            assert breakdown.orm == _irm_term(margins)[0] > 0.0
+            return
+        assert breakdown.orm == 0.0
+        off = replace(state, hp=replace(state.hp, lambda_orm=0.0))
+        _, off_grads = total_loss(off, graphs, batch, users, "buy")
+        np.testing.assert_array_equal(grads.d_user, off_grads.d_user)
+        np.testing.assert_array_equal(grads.d_item, off_grads.d_item)
 
     def test_breakdown_recomposes(self):
         rng = np.random.default_rng(13)

@@ -324,6 +324,13 @@ def test_loss_terms_put_the_constituents_before_the_total():
     ]
 
 
+@pytest.mark.parametrize("value", [2.5, True, "3"])
+def test_eval_every_must_be_an_integer(value):
+    # 2.5 would validate only at epochs 5, 10, ...; True would pass as 1
+    with pytest.raises(ValueError, match="eval_every must be an integer"):
+        TrainConfig(Hyperparameters(), eval_every=value)
+
+
 class TestTrainLoop:
     def _split(self):
         return split_leave_one_out(planted_dataset(seed=3, num_users=16,
