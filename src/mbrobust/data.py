@@ -11,12 +11,15 @@ same directory always yields identical dense ids.
 
 from __future__ import annotations
 
+import codecs
+import io
 import json
 import math
 import os
 from collections.abc import ItemsView, Mapping
 from dataclasses import asdict, dataclass, replace
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,13 +55,17 @@ class EdgeSet(Mapping):
                            or items.max() >= num_items):
             raise ValueError(f"an edge is out of range for {num_items} items")
         codes = users * num_items + items
-        # sort by code, timed before untimed, earliest first; keep the first
-        # of each run of equal codes (the gather copies the caller's arrays)
-        order = np.lexsort((ts, ts < 0, codes))
-        order = order[np.diff(codes[order], prepend=-1) != 0]
+        # codes in strictly increasing order, as every file this module writes
+        # lists them, are sorted with no repeats; otherwise sort by code, timed
+        # before untimed, earliest first, and keep the first of each run of
+        # equal codes.  Either way the caller's arrays are copied.
+        ordered = bool(np.all(codes[1:] > codes[:-1]))
+        if not ordered:
+            order = np.lexsort((ts, ts < 0, codes))
+            order = order[np.diff(codes[order], prepend=-1) != 0]
         self.num_items = num_items
         for name, a in (("user", users), ("item", items), ("ts", ts), ("code", codes)):
-            a = a[order]
+            a = a.copy() if ordered else a[order]
             a.flags.writeable = False
             setattr(self, name, a)
 
@@ -239,6 +246,114 @@ class PerturbationSpec:
 _SPACE = np.zeros(0x3002, dtype=bool)
 _SPACE[[c for c in range(0x3001) if chr(c).isspace()]] = True
 
+# the class of each byte in canonical text: 0 for none (NUL, whitespace other
+# than TAB and LF, or not ASCII), 1 for a byte of a field, `_TAB` and `_LF`
+_TAB, _LF = 2, 3
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[1:128] = ~_SPACE[1:128]
+_BYTE_CLASS[ord("\t")], _BYTE_CLASS[ord("\n")] = _TAB, _LF
+_KEY_BYTES = 8  # the longest id that packs into a uint64 key
+_MAX_DIGITS = 18  # the longest number of canonical text; 10**18 < 2**63
+
+
+class _IdMap(NamedTuple):
+    """A ``users.map`` or ``items.map``: the raw ids in dense order, and where
+    the map is canonical text, every id's key, sorted, beside its dense id
+    (otherwise no keys)."""
+
+    raws: tuple[str, ...]
+    keys: np.ndarray
+    dense: np.ndarray
+
+
+def _fields(raw: bytes):
+    """``raw`` without a leading BOM as a uint8 array, zero-padded by 8
+    bytes, and the start and size of each field as (lines, fields) int64
+    arrays; or None unless that text is canonical: empty, or lines of the
+    same 2 or 3 non-empty fields of ASCII other than NUL and whitespace, each
+    field ending in a TAB and each line's last in a LF."""
+    raw = raw.removeprefix(codecs.BOM_UTF8)
+    buf = np.frombuffer(raw + bytes(_KEY_BYTES), dtype=np.uint8)
+    if not raw:
+        return buf, np.zeros((0, 2), dtype=np.int64), np.zeros((0, 2), dtype=np.int64)
+    kind = _BYTE_CLASS.take(buf[:len(raw)])
+    if kind[-1] != _LF or not kind.all():
+        return None
+    sep = np.flatnonzero(kind >= _TAB)  # where each field ends
+    lf = kind[sep] == _LF
+    width = int(np.argmax(lf)) + 1  # the first line's fields
+    # each line has `width` fields when every `width`-th separator, and no
+    # other, is a LF
+    if (width not in (2, 3) or len(sep) != width * np.count_nonzero(lf)
+            or not lf[width - 1::width].all()):
+        return None
+    start = np.empty_like(sep)
+    start[0], start[1:] = 0, sep[:-1] + 1
+    size = sep - start
+    if size.min() < 1:
+        return None
+    return buf, start.reshape(-1, width), size.reshape(-1, width)
+
+
+def _packed(buf: np.ndarray, start: np.ndarray, size: np.ndarray):
+    """The fields ``buf[start:start + size]`` as uint64 keys: their bytes,
+    big-endian and zero-padded, so keys sort as the fields do (no field byte
+    is 0).  None where a field is longer than 8 bytes."""
+    if size.max(initial=0) > _KEY_BYTES:
+        return None
+    # the 8 bytes from each field's start, with those past its end shifted
+    # out; `buf`'s padding keeps the last window inside it
+    window = np.lib.stride_tricks.sliding_window_view(buf, _KEY_BYTES)
+    pad = (8 * (_KEY_BYTES - size)).astype(np.uint64)
+    return (window[start].view(">u8").ravel().astype(np.uint64) >> pad) << pad
+
+
+def _decimal(buf: np.ndarray, start: np.ndarray, size: np.ndarray):
+    """The values of the fields ``buf[start:start + size]``, or None unless
+    each is 1-18 ASCII digits."""
+    if size.max(initial=0) > _MAX_DIGITS:
+        return None
+    value = np.zeros(len(start), dtype=np.int64)
+    for j in range(int(size.max(initial=0))):  # the j-th digit of every field
+        inside = j < size
+        digit = buf.take(start + j, mode="clip").astype(np.int64) - ord("0")
+        if np.any(inside & ((digit < 0) | (digit > 9))):
+            return None
+        value = np.where(inside, value * 10 + digit, value)
+    return value
+
+
+def _key_strs(keys: np.ndarray) -> list[str]:
+    """The raw ids packed into ``keys``."""
+    return keys.astype(">u8").view(f"S{_KEY_BYTES}").astype(f"U{_KEY_BYTES}").tolist()
+
+
+def _canonical_columns(raw: bytes):
+    """`_parse_tsv`'s columns of canonical text, each raw id as its key, or
+    None where ``raw`` is not canonical.
+
+    Canonical text is `_fields`' with no line starting with ``#``, ids of
+    at most 8 bytes and timestamps of 1-18 digits.
+    """
+    fields = _fields(raw)
+    if fields is None:
+        return None
+    buf, start, size = fields
+    if np.any(buf[start[:, 0]] == ord("#")):  # a comment line
+        return None
+    users, items = (_packed(buf, start[:, c], size[:, c]) for c in (0, 1))
+    if start.shape[1] == 2:
+        ts = np.full(len(start), -1, dtype=np.int64)
+    else:
+        ts = _decimal(buf, start[:, 2], size[:, 2])
+    return None if users is None or items is None or ts is None else (users, items, ts)
+
+
+def _text(content: bytes) -> io.TextIOWrapper:
+    """A file's ``content`` decoded as reading the file as text decodes it:
+    one leading BOM dropped, CRLF and CR read as LF."""
+    return io.TextIOWrapper(io.BytesIO(content), encoding="utf-8-sig")
+
 
 def _columns(text: str, ids):
     """`_parse_tsv` on well-formed text; a malformed line raises ValueError,
@@ -296,20 +411,56 @@ def _raise_first_error(path: str, text: str, ids) -> None:
                 )
 
 
-def _parse_tsv(path: str, ids: tuple[dict[str, int], dict[str, int]] | None = None):
+def _dense_ids(m: _IdMap, keys: np.ndarray):
+    """The dense ids of the packed ``keys`` in ``m``, or None where one is
+    not in its keys."""
+    if not len(keys):
+        return np.zeros(0, dtype=np.int64)
+    if not len(m.keys):
+        return None
+    pos = np.minimum(np.searchsorted(m.keys, keys), len(m.keys) - 1)
+    return m.dense[pos] if np.array_equal(m.keys[pos], keys) else None
+
+
+def _parse_tsv(path: str, ids: tuple[_IdMap, _IdMap] | None = None):
     """The users, items and timestamps (−1 where a line has none) of the
     ``user<TAB>item[<TAB>timestamp]`` lines of ``path``, in file order.
 
-    Users and items are raw id strings, or with ``ids`` (user map, item map)
+    Users and items are raw ids, or with ``ids`` (the user and item maps)
     dense int64 ids; an id missing from the maps is an error naming the line.
+    Canonical text (`_canonical_columns`) is read as bytes and gives its raw
+    ids as packed keys; any other text, and canonical text with an id not in
+    the maps' keys, goes through the general tokenizer, which gives raw ids
+    as strings and alone raises the errors of a malformed line.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
+        content = fh.read()
+    cols = _canonical_columns(content)
+    if cols is not None and ids is not None:
+        users, items = (_dense_ids(m, keys) for m, keys in zip(ids, cols))
+        cols = None if users is None or items is None else (users, items, cols[2])
+    if cols is not None:
+        return cols
+    with _text(content) as fh:
         text = fh.read()
+    index = ids and tuple({r: d for d, r in enumerate(m.raws)} for m in ids)
     try:
-        return _columns(text, ids)
+        return _columns(text, index)
     except (ValueError, OverflowError, KeyError):
-        _raise_first_error(path, text, ids)
+        _raise_first_error(path, text, index)
         raise
+
+
+def _compact(columns: list) -> tuple[list[str], list[np.ndarray]]:
+    """The sorted distinct raw ids of ``columns``, each packed keys or a list
+    of raw ids, and every column in dense ids, the raw ids' positions."""
+    if all(isinstance(c, np.ndarray) for c in columns):
+        keys, dense = np.unique(np.concatenate(columns), return_inverse=True)
+        return _key_strs(keys), np.split(dense, np.cumsum([len(c) for c in columns[:-1]]))
+    columns = [_key_strs(c) if isinstance(c, np.ndarray) else c for c in columns]
+    ids = sorted(set().union(*columns))
+    index = {s: d for d, s in enumerate(ids)}
+    return ids, [np.fromiter(map(index.__getitem__, c), np.int64, len(c)) for c in columns]
 
 
 def _read_manifest(path: str) -> tuple[tuple[str, ...], str]:
@@ -317,7 +468,7 @@ def _read_manifest(path: str) -> tuple[tuple[str, ...], str]:
     manifest_path = os.path.join(path, "manifest.json")
     if not os.path.isfile(manifest_path):
         raise DatasetError(f"missing manifest file {manifest_path}")
-    with open(manifest_path, encoding="utf-8") as fh:
+    with open(manifest_path, encoding="utf-8-sig") as fh:
         try:
             raw = json.load(fh)
         except ValueError as exc:
@@ -362,18 +513,10 @@ def load_dataset(path: str) -> InteractionDataset:
     if not len(raw[target][0]):
         raise DatasetError(f"empty target behavior {target!r}")
 
-    users = sorted(set().union(*(u for u, _, _ in raw.values())))
-    items = sorted(set().union(*(i for _, i, _ in raw.values())))
-    u_map = {u: d for d, u in enumerate(users)}
-    i_map = {i: d for d, i in enumerate(items)}
-
-    def dense(m, col):
-        return np.fromiter(map(m.__getitem__, col), np.int64, len(col))
-
-    edges = {
-        b: EdgeSet(dense(u_map, u), dense(i_map, i), ts, len(items))
-        for b, (u, i, ts) in raw.items()
-    }
+    users, user_cols = _compact([u for u, _, _ in raw.values()])
+    items, item_cols = _compact([i for _, i, _ in raw.values()])
+    edges = {b: EdgeSet(u, i, ts, len(items))
+             for (b, (_, _, ts)), u, i in zip(raw.items(), user_cols, item_cols)}
     return InteractionDataset.assemble(behaviors, target, edges, users, items)
 
 
@@ -444,12 +587,27 @@ def write_split(split: SplitDataset, out_dir: str) -> None:
             fh.write(_tsv_text(ds, users, items, np.full(len(users), -1)))
 
 
-def _read_map(path: str) -> tuple[dict[str, int], tuple[str, ...]]:
-    """The raw -> dense map of a ``raw_id<TAB>dense_id`` file and the raw ids
-    in dense order.  Raw ids must be unique and the dense ids must be
-    0..n-1, each once."""
+def _read_map(path: str) -> _IdMap:
+    """The id map of a ``raw_id<TAB>dense_id`` file.  Raw ids must be unique
+    and the dense ids must be 0..n-1, each once.  Canonical text (`_fields`)
+    with ids of at most 8 bytes is read as bytes; any other map line by line,
+    which alone raises the errors of a malformed map."""
+    with open(path, "rb") as fh:
+        content = fh.read()
+    fields = _fields(content)
+    if fields is not None and fields[1].shape[1] == 2:
+        buf, start, size = fields
+        keys = _packed(buf, start[:, 0], size[:, 0])
+        dense = _decimal(buf, start[:, 1], size[:, 1])
+        if keys is not None and dense is not None:
+            key_order, dense_order = np.argsort(keys), np.argsort(dense)
+            # distinct raw ids, and the dense ids 0..n-1, each once
+            if (np.all(np.diff(keys[key_order]) > 0)
+                    and np.array_equal(dense[dense_order], np.arange(len(dense)))):
+                return _IdMap(tuple(_key_strs(keys[dense_order])),
+                              keys[key_order], dense[key_order])
     out: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with _text(content) as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 raw, dense = line.rstrip("\n").split("\t")
@@ -470,7 +628,8 @@ def _read_map(path: str) -> tuple[dict[str, int], tuple[str, ...]]:
                 f"{raw!r} has {dense}"
             )
         raws[dense] = raw
-    return out, tuple(raws)
+    no_keys = np.zeros(0, dtype=np.int64)
+    return _IdMap(tuple(raws), no_keys.astype(np.uint64), no_keys)
 
 
 def load_split(path: str) -> SplitDataset:
@@ -481,12 +640,12 @@ def load_split(path: str) -> SplitDataset:
     target edge.
     """
     behaviors, target = _read_manifest(path)
-    u_map, user_ids = _read_map(os.path.join(path, "users.map"))
-    i_map, item_ids = _read_map(os.path.join(path, "items.map"))
-    num_items = len(i_map)
+    ids = _read_map(os.path.join(path, "users.map")), _read_map(os.path.join(path, "items.map"))
+    user_ids, item_ids = ids[0].raws, ids[1].raws
+    num_items = len(item_ids)
 
     def read(fname: str):
-        return _parse_tsv(os.path.join(path, fname), (u_map, i_map))
+        return _parse_tsv(os.path.join(path, fname), ids)
 
     edges = {b: EdgeSet(*read(f"train.{b}.tsv"), num_items) for b in behaviors}
     if not len(edges[target].code):

@@ -132,6 +132,9 @@ class LossBreakdown:
     main: float
     reg: float
     total: float
+    # the batch had fewer than 2 users, so the alignment term is 0 and did
+    # not run; not a term, so `terms` leaves it out
+    alignment_skipped: bool = False
 
     def terms(self) -> dict[str, float]:
         """Every term by its log name, the constituents before the total."""
@@ -465,13 +468,13 @@ def total_loss(
     # which terms run is decided here alone.  Alignment: on every batch of 2
     # or more users, zero without an auxiliary behavior; at lambda_rrm = 0
     # only its value is used, for the log
-    if len(batch_users) >= 2:
+    aligned = len(batch_users) >= 2
+    if aligned:
         rrm_val, rrm_grads = rrm_loss(
             {b: embs[b].P for b in behaviors}, target, batch_users, hp.tau,
             hp.rrm_denominator, backward=hp.lambda_rrm != 0.0,
         )
     else:
-        log.warning("alignment loss skipped: batch has fewer than 2 users")
         rrm_val, rrm_grads = 0.0, {}
 
     # invariance term, kept per behavior as (weight, d(term)/d(margin)) so one
@@ -514,5 +517,6 @@ def total_loss(
     d_item = sum(g.Q for g in outs) + d_item_reg
 
     breakdown = LossBreakdown(bpr=risks, rrm=rrm_val, orm=orm_val, main=main_val,
-                              reg=reg_val, total=total)
+                              reg=reg_val, total=total,
+                              alignment_skipped=not aligned)
     return breakdown, GradientBuffer(d_user=d_user, d_item=d_item)

@@ -301,6 +301,7 @@ def train(
     evals_since_improvement = 0
     rows: list[LogRow] = []
     num_users = ds.manifest.num_users
+    alignment_skips = 0
 
     for epoch in range(1, hp.max_epochs + 1):
         tic = time.perf_counter()
@@ -316,6 +317,7 @@ def train(
                 continue
             breakdown, grads = total_loss(state, graphs, batch, batch_users, target)
             _check_finite_loss(breakdown)
+            alignment_skips += breakdown.alignment_skipped
             adam_step(state, opt, grads, hp.lr)
             for name, value in breakdown.terms().items():
                 sums[name] += value
@@ -355,6 +357,9 @@ def train(
             log.info("early stop at epoch %d (best validation HR@10 %.4f)", epoch, best_hr)
             break
 
+    if alignment_skips:
+        log.warning("alignment loss skipped on %d batches of fewer than 2 users",
+                    alignment_skips)
     return best_state, rows
 
 

@@ -6,13 +6,15 @@ sort-based oracle for the leave-one-out split, exhaustive grid enumeration
 for the alignment/direct-target ratios, and a re-implementation of the
 seeded complement sampler for perturbation.  The property tests at the end
 compare the array store with the dict-based implementation it replaced,
-kept in ``dict_reference.py``.
+kept in ``dict_reference.py``, and the byte path for canonical text with the
+general tokenizer.
 """
 
 import math
 import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -848,3 +850,191 @@ def test_edge_set_does_not_share_the_callers_arrays():
     users[0], items[1], ts[2] = 1, 0, 9
     assert edges == {(0, 0): 3, (0, 1): None, (1, 0): 5}
     assert edges.code.tolist() == [0, 1, 2]
+
+
+def test_edge_set_in_code_order_equals_the_sorted_one():
+    # strictly increasing codes skip the sort; reversed, the same edges take it
+    users, items, ts = [0, 0, 1, 2], [1, 3, 0, 1], [4, -1, 0, 7]
+    ordered = EdgeSet(users, items, ts, 4)
+    shuffled = EdgeSet(users[::-1], items[::-1], ts[::-1], 4)
+    for column in ("user", "item", "ts", "code"):
+        assert getattr(ordered, column).tolist() == getattr(shuffled, column).tolist()
+
+
+# ----------------------------------------------------------------------
+# The byte path for canonical text against the general tokenizer
+# ----------------------------------------------------------------------
+
+_BOM = "\ufeff"
+
+
+@pytest.mark.parametrize("first_line", ["u1\ti1\t5\n", "# a log\nu1 i1 5\n"],
+                         ids=["canonical", "general"])
+def test_a_utf8_bom_is_not_part_of_the_first_id(tmp_path, first_line):
+    path = write_dataset_dir(tmp_path / "bom", ["view", "buy"], "buy",
+                             {"view": _BOM + first_line + "u2\ti1\t6\n",
+                              "buy": _BOM + "u1\ti1\t7\n"})
+    manifest = Path(path, "manifest.json")
+    manifest.write_text(_BOM + manifest.read_text(encoding="utf-8"), encoding="utf-8")
+    ds = load_dataset(path)
+    assert ds.user_ids == ("u1", "u2") and ds.manifest.num_users == 2
+    assert ds.edges["view"] == {(0, 0): 5, (1, 0): 6}
+
+    out = tmp_path / "split"
+    write_split(split_leave_one_out(ds), str(out))
+    for name in ("users.map", "items.map", "train.view.tsv", "manifest.json"):
+        body = (out / name).read_text(encoding="utf-8")
+        (out / name).write_text(_BOM + body, encoding="utf-8")
+    loaded = load_split(str(out))
+    assert loaded.train.user_ids == ("u1", "u2")
+    assert loaded.train.edges == ds.edges
+
+
+def _columns_of(ds):
+    """Everything a dataset holds, every edge set column with its dtype."""
+    return (ds.manifest, ds.user_ids, ds.item_ids,
+            [(b, e.num_items, [(getattr(e, c).dtype.str, getattr(e, c).tolist())
+                               for c in ("user", "item", "ts", "code")])
+             for b, e in ds.edges.items()])
+
+
+def _comparable(outcome):
+    """An `_outcome` of `load_dataset` or `load_split`, with what it loaded
+    as `_columns_of`."""
+    status, out = outcome
+    if status != "ok":
+        return outcome
+    if isinstance(out, InteractionDataset):
+        return status, _columns_of(out)
+    return status, _columns_of(out.train), out.validation, out.test
+
+
+def _outcomes(load, path):
+    """``load(path)`` as loaded (`_outcome`) and as the general tokenizer
+    alone loads it, and what the byte path made of each file it read."""
+    read = []
+
+    def spy(raw):
+        read.append(canonical(raw))
+        return read[-1]
+
+    canonical = data._canonical_columns
+    with mock.patch.object(data, "_canonical_columns", spy):
+        fast = _outcome(load, path)
+    with mock.patch.object(data, "_fields", lambda raw: None):
+        general = _outcome(load, path)
+    return fast, general, read
+
+
+_ID_CHARS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_.-"
+# mostly short ids and timestamps; 9 bytes and 19 digits are not canonical
+_CANONICAL_IDS = st.one_of(st.text(_ID_CHARS, min_size=1, max_size=2),
+                           st.text(_ID_CHARS, min_size=1, max_size=9))
+_STAMPS = st.one_of(st.integers(1, 2), st.integers(1, 19)).flatmap(
+    lambda n: st.text("0123456789", min_size=n, max_size=n))
+_MUTATIONS = ["space", "comment", "nul", "cr", "no final LF", "+5", "non-ASCII"]
+
+
+def _fits(text):
+    """Whether every id of ``text`` has at most 8 bytes and every timestamp
+    at most 18 digits."""
+    return all(len(f) <= (18 if c == 2 else 8)
+               for line in text.splitlines() for c, f in enumerate(line.split("\t")))
+
+
+@st.composite
+def canonical_texts(draw, count):
+    """``count`` canonical behavior files over one pool of users and items."""
+    users = draw(st.lists(_CANONICAL_IDS, min_size=1, max_size=5, unique=True))
+    items = draw(st.lists(_CANONICAL_IDS, min_size=1, max_size=5, unique=True))
+    texts = []
+    for _ in range(count):
+        timed = draw(st.booleans())
+        lines = draw(st.lists(st.tuples(st.sampled_from(users), st.sampled_from(items),
+                                        _STAMPS), min_size=1, max_size=8))
+        texts.append("".join("\t".join(line if timed else line[:2]) + "\n"
+                             for line in lines))
+    return texts
+
+
+def _mutate(draw, text, mutation):
+    """``text`` with one edit that makes it not canonical."""
+    lines = text.splitlines(keepends=True)
+    k = draw(st.integers(0, len(lines) - 1))
+    fields = lines[k].rstrip("\n").split("\t")
+    if mutation == "space":
+        lines[k] = lines[k].replace("\t", " ", 1)
+    elif mutation == "comment":
+        lines.insert(k, "#" + lines[k])
+    elif mutation == "nul":
+        at = draw(st.integers(0, len(text) - 1))
+        return text[:at] + "\0" + text[at:]
+    elif mutation == "cr":
+        lines[k] = lines[k][:-1] + "\r\n"
+    elif mutation == "no final LF":
+        return text[:-1]
+    elif mutation == "+5":
+        lines.insert(k, "\t".join([*fields[:2], "+5"]) + "\n")
+    else:
+        lines.insert(k, "\t".join(["\u00e9" + fields[0], *fields[1:]]) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("mutation", [None, *_MUTATIONS])
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 3).flatmap(canonical_texts), st.data())
+def test_load_dataset_takes_the_byte_path_with_the_tokenizers_outcome(mutation, texts, extra):
+    names = [f"b{k}" for k in range(len(texts))]
+    if mutation is not None:
+        m = extra.draw(st.integers(0, len(texts) - 1))
+        texts[m] = _mutate(extra.draw, texts[m], mutation)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_dataset_dir(Path(tmp, "in"), names, names[-1], dict(zip(names, texts)))
+        fast, general, read = _outcomes(load_dataset, path)
+    assert _comparable(fast) == _comparable(general)
+    for k, cols in enumerate(read):
+        canonical = _fits(texts[k]) and (mutation is None or k != m)
+        assert (cols is not None) == canonical, (k, texts[k])
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 3).flatmap(canonical_texts), st.data())
+def test_load_split_takes_the_byte_path_with_the_tokenizers_outcome(texts, extra):
+    names = [f"b{k}" for k in range(len(texts))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_dataset_dir(Path(tmp, "in"), names, names[-1], dict(zip(names, texts)))
+        status, ds = _outcome(load_dataset, path)
+        if status != "ok":  # a timestamp beyond int64
+            return
+        out = Path(tmp, "split")
+        write_split(split_leave_one_out(ds), str(out))
+        files = sorted(name for name in os.listdir(out) if name.endswith(".tsv"))
+        fname = extra.draw(st.one_of(st.none(), st.sampled_from(files)))
+        if fname is not None and (out / fname).stat().st_size:
+            mutation = extra.draw(st.sampled_from(_MUTATIONS))
+            text = (out / fname).read_text(encoding="utf-8")
+            (out / fname).write_text(_mutate(extra.draw, text, mutation), encoding="utf-8")
+        map_name = extra.draw(st.one_of(st.none(), st.sampled_from(["users.map", "items.map"])))
+        if map_name is not None:
+            lines = (out / map_name).read_text(encoding="utf-8").splitlines(keepends=True)
+            del lines[extra.draw(st.integers(0, len(lines) - 1))]
+            (out / map_name).write_text("".join(lines), encoding="utf-8")
+        fast, general, read = _outcomes(load_split, str(out))
+    assert _comparable(fast) == _comparable(general)
+    if fname is None and map_name is None and all(map(_fits, texts)):
+        assert fast[0] == "ok" and None not in read
+
+
+@pytest.mark.parametrize("text", [
+    "u\ti\nx",  # a last line with no LF
+    "u\ti\n\n", "u\t\ti\n", "\tu\ti\n", "u\ti\t\n",  # an empty field
+    "u\ti\nv\tj\t1\n", "u\ti\t1\nv\tj\n",  # 2 and 3 fields
+    "u\ti\t\u0661\n", "u\ti\t-1\n", "u\ti\tx\n", "u\ti\t1\tj\n", "u\n",
+    "u\ti\t9223372036854775808\n", "u\ti\t0000000000000000001\n",  # 19 digits
+    "u\ti\x1c\n", "u\ti\x0b\n", "u\ti\x85\n",  # whitespace to str.split
+])
+def test_text_that_is_not_canonical_goes_through_the_tokenizer(tmp_path, text):
+    path = write_dataset_dir(tmp_path / "d", ["buy"], "buy", {"buy": text})
+    fast, general, read = _outcomes(load_dataset, path)
+    assert read == [None]
+    assert _comparable(fast) == _comparable(general)

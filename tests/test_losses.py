@@ -463,7 +463,7 @@ class TestTotalLoss:
         monkeypatch.setattr(losses, "rrm_loss", no_backward)
         breakdown, grads = total_loss(state, graphs, batch, users, "buy")
         assert breakdown.rrm == value > 0.0
-        assert replace(breakdown, rrm=0.0) == skipped
+        assert replace(breakdown, rrm=0.0, alignment_skipped=True) == skipped
         np.testing.assert_array_equal(grads.d_user, skipped_grads.d_user)
         np.testing.assert_array_equal(grads.d_item, skipped_grads.d_item)
 

@@ -2,6 +2,7 @@
 the training loop's determinism and bookkeeping."""
 
 import json
+import logging
 import os
 from dataclasses import replace
 
@@ -421,6 +422,14 @@ class TestTrainLoop:
         with pytest.raises(NonFiniteGradientError, match=f"non-finite {term} loss"):
             train(self._split(), TrainConfig(hp=self._hp()))
         assert steps == []
+
+    def test_skipped_alignment_is_one_warning_per_run(self, caplog):
+        # 40 users in batches of 39 leave a batch of 1 user in each of 6 epochs
+        split = split_leave_one_out(planted_dataset(seed=7))
+        caplog.set_level(logging.WARNING)
+        train(split, TrainConfig(hp=self._hp(batch_size=39, max_epochs=6, patience=10)))
+        skipped = [r.getMessage() for r in caplog.records if "alignment" in r.getMessage()]
+        assert skipped == ["alignment loss skipped on 6 batches of fewer than 2 users"]
 
     def test_empty_validation_trains_to_max_epochs(self):
         split = self._split()
