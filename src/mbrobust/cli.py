@@ -97,21 +97,25 @@ def read_config_file(path: str) -> dict:
     """Parse a flat ``key = value`` file (``#`` comments, blank lines ok)."""
     values = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                values[key] = _CONFIG_KEYS[key](raw)
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: bad value {raw!r} for {key!r}"
-                ) from None
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            values[key] = _CONFIG_KEYS[key](raw)
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: bad value {raw!r} for {key!r}"
+            ) from None
     return values
 
 

@@ -12,7 +12,6 @@ same directory always yields identical dense ids.
 from __future__ import annotations
 
 import codecs
-import io
 import json
 import math
 import os
@@ -242,15 +241,11 @@ class PerturbationSpec:
 # Loading and serialization
 # ----------------------------------------------------------------------
 
-# the code points `str.split()` splits on (none lies above U+3000), as a table
-_SPACE = np.zeros(0x3002, dtype=bool)
-_SPACE[[c for c in range(0x3001) if chr(c).isspace()]] = True
-
 # the class of each byte in canonical text: 0 for none (NUL, whitespace other
 # than TAB and LF, or not ASCII), 1 for a byte of a field, `_TAB` and `_LF`
 _TAB, _LF = 2, 3
-_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
-_BYTE_CLASS[1:128] = ~_SPACE[1:128]
+_BYTE_CLASS = np.array([0 < c < 128 and not chr(c).isspace() for c in range(256)],
+                       dtype=np.uint8)
 _BYTE_CLASS[ord("\t")], _BYTE_CLASS[ord("\n")] = _TAB, _LF
 _KEY_BYTES = 8  # the longest id that packs into a uint64 key
 _MAX_DIGITS = 18  # the longest number of canonical text; 10**18 < 2**63
@@ -349,51 +344,40 @@ def _canonical_columns(raw: bytes):
     return None if users is None or items is None or ts is None else (users, items, ts)
 
 
-def _text(content: bytes) -> io.TextIOWrapper:
-    """A file's ``content`` decoded as reading the file as text decodes it:
-    one leading BOM dropped, CRLF and CR read as LF."""
-    return io.TextIOWrapper(io.BytesIO(content), encoding="utf-8-sig")
+def _text(path: str, content: bytes) -> list[str]:
+    """The lines of a file's ``content``, without their LF, as reading the
+    file as text gives them: one leading BOM dropped, CRLF and CR read as LF.
+    Bytes that are not UTF-8 are a `DatasetError` naming their line."""
+    content = content.removeprefix(codecs.BOM_UTF8)
+    try:
+        text = content.decode()
+    except UnicodeDecodeError as exc:
+        before = content[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        lineno = before.count(b"\n") + 1
+        raise DatasetError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})") from None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return lines if lines[-1] else lines[:-1]
 
 
-def _columns(text: str, ids):
-    """`_parse_tsv` on well-formed text; a malformed line raises ValueError,
-    OverflowError or KeyError."""
-    tokens = text.split()
-    # each token's first code point, the line it is on, and each line's first token
-    cp = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-    space = _SPACE[np.minimum(cp, len(_SPACE) - 1)]
-    start = np.flatnonzero(~space & np.r_[True, space[:-1]])
-    line = np.searchsorted(np.flatnonzero(cp == ord("\n")), start)
-    lead = np.flatnonzero(np.diff(line, prepend=-1))
-    width = np.diff(lead, append=len(tokens))
-    data = cp[start[lead]] != ord("#")
-    first, width = lead[data], width[data]
-    if np.any((width < 2) | (width > 3)):
-        raise ValueError("expected 2 or 3 columns")
-    timed = width == 3
-    users, items, stamps = ([tokens[k] for k in rows.tolist()]
-                            for rows in (first, first + 1, first[timed] + 2))
-    value = {s: int(s) for s in set(stamps)}
-    if min(value.values(), default=0) < 0:
-        raise ValueError("negative timestamp")
-    ts = np.full(len(first), -1, dtype=np.int64)
-    ts[timed] = np.fromiter(map(value.__getitem__, stamps), np.int64, len(stamps))
-    if ids is not None:
-        users, items = (np.fromiter(map(m.__getitem__, col), np.int64, len(col))
-                        for m, col in zip(ids, (users, items)))
-    return users, items, ts
+def _general_columns(path: str, lines: list[str], ids):
+    """`_parse_tsv`'s columns of ``lines``, raw ids as strings, or dense ids
+    with ``ids`` (the user and item maps as dicts).
 
-
-def _raise_first_error(path: str, text: str, ids) -> None:
-    """Raise the error of the first malformed line of ``text``, in the order
-    of the checks a line goes through."""
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    A line of no fields, or whose first starts with ``#``, is skipped; any
+    other goes through these checks in order, and the first it fails raises
+    a `DatasetError` naming it: 2 or 3 fields, an integer timestamp in
+    [0, 2**63), then its user and its item in ``ids``.
+    """
+    users, items, stamps = [], [], []
+    for lineno, line in enumerate(lines, start=1):
         fields = line.split()
-        if not fields or fields[0].startswith("#"):
+        if not fields or fields[0][0] == "#":
             continue
-        if len(fields) not in (2, 3):
-            raise DatasetError(f"{path}:{lineno}: expected 2 or 3 columns, got {len(fields)}")
-        if len(fields) == 3:
+        width = len(fields)
+        if width not in (2, 3):
+            raise DatasetError(f"{path}:{lineno}: expected 2 or 3 columns, got {width}")
+        ts = -1
+        if width == 3:
             try:
                 ts = int(fields[2])
             except ValueError:
@@ -404,11 +388,20 @@ def _raise_first_error(path: str, text: str, ids) -> None:
                 raise DatasetError(f"{path}:{lineno}: negative timestamp {ts}")
             if ts >= 2**63:
                 raise DatasetError(f"{path}:{lineno}: timestamp {ts} is out of range")
-        for raw, known in zip(fields[:2], ids or ()):
-            if raw not in known:
+        user, item = fields[0], fields[1]
+        if ids is not None:
+            try:
+                user, item = ids[0][user], ids[1][item]
+            except KeyError as exc:
                 raise DatasetError(
-                    f"{path}:{lineno}: id {raw!r} is not in users.map/items.map"
-                )
+                    f"{path}:{lineno}: id {exc.args[0]!r} is not in users.map/items.map"
+                ) from None
+        users.append(user)
+        items.append(item)
+        stamps.append(ts)
+    if ids is not None:
+        users, items = (np.array(col, dtype=np.int64) for col in (users, items))
+    return users, items, np.array(stamps, dtype=np.int64)
 
 
 def _dense_ids(m: _IdMap, keys: np.ndarray):
@@ -430,8 +423,8 @@ def _parse_tsv(path: str, ids: tuple[_IdMap, _IdMap] | None = None):
     dense int64 ids; an id missing from the maps is an error naming the line.
     Canonical text (`_canonical_columns`) is read as bytes and gives its raw
     ids as packed keys; any other text, and canonical text with an id not in
-    the maps' keys, goes through the general tokenizer, which gives raw ids
-    as strings and alone raises the errors of a malformed line.
+    the maps' keys, goes through `_general_columns`, which gives raw ids as
+    strings and alone raises the errors of a malformed line.
     """
     with open(path, "rb") as fh:
         content = fh.read()
@@ -441,14 +434,8 @@ def _parse_tsv(path: str, ids: tuple[_IdMap, _IdMap] | None = None):
         cols = None if users is None or items is None else (users, items, cols[2])
     if cols is not None:
         return cols
-    with _text(content) as fh:
-        text = fh.read()
     index = ids and tuple({r: d for d, r in enumerate(m.raws)} for m in ids)
-    try:
-        return _columns(text, index)
-    except (ValueError, OverflowError, KeyError):
-        _raise_first_error(path, text, index)
-        raise
+    return _general_columns(path, _text(path, content), index)
 
 
 def _compact(columns: list) -> tuple[list[str], list[np.ndarray]]:
@@ -607,18 +594,15 @@ def _read_map(path: str) -> _IdMap:
                 return _IdMap(tuple(_key_strs(keys[dense_order])),
                               keys[key_order], dense[key_order])
     out: dict[str, int] = {}
-    with _text(content) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                raw, dense = line.rstrip("\n").split("\t")
-                dense = int(dense)
-            except ValueError:
-                raise DatasetError(
-                    f"{path}:{lineno}: expected 'raw_id<TAB>dense_id'"
-                ) from None
-            if raw in out:
-                raise DatasetError(f"{path}:{lineno}: raw id {raw!r} repeats")
-            out[raw] = dense
+    for lineno, line in enumerate(_text(path, content), start=1):
+        try:
+            raw, dense = line.split("\t")
+            dense = int(dense)
+        except ValueError:
+            raise DatasetError(f"{path}:{lineno}: expected 'raw_id<TAB>dense_id'") from None
+        if raw in out:
+            raise DatasetError(f"{path}:{lineno}: raw id {raw!r} repeats")
+        out[raw] = dense
     raws: list[str | None] = [None] * len(out)
     for raw, dense in out.items():
         # n distinct in-range ids are exactly 0..n-1

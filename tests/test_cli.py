@@ -69,6 +69,15 @@ class TestDiagnoseCommand:
     def test_unknown_flag_exits_1(self, dataset_dir, capsys):
         assert main(["diagnose", dataset_dir, "--bogus"]) == 1
 
+    def test_bad_utf8_in_a_behavior_file_exits_2_naming_its_line(self, tmp_path, capsys):
+        path = write_dataset_dir(tmp_path / "data", ["buy"], "buy", {"buy": "u\ti\n"})
+        with open(os.path.join(path, "buy.tsv"), "ab") as fh:
+            fh.write(b"u\tcaf\xff\n")
+        assert main(["diagnose", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert f"{os.path.join(path, 'buy.tsv')}:2: not valid UTF-8" in err
+
 
 class TestSplitAndPerturbCommands:
     def test_split_writes_layout(self, dataset_dir, tmp_path, capsys):
@@ -325,6 +334,15 @@ class TestTrainCommand:
                      "--config", str(cfg_path)])
         assert code == 1
 
+    def test_config_file_of_bad_utf8_exits_1_naming_it(self, dataset_dir, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_bytes(b"dim = 4\n# caf\xff\n")
+        code = main(["--out", str(tmp_path / "o"), "train", dataset_dir,
+                     "--config", str(cfg_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{cfg_path}: not valid UTF-8" in err
+
     def test_run_reproducible_from_echoed_config_alone(self, dataset_dir,
                                                        tmp_path):
         first = str(tmp_path / "first")
@@ -412,6 +430,21 @@ class TestSplitLoading:
         assert code == 2
         err = capsys.readouterr().err
         assert "validation.tsv" in err and repr(user) in err and repr(item) in err
+
+    def test_bad_utf8_in_users_map_exits_2_on_evaluate(self, split_dir, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert main(_train_args(split_dir, out)) == 0
+        path = os.path.join(split_dir, "users.map")
+        with open(path, "ab") as fh:
+            fh.write(b"caf\xff\t999\n")
+        lineno = len(Path(path).read_bytes().splitlines())
+        capsys.readouterr()
+        code = main(["evaluate", split_dir,
+                     "--checkpoint", os.path.join(out, "checkpoint.npz")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert f"users.map:{lineno}: not valid UTF-8" in err
 
     def test_malformed_id_map_line_exits_2(self, split_dir, tmp_path, capsys):
         path = os.path.join(split_dir, "users.map")

@@ -7,7 +7,7 @@ for the alignment/direct-target ratios, and a re-implementation of the
 seeded complement sampler for perturbation.  The property tests at the end
 compare the array store with the dict-based implementation it replaced,
 kept in ``dict_reference.py``, and the byte path for canonical text with the
-general tokenizer.
+general reader.
 """
 
 import math
@@ -631,7 +631,8 @@ def _tree_bytes(path):
 
 
 # few raw ids, so pairs repeat; non-ASCII ones, and one that starts a comment
-_RAW_IDS = st.sampled_from(["a", "b", "c1", "ü", "xé", "#h"])
+_RAW_ID_LIST = ["a", "b", "c1", "ü", "xé", "#h"]
+_RAW_IDS = st.sampled_from(_RAW_ID_LIST)
 _SEPARATORS = st.sampled_from(["\t", " ", "\t\t", " \u3000", "\x1f"])
 
 
@@ -686,6 +687,37 @@ def test_a_timestamp_beyond_int64_is_a_data_error(tmp_path):
                              {"buy": f"u\ti\t1\nu\tj\t{2**63}\n"})
     with pytest.raises(DatasetError, match=r"buy\.tsv:2: timestamp .* out of range"):
         load_dataset(path)
+
+
+@st.composite
+def id_maps(draw):
+    """The raw ids `tsv_texts` draws, in a drawn dense order, but one."""
+    raws = draw(st.permutations(_RAW_ID_LIST))
+    del raws[draw(st.integers(0, len(raws) - 1))]
+    return raws
+
+
+@settings(deadline=None, max_examples=150)
+@given(tsv_texts(), id_maps(), id_maps())
+# a line whose user and item are both missing names the user, and its
+# timestamp is checked before its ids
+@example("a\ta\nb\tc1\n", ["a", "c1"], ["a"])
+@example("a\ta\nb\tc1\t-3\n", ["a", "c1"], ["a"])
+def test_general_reader_with_id_maps_matches_the_dict_reference(text, users, items):
+    no_keys = np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
+    ids = tuple(data._IdMap(tuple(raws), *no_keys) for raws in (users, items))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "b.tsv")
+        Path(path).write_bytes(text.encode("utf-8"))
+        with mock.patch.object(data, "_fields", lambda raw: None):
+            status, out = _outcome(data._parse_tsv, path, ids)
+        expected = _outcome(reference.parse_tsv, path,
+                            tuple({r: d for d, r in enumerate(m.raws)} for m in ids))
+    if status == "ok":
+        assert all(col.dtype == np.int64 for col in out)
+        users, items, ts = (col.tolist() for col in out)
+        out = list(zip(users, items)), [None if t < 0 else t for t in ts]
+    assert (status, out) == expected
 
 
 @st.composite
@@ -862,7 +894,7 @@ def test_edge_set_in_code_order_equals_the_sorted_one():
 
 
 # ----------------------------------------------------------------------
-# The byte path for canonical text against the general tokenizer
+# The byte path for canonical text against the general reader
 # ----------------------------------------------------------------------
 
 _BOM = "\ufeff"
@@ -910,7 +942,7 @@ def _comparable(outcome):
 
 
 def _outcomes(load, path):
-    """``load(path)`` as loaded (`_outcome`) and as the general tokenizer
+    """``load(path)`` as loaded (`_outcome`) and as the general reader
     alone loads it, and what the byte path made of each file it read."""
     read = []
 
