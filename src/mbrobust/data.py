@@ -169,7 +169,8 @@ class InteractionDataset:
     @classmethod
     def assemble(cls, behaviors, target, edges, user_ids, item_ids) -> InteractionDataset:
         """The dataset of ``edges``; the manifest counts the raw ids (in dense
-        order), and every edge set must be a behavior's, within those ids."""
+        order), so no caller writes the counts out, and every edge set must be
+        a behavior's, within those ids."""
         manifest = DatasetManifest(tuple(behaviors), target, len(user_ids), len(item_ids))
         if set(edges) != set(manifest.behaviors):
             raise DatasetError(f"edge sets and behaviors differ on "
@@ -190,7 +191,10 @@ class InteractionDataset:
 
     def user_items(self, behavior: str) -> tuple[np.ndarray, np.ndarray]:
         """The behavior's edges as CSR rows ``(indptr, items)``: user ``u``'s
-        items, in ascending order, are ``items[indptr[u]:indptr[u + 1]]``."""
+        items, in ascending order, are ``items[indptr[u]:indptr[u + 1]]``.
+
+        The graph builder, the triplet sampler and the ranking exclusions read
+        these rows, so none of them groups edges by user itself."""
         edges = self.edges[behavior]
         return np.searchsorted(edges.user, np.arange(self.manifest.num_users + 1)), edges.item
 
@@ -794,7 +798,9 @@ def perturb(ds: InteractionDataset, spec: PerturbationSpec) -> InteractionDatase
     deletes the same count of existing pairs, sampled uniformly without
     replacement.  One generator seeded from ``spec.seed`` drives all
     behaviors, processed in manifest order.  Target edges are never touched,
-    and every edge set left unchanged is shared with ``ds``.
+    and every edge set left unchanged is shared with ``ds``.  ``add`` maps
+    each rank to its pair with `nth_absent` over the sorted pair codes, so
+    memory is O(|E| + count), not O(U·I), and no catalog size is capped.
     """
     target = ds.manifest.target
     for b in spec.behaviors:

@@ -193,11 +193,11 @@ def held_out_rank(
     None.  Score ties are broken by ascending item id, so ranks are
     deterministic.
 
-    A float32 product with a proven error bound screens the comparisons
-    (`_float32_screen`).  The users it cannot settle, those with another
-    item within rounding distance of the held-out one, are ranked from
-    float64 scores, as is every user when a table is non-finite or its scale
-    is too far from 1.
+    A float32 product, cheaper than the float64 one and with a proven error
+    bound, screens the comparisons (`_float32_screen`).  The users it cannot
+    settle, those with another item within rounding distance of the held-out
+    one, are ranked from float64 scores, as is every user when a table is
+    non-finite or its scale is too far from 1.
     """
     screened = _float32_screen(z_user, z_item, users, held, rows)
     if screened is None:

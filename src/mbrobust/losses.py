@@ -248,6 +248,10 @@ def rrm_loss(
     the target one included.  Without ``backward`` only the value is
     computed and the gradient dict is empty.  ``batch_users`` must be
     distinct: a repeated user would be its own negative.
+
+    Comparing every pair of the n batch users costs O(n²·d) per auxiliary
+    behavior; the n×n logits are walked in row blocks of one reused buffer
+    (``ALIGN_BLOCK_SCORES`` logits), so the scratch does not grow with n².
     """
     if mode not in RRM_MODES:
         raise ValueError(f"mode must be one of {RRM_MODES}")
@@ -447,7 +451,9 @@ def total_loss(
     Propagates every behavior graph, computes per-behavior BPR risks, the
     alignment loss over batch users, the configured invariance penalty, and
     the fused main loss, then pushes every gradient path back through the
-    propagation adjoint into one buffer shaped like the base tables.
+    propagation adjoint into one buffer shaped like the base tables.  Which
+    terms run is decided here alone, from the batch, so no caller needs to
+    know.
     """
     hp = state.hp
     behaviors = list(graphs)
@@ -465,9 +471,8 @@ def total_loss(
             margins[b] = _margins(embs[b].P, embs[b].Q, trips[b])
             risks[b], d_risks[b] = _bpr_risk(margins[b])
 
-    # which terms run is decided here alone.  Alignment: on every batch of 2
-    # or more users, zero without an auxiliary behavior; at lambda_rrm = 0
-    # only its value is used, for the log
+    # alignment: on every batch of 2 or more users, zero without an auxiliary
+    # behavior; at lambda_rrm = 0 only its value is used, for the log
     aligned = len(batch_users) >= 2
     if aligned:
         rrm_val, rrm_grads = rrm_loss(

@@ -108,11 +108,12 @@ class TripletSampler:
     it; a user with every item is skipped and counted in ``saturated_skips``.
 
     The draws are made in bulk but consume the generator exactly as one scalar
-    ``rng.integers`` call per value would: numpy's array-bound ``integers``
-    returns the same values, in order, and leaves the same state.  A window of
-    ``WINDOW`` draws takes its bounds ``[degree, num_items, ...]`` in one call,
-    as if every first candidate were accepted, and tests all candidates with
-    one ``searchsorted``.  At the first rejected candidate the generator state
+    ``rng.integers`` call per value would, so every seeded draw is the plain
+    scalar loop's: numpy's array-bound ``integers`` returns the same values,
+    in order, and leaves the same state.  A window of ``WINDOW`` draws takes
+    its bounds ``[degree, num_items, ...]`` in one call, as if every first
+    candidate were accepted, and tests all candidates with one
+    ``searchsorted``.  At the first rejected candidate the generator state
     is restored, the draws through that candidate are replayed, and that one
     draw continues with scalar tries.  The window bounds the draws a rejection
     throws away.

@@ -1,15 +1,20 @@
 """Command-line behavior: artifacts, determinism, exit codes."""
 
 import argparse
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import re
+import shlex
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mbrobust
 from mbrobust import cli, gradcheck, losses, training
 from mbrobust.cli import build_parser, echo_config, main, resolve_run_config
 from mbrobust.data import diagnose, load_dataset, save_dataset, split_leave_one_out
@@ -564,6 +569,68 @@ def test_readme_lists_match_the_code():
     assert codes == {str(cli.EXIT_OK): "success", str(cli.EXIT_USAGE): "usage",
                      str(cli.EXIT_DATA): "data", str(cli.EXIT_NUMERIC): "numerical"}
     assert sorted(str(v) for k, v in vars(cli).items() if k.startswith("EXIT_")) == sorted(codes)
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(heading, language):
+    """The first ``language`` code block under the README's ``## heading``."""
+    section = _README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
+    return re.search(f"```{language}\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_synopsis_parses():
+    # each synopsis line, with its optional parts given and the [flags]
+    # placeholder dropped, is a command line the parser accepts
+    for line in _readme_block("Command line", "bash").splitlines():
+        argv = shlex.split(line.replace("[flags]", "").replace("[", "").replace("]", ""))
+        assert argv[0] == "mbrobust", line
+        try:
+            build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"the parser rejects the README line {line!r}")
+
+
+def _pointers(text, roots):
+    """The backquoted dotted names in ``text`` that start with a key of ``roots``."""
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    return [m.group(0) for span in spans
+            if (m := re.match(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span))
+            and m.group(0).split(".")[0] in roots]
+
+
+def test_readme_code_pointers_resolve():
+    # every code pointer names an attribute of the code, and every design
+    # note points at the code that holds the rest of it.  A pointer starts
+    # with a public module of the package or a class defined in one.
+    roots = {}
+    for info in pkgutil.iter_modules(mbrobust.__path__):
+        if not info.name.startswith("_"):
+            module = importlib.import_module(f"mbrobust.{info.name}")
+            roots[info.name] = module
+            roots.update((name, c) for name, c in vars(module).items()
+                         if inspect.isclass(c) and c.__module__ == module.__name__)
+    readme = _README.read_text(encoding="utf-8")
+    for pointer in _pointers(readme, roots):
+        if pointer == "losses.rrm":  # the benchmark tracer's span name for rrm_loss
+            continue
+        head, *parts = pointer.split(".")
+        obj = roots[head]
+        for part in parts:
+            assert hasattr(obj, part), f"README names {pointer}, which the code lacks"
+            obj = getattr(obj, part)
+    notes = readme.split("\n## Design notes\n", 1)[1].split("\n## ", 1)[0].split("\n- ")[1:]
+    assert notes
+    for note in notes:
+        assert _pointers(note, roots), f"design note without a code pointer: {note[:60]!r}"
+
+
+def test_readme_quickstart_runs(tmp_path):
+    code = _readme_block("Library quickstart", "python")
+    assert '"path/to/dataset"' in code
+    save_dataset(planted_dataset(7), str(tmp_path))
+    exec(code.replace('"path/to/dataset"', repr(str(tmp_path))), {})
 
 
 class TestEvaluateCommand:
