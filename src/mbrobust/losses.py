@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from .data import DatasetError
 from .graph import BehaviorGraph, propagate, propagate_adjoint
@@ -198,13 +197,24 @@ def _scatter_margin_grads(
     d_Q += to_items @ P[users]
 
 
+def _sigmoid_neg(m: np.ndarray) -> np.ndarray:
+    """sigmoid(-m) per margin, by scipy's overflow-free ``expit``.
+
+    Only training calls it, so ``scipy.special`` is imported here, on the
+    first call, and loading, splitting and evaluating never load it.
+    """
+    from scipy.special import expit
+
+    return expit(-m)
+
+
 def _bpr_risk(m: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean -log sigmoid(m) over the margins and its derivative per margin.
 
     Uses logaddexp for the log-sigmoid so large margins neither overflow nor
     lose the gradient's sign.
     """
-    return float(np.mean(np.logaddexp(0.0, -m))), -expit(-m) / len(m)
+    return float(np.mean(np.logaddexp(0.0, -m))), -_sigmoid_neg(m) / len(m)
 
 
 def bpr_loss(
@@ -244,8 +254,10 @@ def rrm_loss(
     over the other batch users v.  ``with_positive`` includes the positive
     term in the denominator (bounded below); ``literal`` uses the
     negatives-only denominator.  The loss is averaged over batch users and
-    auxiliary behaviors; gradients flow into every passed embedding matrix,
-    the target one included.  Without ``backward`` only the value is
+    auxiliary behaviors.  It reads only the batch users' rows, so the
+    gradient of each passed behavior, the target included, is the
+    ``len(batch_users) x d`` array of those rows, in batch order; every
+    other row's gradient is zero.  Without ``backward`` only the value is
     computed and the gradient dict is empty.  ``batch_users`` must be
     distinct: a repeated user would be its own negative.
 
@@ -259,11 +271,11 @@ def rrm_loss(
         raise KeyError(f"target behavior {target!r} missing from embeddings")
     batch_users = np.asarray(batch_users, dtype=np.int64)
     aux = [b for b in user_embs if b != target]
-    grads = {b: np.zeros_like(E) for b, E in user_embs.items()} if backward else {}
+    n = len(batch_users)
     if not aux:
         log.debug("alignment loss skipped: no auxiliary behaviors")
+        grads = {target: np.zeros((n, user_embs[target].shape[1]))} if backward else {}
         return 0.0, grads
-    n = len(batch_users)
     if n < 2:
         raise ValueError("alignment loss needs at least 2 batch users")
     if len(np.unique(batch_users)) != n:
@@ -272,6 +284,7 @@ def rrm_loss(
     scale = 1.0 / (len(aux) * n)
     Y = user_embs[target][batch_users]
     Y_hat, y_norm = _unit_rows(Y)
+    grads = {}
     d_Y = np.zeros_like(Y)
     total = 0.0
     # the n x n logits are walked in blocks of rows, one reused buffer
@@ -326,10 +339,9 @@ def rrm_loss(
         # plus column sums of (W * C) are x_i . n1_i
         n2 = np.einsum("ij,ij->i", X_hat, n1)[:, None] * X_hat
         d_X += scale * (n1 - n2) / (tau * x_norm[:, None])
-
-        grads[b][batch_users] += d_X  # batch users are distinct
+        grads[b] = d_X
     if backward:
-        grads[target][batch_users] += d_Y
+        grads[target] = d_Y
     return total, grads
 
 
@@ -386,7 +398,7 @@ def _irm_term(m: np.ndarray) -> tuple[float, np.ndarray]:
     dot-product predictor their numerics are identical.
     """
     n = len(m)
-    s = expit(-m)
+    s = _sigmoid_neg(m)
     g = float(-np.sum(m * s) / n)
     # d/dm of each term -m*s/n, with ds/dm = -s(1-s)
     dg_dm = -(s - m * s * (1.0 - s)) / n
@@ -403,9 +415,17 @@ def fuse(
     """Equal-weight mean of the behavior-specific embeddings."""
     if not P_by_behavior:
         raise ValueError("fusion needs at least one behavior")
-    z_u = np.mean(list(P_by_behavior.values()), axis=0)
-    z_i = np.mean(list(Q_by_behavior.values()), axis=0)
-    return z_u, z_i
+    return _mean(list(P_by_behavior.values())), _mean(list(Q_by_behavior.values()))
+
+
+def _mean(tables: list[np.ndarray]) -> np.ndarray:
+    """The tables' sum in order, divided once: np.mean's arithmetic over a
+    stacked array, without the (B, rows, d) stack."""
+    out = tables[0].copy()
+    for table in tables[1:]:
+        out += table
+    out /= len(tables)
+    return out
 
 
 def main_loss(
@@ -511,8 +531,8 @@ def total_loss(
     outs = []
     for b in behaviors:
         d_P, d_Q = d_zu / len(behaviors), d_zi / len(behaviors)
-        if b in rrm_grads:
-            d_P += hp.lambda_rrm * rrm_grads[b]
+        if b in rrm_grads:  # the batch users' rows; exact, as they are distinct
+            d_P[batch_users] += hp.lambda_rrm * rrm_grads[b]
         if b in orm_terms and hp.lambda_orm != 0.0:
             w, d_m = orm_terms[b]
             _scatter_margin_grads(d_P, d_Q, embs[b].P, embs[b].Q, trips[b],

@@ -6,6 +6,9 @@ defining formulas.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+import mbrobust
 from mbrobust import gradcheck, losses
 from mbrobust.gradcheck import max_rel_error, numeric_gradient, run_gradcheck
 from mbrobust.graph import build_graph, propagate
@@ -170,8 +174,12 @@ class TestRrmLoss:
         assert value == pytest.approx(ref_value, rel=1e-12)
         assert rrm_loss(embs, "buy", users, tau, mode, backward=False)[0] == value
         for b in embs:
-            scale = np.max(np.abs(ref_grads[b]))
-            assert np.max(np.abs(grads[b] - ref_grads[b])) <= 1e-12 * scale, b
+            # the gradient holds the batch rows, in batch order; the
+            # reference is zero on every other row
+            ref = ref_grads[b]
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(grads[b] - ref[users])) <= 1e-12 * scale, b
+            assert not np.delete(ref, users, axis=0).any(), b
 
     def test_duplicate_batch_users_rejected(self):
         embs = {"view": np.eye(3), "buy": np.eye(3)}
@@ -216,7 +224,9 @@ class TestRrmLoss:
             fd = numeric_gradient(
                 lambda: rrm_loss(embs, "buy", users, tau, mode)[0], embs[b]
             )
-            assert max_rel_error(grads[b], fd) <= 1e-6, b
+            assert max_rel_error(grads[b], fd[users]) <= 1e-6, b
+            # row 4 is never read, so its finite difference is exactly 0
+            assert not np.delete(fd, users, axis=0).any(), b
 
     def test_scratch_stays_below_one_batch_by_batch_matrix(self):
         # the logits are walked in row blocks, so no n x n matrix is ever
@@ -231,6 +241,22 @@ class TestRrmLoss:
         finally:
             tracemalloc.stop()
         assert peak - sum(g.nbytes for g in grads.values()) < n * n * 8
+
+    def test_memory_stays_on_the_batch_rows(self):
+        # the gradients hold the batch rows only, so a small batch over a
+        # large user table allocates less than one copy of that table
+        num_users, d, n = 50_000, 16, 256
+        rng = np.random.default_rng(9)
+        embs = {b: rng.normal(size=(num_users, d)) for b in ("view", "cart", "buy")}
+        users = rng.permutation(num_users)[:n]
+        tracemalloc.start()
+        try:
+            _, grads = rrm_loss(embs, "buy", users, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(g.shape == (n, d) for g in grads.values())
+        assert peak < embs["buy"].nbytes
 
     def test_scale_invariance_of_value(self):
         rng = np.random.default_rng(3)
@@ -565,3 +591,35 @@ class TestTotalLoss:
         assert len(results) == 1
         assert not results[0].passed
         assert results[0].path == "rex|with_positive|all_behaviors|u5i5b2"
+
+
+_IMPORT_PROBE = """
+import sys
+import numpy as np
+import mbrobust as m
+
+m.save_dataset(m.planted_dataset(7), sys.argv[1])
+ds = m.load_dataset(sys.argv[1])
+m.diagnose(ds)
+m.perturb(ds, m.PerturbationSpec("add", 0.2, ("view",), 0))
+split = m.split_leave_one_out(ds)
+hp = m.Hyperparameters(dim=8, max_epochs=1, seed=3)
+rng = np.random.default_rng(3)
+sizes = ds.manifest
+state = m.ModelState(rng.normal(size=(sizes.num_users, 8)), rng.normal(size=(sizes.num_items, 8)), hp)
+m.evaluate(state, split)
+print("scipy.special" in sys.modules)
+m.train(split, m.TrainConfig(hp=hp))
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_scipy_special_loads_only_for_training(tmp_path):
+    # a fresh process, since this one has imported scipy.special already
+    src = os.path.dirname(os.path.dirname(mbrobust.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "planted")],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]
