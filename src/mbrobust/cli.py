@@ -96,7 +96,7 @@ _CONFIG_KEYS = {**_HP_KEYS, **_RUN_KEYS, "drop_behaviors": str}
 def read_config_file(path: str) -> dict:
     """Parse a flat ``key = value`` file (``#`` comments, blank lines ok)."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:

@@ -70,30 +70,19 @@ class EdgeSet(Mapping):
 
     def index(self, codes: np.ndarray) -> np.ndarray:
         """Each of ``codes``' position in ``self.code``, −1 where absent."""
-        if not len(self.code):
-            return np.full(np.shape(codes), -1, dtype=np.int64)
-        pos = np.searchsorted(self.code, codes)
-        hit = self.code[np.minimum(pos, len(self.code) - 1)] == codes
-        return np.where(hit, pos, -1)
+        return positions(self.code, codes)
 
     # -- the read-only Mapping protocol -------------------------------------
     # `Mapping` supplies ``in``, ``get``, ``keys``, ``values`` and ``==``
     # against other mappings from these methods
 
-    def _position(self, key) -> int:
-        """The row of the pair ``key``, −1 where it is not an edge."""
+    def __getitem__(self, key) -> int | None:
         try:
             u, i = key
-            if u < 0 or not 0 <= i < self.num_items:
-                return -1
+            valid = u >= 0 and 0 <= i < self.num_items
         except (TypeError, ValueError):
-            return -1
-        code = u * self.num_items + i
-        k = int(self.code.searchsorted(code))
-        return k if k < len(self.code) and self.code.item(k) == code else -1
-
-    def __getitem__(self, key) -> int | None:
-        k = self._position(key)
+            valid = False
+        k = int(self.index(u * self.num_items + i)) if valid else -1
         if k < 0:
             raise KeyError(key)
         ts = int(self.ts[k])
@@ -411,12 +400,8 @@ def _general_columns(path: str, lines: list[str], ids):
 def _dense_ids(m: _IdMap, keys: np.ndarray):
     """The dense ids of the packed ``keys`` in ``m``, or None where one is
     not in its keys."""
-    if not len(keys):
-        return np.zeros(0, dtype=np.int64)
-    if not len(m.keys):
-        return None
-    pos = np.minimum(np.searchsorted(m.keys, keys), len(m.keys) - 1)
-    return m.dense[pos] if np.array_equal(m.keys[pos], keys) else None
+    pos = positions(m.keys, keys)
+    return None if np.any(pos < 0) else m.dense[pos]
 
 
 def _parse_tsv(path: str, ids: tuple[_IdMap, _IdMap] | None = None):
@@ -781,6 +766,15 @@ def drop_behaviors(ds: InteractionDataset, names: tuple[str, ...]) -> Interactio
 # Seeded perturbation
 # ----------------------------------------------------------------------
 
+def positions(present: np.ndarray, keys):
+    """Each of ``keys``' position in the sorted, distinct ``present``, −1
+    where it is absent."""
+    if not len(present):
+        return np.full(np.shape(keys), -1, dtype=np.int64)
+    pos = np.searchsorted(present, keys)
+    return np.where(present[np.minimum(pos, len(present) - 1)] == keys, pos, -1)
+
+
 def nth_absent(present: np.ndarray, ranks):
     """The ``ranks``-th (0-based) non-negative integers absent from the sorted,
     distinct ``present``.  ``present[j] - j`` integers are absent below
@@ -830,9 +824,13 @@ def perturb(ds: InteractionDataset, spec: PerturbationSpec) -> InteractionDatase
                 raise DatasetError(
                     f"cannot add {count} edges to {b!r}: only {free} non-edges available"
                 )
-            picked = rng.choice(free, size=count, replace=False)
-            users, items = np.divmod(nth_absent(e.code, picked), n_items)
-            edges[b] = EdgeSet(np.r_[e.user, users], np.r_[e.item, items],
-                               np.r_[e.ts, np.zeros(count, dtype=np.int64)], n_items)
+            # sorted ranks give sorted codes, each with ``code − rank`` present
+            # codes below it, so the new edges insert in code order
+            picked = np.sort(rng.choice(free, size=count, replace=False))
+            codes = nth_absent(e.code, picked)
+            at = codes - picked
+            users, items = np.divmod(codes, n_items)
+            edges[b] = EdgeSet(np.insert(e.user, at, users), np.insert(e.item, at, items),
+                               np.insert(e.ts, at, 0), n_items)
 
     return replace(ds, edges=edges)

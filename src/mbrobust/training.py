@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import seeds
-from .data import DatasetError, DatasetManifest, SplitDataset, nth_absent
+from .data import DatasetError, DatasetManifest, SplitDataset, nth_absent, positions
 from .graph import build_graph
 from .losses import (
     GradientBuffer,
@@ -113,7 +113,7 @@ class TripletSampler:
     in order, and leaves the same state.  A window of ``WINDOW`` draws takes
     its bounds ``[degree, num_items, ...]`` in one call, as if every first
     candidate were accepted, and tests all candidates with one
-    ``searchsorted``.  At the first rejected candidate the generator state
+    `data.positions` call.  At the first rejected candidate the generator state
     is restored, the draws through that candidate are replayed, and that one
     draw continues with scalar tries.  The window bounds the draws a rejection
     throws away.
@@ -130,23 +130,18 @@ class TripletSampler:
         self.num_users = ds.manifest.num_users
         self.num_items = ds.manifest.num_items
         # one CSR row per (behavior, user), row id b·U + u, all items in one
-        # array; the sorted codes row·I + item, closed by a sentinel above
-        # every code, answer "is this pair observed" with one searchsorted
+        # array; the sorted codes row·I + item answer "is this pair observed"
         csr = [ds.user_items(b) for b in self.behaviors]
         self.items = np.concatenate([items for _, items in csr])
         self.degree = np.concatenate([np.diff(indptr) for indptr, _ in csr])
         self.row_start = np.cumsum(self.degree) - self.degree
-        rows = len(self.degree)
-        codes = np.repeat(np.arange(rows, dtype=np.int64), self.degree) * self.num_items
-        self.codes = np.append(codes + self.items, rows * self.num_items)
+        rows = np.repeat(np.arange(len(self.degree), dtype=np.int64), self.degree)
+        self.codes = rows * self.num_items + self.items
         # per user: every behavior, then the target again for the main triplet
         self.slot_behavior = np.array(
             [*range(len(self.behaviors)), self.behaviors.index(ds.manifest.target)]
         )
         self.saturated_skips = 0
-
-    def _observed(self, codes):
-        return self.codes[np.searchsorted(self.codes, codes)] == codes
 
     def _retry(self, row: int, rng: np.random.Generator) -> int | None:
         """The rest of a draw whose first candidate was rejected: the other
@@ -157,7 +152,7 @@ class TripletSampler:
         base = row * self.num_items
         for _ in range(self.REJECTION_CAP - 1):
             cand = int(rng.integers(self.num_items))
-            if not self._observed(base + cand):
+            if positions(self.codes, base + cand) < 0:
                 return cand
         free = self.num_items - int(self.degree[row])
         if free == 0:
@@ -189,7 +184,8 @@ class TripletSampler:
             r = rng.integers(bounds[2 * k : 2 * stop]).reshape(-1, 2)
             pos[k:stop] = self.items[start[k:stop] + r[:, 0]]
             neg[k:stop] = r[:, 1]
-            hits = np.flatnonzero(self._observed(row[k:stop] * self.num_items + r[:, 1]))
+            codes = row[k:stop] * self.num_items + r[:, 1]
+            hits = np.flatnonzero(positions(self.codes, codes) >= 0)
             if len(hits) == 0:
                 k = stop
                 continue
@@ -272,7 +268,7 @@ def train(
     hp = cfg.hp
     target = ds.manifest.target
     if not ds.edge_count(target):
-        raise ValueError("target behavior has no training edges")
+        raise DatasetError("target behavior has no training edges")
 
     active = ds.active_behaviors
     for b in ds.manifest.behaviors:
@@ -323,8 +319,9 @@ def train(
             for name, value in breakdown.terms().items():
                 sums[name] += value
                 counts[name] += 1
-        if not counts:
-            raise ValueError("no usable batches in epoch; target edges missing")
+        if not counts:  # no batch had a main triplet
+            raise DatasetError("no negative can be drawn: every user with a training "
+                               "target edge has every item as one")
 
         val_hr = val_ndcg = None
         if has_validation and epoch % cfg.eval_every == 0:

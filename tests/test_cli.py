@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts, determinism, exit codes."""
 
 import argparse
+import codecs
 import importlib
 import inspect
 import json
@@ -363,6 +364,27 @@ class TestTrainCommand:
             assert Path(first, name).read_bytes() == Path(second, name).read_bytes(), name
         # the validation report takes evaluate's default cutoffs
         assert json.loads(Path(first, "validation_report.json").read_text())["ks"] == [10, 20]
+
+    def test_config_file_with_a_utf8_bom_reproduces_the_checkpoint(self, dataset_dir,
+                                                                   tmp_path):
+        first = str(tmp_path / "first")
+        assert main(_train_args(dataset_dir, first)) == 0
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(codecs.BOM_UTF8 + Path(first, "effective_config.cfg").read_bytes())
+        second = str(tmp_path / "second")
+        assert main(["--out", second, "train", dataset_dir, "--config", str(bom)]) == 0
+        assert (Path(first, "checkpoint.npz").read_bytes()
+                == Path(second, "checkpoint.npz").read_bytes())
+
+    def test_saturated_target_exits_2_naming_the_cause(self, tmp_path, capsys):
+        # every user with a target edge has the one item, so no negative exists
+        lines = "".join(f"u{u}\ti0\n" for u in range(4))
+        data = write_dataset_dir(tmp_path / "data", ["view", "buy"], "buy",
+                                 {"view": lines, "buy": lines})
+        code = main(_train_args(data, str(tmp_path / "run")))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: no negative can be drawn")
 
 
 class TestSplitLoading:

@@ -35,6 +35,7 @@ from mbrobust.data import (
     load_split,
     nth_absent,
     perturb,
+    positions,
     save_dataset,
     split_leave_one_out,
     write_id_maps,
@@ -539,6 +540,25 @@ def test_nth_absent_is_the_setdiff1d_complement_at_every_rank(values, extra):
     assert nth_absent(present, len(complement) + 2) == upper + 2
 
 
+@settings(deadline=None)
+@example(np.uint64, set(), [5])
+@given(st.sampled_from([np.int64, np.uint64]), st.sets(st.integers(1, 300), max_size=40),
+       st.lists(st.integers(0, 302), max_size=20))
+def test_positions_finds_each_key_in_a_sorted_column(dtype, values, keys):
+    # int64 columns run through zero, uint64 ones through 2**63 (packed id keys)
+    offset = -150 if dtype is np.int64 else 2**63 - 150
+    column = sorted(v + offset for v in values)
+    where = {v: j for j, v in enumerate(column)}  # the oracle
+    # below, above and at both ends of the column, then anywhere
+    keys = [offset, offset + 301, *column[:1], *column[-1:], *(k + offset for k in keys)]
+    present = np.array(column, dtype=dtype)
+    found = positions(present, np.array(keys, dtype=dtype))
+    assert found.dtype == np.int64
+    assert found.tolist() == [where.get(k, -1) for k in keys]
+    for k in keys[:4]:  # a scalar key gives the scalar answer
+        assert positions(present, dtype(k)) == where.get(k, -1)
+
+
 # ----------------------------------------------------------------------
 # Per-user edge index
 # ----------------------------------------------------------------------
@@ -849,12 +869,13 @@ def test_edge_set_answers_the_mapping_reads_of_the_benchmark():
     assert list(edges) == [(0, 1), (0, 3), (1, 0), (2, 1)]  # code order
     assert all(type(u) is int and type(i) is int for u, i in edges)
     assert np.array(list(edges), dtype=np.int64).T.tolist() == [[0, 0, 1, 2], [1, 3, 0, 1]]
-    assert (0, 3) in edges and (1, 1) not in edges and "ab" not in edges
-    assert (0, 4) not in edges  # not the code of (1, 0)
-    assert edges[(2, 1)] == 7 and edges[(0, 3)] is None
-    with pytest.raises(KeyError):
-        edges[(1, 1)]
-    assert edges.get((1, 1), -1) == -1 and edges.get((0, 3), -1) is None
+    assert (0, 3) in edges and edges[(2, 1)] == 7 and edges[(0, 3)] is None
+    assert edges.get((0, 3), -1) is None
+    # no edge, or not a pair of ids; (0, 4) is not the code of (1, 0)
+    for key in [(1, 1), (-1, 0), (0, 4), (1,), "ab", None]:
+        assert key not in edges and key not in empty and edges.get(key, -1) == -1
+        with pytest.raises(KeyError):
+            edges[key]
     assert list(edges.items()) == sorted(pairs.items())
     assert list(edges.values()) == [4, None, 0, 7]
     assert edges == pairs and pairs == edges and not edges != pairs

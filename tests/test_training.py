@@ -12,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbrobust import losses, training
-from mbrobust.data import DatasetManifest, SplitDataset, nth_absent, split_leave_one_out
+from mbrobust.data import (
+    DatasetError,
+    DatasetManifest,
+    SplitDataset,
+    nth_absent,
+    split_leave_one_out,
+)
 from mbrobust.losses import GradientBuffer, Hyperparameters, LossBreakdown, ModelState
 from mbrobust.synthetic import planted_dataset
 from mbrobust.training import (
@@ -430,6 +436,17 @@ class TestTrainLoop:
         train(split, TrainConfig(hp=self._hp(batch_size=39, max_epochs=6, patience=10)))
         skipped = [r.getMessage() for r in caplog.records if "alignment" in r.getMessage()]
         assert skipped == ["alignment loss skipped on 6 batches of fewer than 2 users"]
+
+    @pytest.mark.parametrize("buy, message", [
+        ({}, "target behavior has no training edges"),
+        # every user with a target edge has the one item as one
+        ({(u, 0): 1 for u in range(4)}, "no negative can be drawn"),
+    ], ids=["empty", "saturated"])
+    def test_a_target_without_triplets_is_a_data_error(self, buy, message):
+        ds = make_dataset({"view": {(u, 0): 1 for u in range(4)}, "buy": buy}, "buy",
+                          num_users=4, num_items=1)
+        with pytest.raises(DatasetError, match=message):
+            train(SplitDataset(ds, (), ()), TrainConfig(hp=self._hp(max_epochs=1)))
 
     def test_empty_validation_trains_to_max_epochs(self):
         split = self._split()
