@@ -55,9 +55,9 @@ def fused_embeddings(
     return fuse(P, Q)
 
 
-# Scores held at once while ranking (2 MiB of float32 in the screen, 4 MiB of
-# float64 for the rows it leaves): a block of users is as many as fit, so one
-# GEMM scores the block against every item.
+# Scores held at once while ranking (2 MiB of float32 in the screen, plus
+# their 512 KiB bool mask; 4 MiB of float64 for the rows it leaves): a block
+# of users is as many as fit, so one GEMM scores the block against every item.
 RANK_BLOCK_SCORES = 1 << 19
 
 _U32, _U64 = 2.0**-24, 2.0**-53  # unit roundoffs of float32 and float64
@@ -100,17 +100,17 @@ def _float64_ranks(z_user, z_item, users, held, rows) -> np.ndarray:
         s_held = scores[np.arange(len(u)), h][:, None]
         if rows is not None:
             scores[_exclusions(rows, u, h)] = np.nan
-        better = np.count_nonzero(scores > s_held, axis=1)
-        tied = (scores == s_held) & (item_ids < h[:, None])
-        tied_before = np.count_nonzero(tied, axis=1)
+        better = _row_counts(scores > s_held)
+        tied_before = _row_counts((scores == s_held) & (item_ids < h[:, None]))
         ranks[start : start + block] = 1 + better + tied_before
     return ranks
 
 
 def _row_counts(mask: np.ndarray) -> np.ndarray:
-    """True entries per row: summing the bytes as int32 takes half the time
-    of ``np.count_nonzero(mask, axis=1)``."""
-    return mask.view(np.uint8).sum(axis=1, dtype=np.int32)
+    """True entries per row, counted as set bits of the row packed 8 to a
+    byte (packing pads a row with zero bits): about two thirds of the time of
+    summing its bytes."""
+    return np.bitwise_count(np.packbits(mask, axis=1)).sum(axis=1, dtype=np.int64)
 
 
 def _screen_table(z: np.ndarray):
@@ -149,6 +149,10 @@ def _float32_screen(z_user, z_item, users, held, rows):
     if x is None or y is None or abs(x[1] + y[1]) >= 1000 or dim * _U32 >= 0.5:
         return None
     (x32, ex, x_norm), (y32, ey, y_norm) = x, y
+    del x, y
+    # the item operand as a C-contiguous (d, I) table, so each block's gemm
+    # reads it without a transpose; the (I, d) copy is freed
+    y32 = np.ascontiguousarray(y32.T)
     gamma32 = dim * _U32 / (1 - dim * _U32)
     gamma64 = dim * _U64 / (1 - dim * _U64)
     # the 2**-20 margin covers the float64 rounding of the norms and the band
@@ -163,9 +167,13 @@ def _float32_screen(z_user, z_item, users, held, rows):
     ranks = np.empty(len(users), dtype=np.int64)
     unsure = np.zeros(len(users), dtype=bool)
     up, down = np.float32(np.inf), np.float32(-np.inf)
+    # one block's scores and one mask, reused by every block
+    scores_buf = np.empty((min(block, len(users)), num_items), dtype=np.float32)
+    mask_buf = np.empty(scores_buf.shape, dtype=bool)
     for start in range(0, len(users), block):
         u, h = users[start : start + block], held[start : start + block]
-        scores = x32[u] @ y32.T
+        scores, mask = scores_buf[: len(u)], mask_buf[: len(u)]
+        np.matmul(x32[u], y32, out=scores)
         s_held = scores[np.arange(len(u)), h].astype(np.float64)
         band = c * x_norm[u] * (y_top + y_norm[h]) + 2 * eta
         # one float32 step outward covers rounding the float64 sums
@@ -173,9 +181,10 @@ def _float32_screen(z_user, z_item, users, held, rows):
         lo = np.nextafter((s_held - band).astype(np.float32), down)[:, None]
         if rows is not None:  # NaN is neither above hi nor at or above lo
             scores[_exclusions(rows, u, h)] = np.nan
-        better = _row_counts(scores > hi)
+        better = _row_counts(np.greater(scores, hi, out=mask))
         # the held-out item is in its own band; any other item makes it unsure
-        unsure[start : start + block] = _row_counts(scores >= lo) > better + 1
+        in_band = _row_counts(np.greater_equal(scores, lo, out=mask))
+        unsure[start : start + block] = in_band > better + 1
         ranks[start : start + block] = 1 + better
     return ranks, unsure
 

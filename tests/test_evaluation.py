@@ -2,6 +2,7 @@
 NDCG formula."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,12 @@ def _csr_rows(exclusions):
     indptr = np.cumsum([0] + [len(e) for e in exclusions])
     items = np.array([i for e in exclusions for i in sorted(e)], dtype=np.int64)
     return indptr, items
+
+
+def _no_float64(*args):
+    """Stands in for `evaluation._float64_ranks` where the screen must settle
+    every row."""
+    raise AssertionError("a row fell back to float64")
 
 
 @st.composite
@@ -148,6 +155,75 @@ class TestRank:
             ranks = held_out_rank(user, item, users, held, rows)
         assert np.array_equal(ranks, rank_reference.held_out_rank(user, item, users, held, rows))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1, 7, 8, 9, 63, 64, 65]), st.data())
+    def test_row_counts_equal_count_nonzero(self, width, data):
+        # widths around a byte and a word, where packing pads the last byte
+        rows = data.draw(st.lists(st.lists(st.booleans(), min_size=width, max_size=width),
+                                  max_size=6), label="rows")
+        mask = np.array([[True] * width, [False] * width] + rows, dtype=bool)
+        assert np.array_equal(evaluation._row_counts(mask), np.count_nonzero(mask, axis=1))
+
+    def test_reused_block_buffers(self, monkeypatch):
+        # at two users per block the first block excludes items, including
+        # the held-out item of a user in the second, which excludes none, and
+        # the last block holds one user, so it fills part of the buffers
+        rng = np.random.default_rng(11)
+        z_user, z_item = rng.normal(size=(5, 8)), rng.normal(size=(30, 8))
+        users, held = np.arange(5), np.array([3, 7, 12, 20, 25])
+        rows = _csr_rows([{0, 12, 20, 29}, {1, 2, 25}, set(), set(), {4}])
+        expected = rank_reference.held_out_rank(z_user, z_item, users, held, rows)
+
+        monkeypatch.setattr(evaluation, "_float64_ranks", _no_float64)
+        for per_block in (1, 2):
+            monkeypatch.setattr(evaluation, "RANK_BLOCK_SCORES", len(z_item) * per_block)
+            assert np.array_equal(held_out_rank(z_user, z_item, users, held, rows), expected)
+
+    def test_near_ties_reach_float64(self, monkeypatch):
+        # users 1 and 4 have a duplicate of their held-out item's row, users
+        # 2 and 6 a row one ulp away from it in one entry; the screen settles
+        # every other user
+        rng = np.random.default_rng(12)
+        z_user, z_item = rng.normal(size=(8, 16)), rng.normal(size=(60, 16))
+        users, held = np.arange(8), rng.permutation(50)[:8]
+        for k, j in ((1, 50), (4, 51)):
+            z_item[j] = z_item[held[k]]
+        for k, j, entry in ((2, 52, 0), (6, 53, 9)):
+            z_item[j] = z_item[held[k]]
+            z_item[j, entry] = np.nextafter(z_item[j, entry], np.inf)
+        calls = []
+        full = evaluation._float64_ranks
+        monkeypatch.setattr(evaluation, "_float64_ranks",
+                            lambda *args: calls.append(args[2].tolist()) or full(*args))
+        ranks = held_out_rank(z_user, z_item, users, held, None)
+        assert calls == [[1, 2, 4, 6]]
+        assert np.array_equal(ranks,
+                              rank_reference.held_out_rank(z_user, z_item, users, held, None))
+
+    def test_screen_holds_one_block_of_scores_and_mask(self, monkeypatch):
+        # scores far apart on coordinate 0, so the screen settles every row
+        # and its peak is the peak of the ranking
+        num_users, num_items, dim = 3000, 4000, 32
+        rng = np.random.default_rng(13)
+        z_user = 1e-6 * rng.normal(size=(num_users, dim))
+        z_user[:, 0] = rng.uniform(0.5, 2.0, num_users)
+        z_item = 1e-6 * rng.normal(size=(num_items, dim))
+        z_item[:, 0] = rng.permutation(np.linspace(-1.0, 1.0, num_items))
+        users, held = np.arange(num_users), rng.integers(0, num_items, num_users)
+
+        monkeypatch.setattr(evaluation, "_float64_ranks", _no_float64)
+        tracemalloc.start()
+        try:
+            held_out_rank(z_user, z_item, users, held, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = (num_users + num_items) * dim * 4  # the two float32 tables
+        block = evaluation.RANK_BLOCK_SCORES // num_items * num_items * 5  # float32 + bool
+        # slack for the norms, the ranks and one block's user rows and packed
+        # mask: a quarter of a block's scores, far below a second block
+        assert peak < tables + block + 2**19
+
     def test_float32_tie_that_float64_breaks_is_ranked_in_float64(self):
         z_user = np.array([[1.0, 1.0]])
         z_item = np.array([[1.0, 0.0], [1.0, 2.0**-30]])
@@ -168,10 +244,7 @@ class TestRank:
         rows = _csr_rows(exclusions)
         expected = rank_reference.held_out_rank(z_user, z_item, users, held, rows)
 
-        def no_float64(*args):
-            raise AssertionError("a row fell back to float64")
-
-        monkeypatch.setattr(evaluation, "_float64_ranks", no_float64)
+        monkeypatch.setattr(evaluation, "_float64_ranks", _no_float64)
         assert np.array_equal(held_out_rank(z_user, z_item, users, held, rows), expected)
 
     @pytest.mark.parametrize("case", ["nan", "inf", "overflow", "underflow"])
