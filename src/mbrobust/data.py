@@ -31,17 +31,18 @@ class DatasetError(Exception):
 
 class EdgeSet(Mapping):
     """One behavior's edges: distinct (user, item) pairs, each with a
-    timestamp or none, as read-only int64 arrays sorted by the pair code
-    ``user·num_items + item``.
+    timestamp or none, sorted by the pair code ``user·num_items + item``.
 
-    The arrays are the parallel columns ``user``, ``item``, ``ts`` (−1 where
-    a pair has no timestamp) and ``code``, and the library reads only these.
-    For other readers an edge set is also a read-only mapping ``(user, item)
-    -> timestamp or None``, iterated in code order, and equal to any mapping
-    with the same pairs and timestamps.
+    Two read-only int64 columns are stored, 16 bytes per edge: ``code`` and
+    ``ts`` (−1 where a pair has no timestamp).  ``user`` (``code //
+    num_items``) and ``item`` (``code − user·num_items``) are derived from
+    ``code`` on each read, as new read-only arrays, and the library reads
+    only these four columns.  For other readers an edge set is also a
+    read-only mapping ``(user, item) -> timestamp or None``, iterated in code
+    order, and equal to any mapping with the same pairs and timestamps.
     """
 
-    __slots__ = ("num_items", "user", "item", "ts", "code")
+    __slots__ = ("num_items", "code", "ts")
 
     def __init__(self, users, items, ts, num_items: int):
         """The edges ``(users[k], items[k])`` stamped ``ts[k]`` (−1 for none),
@@ -57,16 +58,39 @@ class EdgeSet(Mapping):
         # codes in strictly increasing order, as every file this module writes
         # lists them, are sorted with no repeats; otherwise sort by code, timed
         # before untimed, earliest first, and keep the first of each run of
-        # equal codes.  Either way the caller's arrays are copied.
-        ordered = bool(np.all(codes[1:] > codes[:-1]))
-        if not ordered:
+        # equal codes.  Either way the caller's arrays are not kept.
+        if np.all(codes[1:] > codes[:-1]):
+            ts = ts.copy()
+        else:
             order = np.lexsort((ts, ts < 0, codes))
             order = order[np.diff(codes[order], prepend=-1) != 0]
+            codes, ts = codes[order], ts[order]
+        self._store(codes, ts, num_items)
+
+    @classmethod
+    def _of_codes(cls, codes: np.ndarray, ts: np.ndarray, num_items: int) -> EdgeSet:
+        """The edge set of sorted, distinct ``codes`` stamped ``ts``; it keeps
+        both arrays, which no one else may hold."""
+        edges = cls.__new__(cls)
+        edges._store(codes, ts, num_items)
+        return edges
+
+    def _store(self, codes: np.ndarray, ts: np.ndarray, num_items: int) -> None:
         self.num_items = num_items
-        for name, a in (("user", users), ("item", items), ("ts", ts), ("code", codes)):
-            a = a.copy() if ordered else a[order]
-            a.flags.writeable = False
-            setattr(self, name, a)
+        self.code, self.ts = _read_only(codes), _read_only(ts)
+
+    @property
+    def user(self) -> np.ndarray:
+        return _read_only(self.code // self.num_items)
+
+    @property
+    def item(self) -> np.ndarray:
+        return self._pairs()[1]
+
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``user`` and ``item`` columns, from one division."""
+        user = self.user
+        return user, _read_only(self.code - user * self.num_items)
 
     def index(self, codes: np.ndarray) -> np.ndarray:
         """Each of ``codes``' position in ``self.code``, −1 where absent."""
@@ -89,7 +113,7 @@ class EdgeSet(Mapping):
         return None if ts < 0 else ts
 
     def __iter__(self):
-        return zip(self.user.tolist(), self.item.tolist())
+        return zip(*(column.tolist() for column in self._pairs()))
 
     def __len__(self) -> int:
         return len(self.code)
@@ -98,15 +122,25 @@ class EdgeSet(Mapping):
         return _EdgeItems(self)
 
     def __eq__(self, other):
-        if isinstance(other, EdgeSet):
-            return all(np.array_equal(getattr(self, a), getattr(other, a))
-                       for a in ("user", "item", "ts"))
-        return super().__eq__(other)
+        if not isinstance(other, EdgeSet):
+            return super().__eq__(other)
+        if not np.array_equal(self.ts, other.ts):
+            return False
+        # code order is (user, item) order under any catalog size, so equal
+        # pairs sit at equal positions
+        if self.num_items == other.num_items:
+            return np.array_equal(self.code, other.code)
+        return all(map(np.array_equal, self._pairs(), other._pairs()))
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{k!r}: {v!r}" for k, v in islice(self.items(), 8))
         more = ", ..." if len(self) > 8 else ""
         return f"EdgeSet({{{shown}{more}}}, num_items={self.num_items})"
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class _EdgeItems(ItemsView):
@@ -164,8 +198,9 @@ class InteractionDataset:
         if set(edges) != set(manifest.behaviors):
             raise DatasetError(f"edge sets and behaviors differ on "
                                f"{sorted(set(edges) ^ set(manifest.behaviors))}")
-        for b, e in edges.items():  # the user column is sorted
-            if e.num_items != len(item_ids) or (len(e.user) and e.user[-1] >= len(user_ids)):
+        for b, e in edges.items():  # the last code has the largest user
+            if e.num_items != len(item_ids) or (
+                    len(e.code) and e.code[-1] // e.num_items >= len(user_ids)):
                 raise DatasetError(f"behavior {b!r} has edges outside "
                                    f"{len(user_ids)} users and {len(item_ids)} items")
         return cls(manifest, edges, tuple(user_ids), tuple(item_ids))
@@ -185,7 +220,8 @@ class InteractionDataset:
         The graph builder, the triplet sampler and the ranking exclusions read
         these rows, so none of them groups edges by user itself."""
         edges = self.edges[behavior]
-        return np.searchsorted(edges.user, np.arange(self.manifest.num_users + 1)), edges.item
+        row_starts = np.arange(self.manifest.num_users + 1) * edges.num_items
+        return np.searchsorted(edges.code, row_starts), edges.item
 
 
 @dataclass(frozen=True)
@@ -399,9 +435,10 @@ def _general_columns(path: str, lines: list[str], ids):
 
 def _dense_ids(m: _IdMap, keys: np.ndarray):
     """The dense ids of the packed ``keys`` in ``m``, or None where one is
-    not in its keys."""
-    pos = positions(m.keys, keys)
-    return None if np.any(pos < 0) else m.dense[pos]
+    not in its keys.  Each distinct key is looked up once."""
+    distinct, which = np.unique(keys, return_inverse=True)
+    pos = positions(m.keys, distinct)
+    return None if np.any(pos < 0) else m.dense[pos][which]
 
 
 def _parse_tsv(path: str, ids: tuple[_IdMap, _IdMap] | None = None):
@@ -521,7 +558,7 @@ def _write_tables(ds: InteractionDataset, path: str, prefix: str) -> None:
     for b in ds.manifest.behaviors:
         e = ds.edges[b]
         with open(os.path.join(path, f"{prefix}{b}.tsv"), "w", encoding="utf-8") as fh:
-            fh.write(_tsv_text(ds, e.user, e.item, e.ts))
+            fh.write(_tsv_text(ds, *e._pairs(), e.ts))
 
 
 def save_dataset(ds: InteractionDataset, path: str) -> None:
@@ -669,17 +706,20 @@ def split_leave_one_out(ds: InteractionDataset) -> SplitDataset:
     """
     target = ds.manifest.target
     e = ds.edges[target]
-    order = np.lexsort((e.item, np.maximum(e.ts, 0), e.user))
-    last = np.flatnonzero(np.diff(e.user[order], append=-1))  # each user's latest
+    user, item = e._pairs()
+    # the edges are in (user, item) order and the sort is stable, so it sorts
+    # each user's edges by (timestamp, item) and leaves the users in order
+    order = np.lexsort((np.maximum(e.ts, 0), user))
+    last = np.flatnonzero(np.diff(user, append=-1))  # each user's latest
     count = np.diff(last, prepend=-1)
     latest = last[count >= 3]
     test, validation = order[latest], order[latest - 1]
     keep = np.ones(len(order), dtype=bool)
     keep[test] = keep[validation] = False
-    train_target = EdgeSet(e.user[keep], e.item[keep], e.ts[keep], e.num_items)
+    train_target = EdgeSet._of_codes(e.code[keep], e.ts[keep], e.num_items)
 
     def pairs(k: np.ndarray) -> tuple[Edge, ...]:
-        return tuple(zip(e.user[k].tolist(), e.item[k].tolist()))
+        return tuple(zip(user[k].tolist(), item[k].tolist()))
 
     return SplitDataset(
         # the auxiliary edge sets are shared, not copied: datasets are immutable
@@ -817,7 +857,7 @@ def perturb(ds: InteractionDataset, spec: PerturbationSpec) -> InteractionDatase
         if spec.mode == "remove":
             keep = np.ones(len(e.code), dtype=bool)
             keep[rng.choice(len(e.code), size=count, replace=False)] = False
-            edges[b] = EdgeSet(e.user[keep], e.item[keep], e.ts[keep], n_items)
+            edges[b] = EdgeSet._of_codes(e.code[keep], e.ts[keep], n_items)
         else:
             free = n_users * n_items - len(e.code)
             if free < count:
@@ -829,8 +869,7 @@ def perturb(ds: InteractionDataset, spec: PerturbationSpec) -> InteractionDatase
             picked = np.sort(rng.choice(free, size=count, replace=False))
             codes = nth_absent(e.code, picked)
             at = codes - picked
-            users, items = np.divmod(codes, n_items)
-            edges[b] = EdgeSet(np.insert(e.user, at, users), np.insert(e.item, at, items),
-                               np.insert(e.ts, at, 0), n_items)
+            edges[b] = EdgeSet._of_codes(np.insert(e.code, at, codes), np.insert(e.ts, at, 0),
+                                         n_items)
 
     return replace(ds, edges=edges)

@@ -13,6 +13,7 @@ general reader.
 import math
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -912,6 +913,72 @@ def test_edge_set_in_code_order_equals_the_sorted_one():
     shuffled = EdgeSet(users[::-1], items[::-1], ts[::-1], 4)
     for column in ("user", "item", "ts", "code"):
         assert getattr(ordered, column).tolist() == getattr(shuffled, column).tolist()
+
+
+def test_edge_sets_are_equal_by_pairs_and_timestamps_whatever_the_catalog():
+    # (1, 0) is code 2 under 2 items and code 3 under 3
+    assert EdgeSet([1], [0], [5], 2) == EdgeSet([1], [0], [5], 3)
+    assert EdgeSet([1], [0], [5], 2) != EdgeSet([1], [0], [6], 3)
+    assert EdgeSet([1], [0], [5], 2) != EdgeSet([1], [1], [5], 3)
+    assert EdgeSet([1], [0], [5], 2) != EdgeSet([0], [2], [5], 3)  # code 2 again
+    assert EdgeSet([0, 1], [1, 0], [-1, 5], 2) == EdgeSet([1, 0], [0, 1], [5, -1], 4)
+    assert EdgeSet([0, 1], [1, 0], [-1, 5], 2) != EdgeSet([0], [1], [-1], 2)
+
+
+def test_edge_set_stores_two_columns_of_8_bytes_per_edge():
+    n = 20_000
+    codes = np.random.default_rng(3).choice(1000 * 500, size=n, replace=False)
+    users, items = np.divmod(codes, 500)
+    ts = np.arange(n)
+    tracemalloc.start()
+    try:
+        edges = EdgeSet(users, items, ts, 500)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(edges) == n and retained <= 16 * n + 1024
+
+
+def test_derived_columns_are_read_only_and_not_kept():
+    edges = EdgeSet([2, 0, 1], [1, 3, 0], [7, -1, 0], 4)
+    for column in (edges.user, edges.item, edges.ts, edges.code):
+        with pytest.raises(ValueError):
+            column[0] = 1
+    assert edges.user.tolist() == [0, 1, 2] and edges.item.tolist() == [3, 0, 1]
+    assert edges.user is not edges.user  # derived on each read
+    assert not hasattr(edges, "__dict__")
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_edge_set_columns_and_rows_match_a_dict_oracle(num_users, num_items, extra):
+    rows = extra.draw(st.lists(st.tuples(
+        st.integers(0, num_users - 1), st.integers(0, num_items - 1), st.integers(-1, 4))))
+    oracle = {}  # each pair's earliest timestamp, −1 only where it has none
+    for u, i, t in rows:
+        kept = oracle.get((u, i), -1)
+        oracle[(u, i)] = t if kept < 0 else kept if t < 0 else min(kept, t)
+    users, items, ts = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    edges = EdgeSet(users, items, ts, num_items)
+    pairs = sorted(oracle)
+    assert edges.user.tolist() == [u for u, _ in pairs]
+    assert edges.item.tolist() == [i for _, i in pairs]
+    assert edges.ts.tolist() == [oracle[p] for p in pairs]
+    ds = InteractionDataset.assemble(["buy"], "buy", {"buy": edges},
+                                     [f"u{k}" for k in range(num_users)],
+                                     [f"i{k}" for k in range(num_items)])
+    indptr, row_items = ds.user_items("buy")
+    assert [row_items[indptr[u]:indptr[u + 1]].tolist() for u in range(num_users)] == [
+        [i for v, i in pairs if v == u] for u in range(num_users)]
+
+
+def test_dense_ids_look_up_keys_in_any_order_with_repeats():
+    m = data._IdMap(("a", "b", "c"), np.array([10, 20, 30], dtype=np.uint64),
+                    np.array([2, 0, 1], dtype=np.int64))
+    keys = np.array([30, 10, 30, 20, 10], dtype=np.uint64)
+    assert data._dense_ids(m, keys).tolist() == [1, 2, 1, 0, 2]
+    assert data._dense_ids(m, np.zeros(0, dtype=np.uint64)).tolist() == []
+    assert data._dense_ids(m, np.array([30, 25, 30], dtype=np.uint64)) is None
 
 
 # ----------------------------------------------------------------------
