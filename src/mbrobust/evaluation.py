@@ -20,8 +20,8 @@ from .data import (
     perturb,
     split_leave_one_out,
 )
-from .graph import BehaviorGraph, build_graph, propagate
-from .losses import ModelState, fuse
+from .graph import BehaviorGraph, Workspace, build_graph, propagate
+from .losses import ModelState, _add_to_sum
 
 log = logging.getLogger(__name__)
 
@@ -45,14 +45,22 @@ class EvalReport:
 
 
 def fused_embeddings(
-    state: ModelState, graphs: dict[str, BehaviorGraph]
+    state: ModelState, graphs: dict[str, BehaviorGraph], workspace: Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate every behavior graph and average the results."""
-    P, Q = {}, {}
-    for b, g in graphs.items():
-        emb = propagate(g, state.user_emb, state.item_emb, state.hp.num_layers)
-        P[b], Q[b] = emb.P, emb.Q
-    return fuse(P, Q)
+    """Propagate every behavior graph and average the results, `losses.fuse`'s
+    arithmetic, one behavior at a time through ``workspace`` (a fresh one when
+    None).  The two tables are views of its ``"fused"`` buffer, valid until
+    the workspace's next use."""
+    if not graphs:
+        raise ValueError("fusion needs at least one behavior")
+    ws = Workspace() if workspace is None else workspace
+    num_users = state.user_emb.shape[0]
+    fused = ws.get("fused", (num_users + state.item_emb.shape[0], state.user_emb.shape[1]))
+    for k, g in enumerate(graphs.values()):
+        emb = propagate(g, state.user_emb, state.item_emb, state.hp.num_layers, workspace=ws)
+        _add_to_sum(fused, emb, first=k == 0)
+    fused /= len(graphs)
+    return fused[:num_users], fused[num_users:]
 
 
 # Scores held at once while ranking (2 MiB of float32 in the screen, plus
@@ -225,20 +233,22 @@ def evaluate(
     pairs: tuple[tuple[int, int], ...] | None = None,
     graphs: dict[str, BehaviorGraph] | None = None,
     record_ranks: bool = False,
+    workspace: Workspace | None = None,
 ) -> EvalReport:
     """HR@K and NDCG@K over held-out pairs (the test set by default).
 
     Every item is a candidate except, when ``exclude_train`` is set, the
     user's training-target items.  With a single relevant item the ideal DCG
     is 1, so a user's NDCG@K contribution is 1/log2(rank+1) when the rank is
-    within K and 0 otherwise.
+    within K and 0 otherwise.  The fused tables are computed in
+    ``workspace``'s buffers (see `fused_embeddings`).
     """
     eval_pairs = split.test if pairs is None else pairs
     if not eval_pairs:
         raise ValueError("no held-out pairs to evaluate")
     if graphs is None:
         graphs = {b: build_graph(split.train, b) for b in split.train.active_behaviors}
-    z_user, z_item = fused_embeddings(state, graphs)
+    z_user, z_item = fused_embeddings(state, graphs, workspace)
     rows = split.train.user_items(split.train.manifest.target) if exclude_train else None
     users, held = np.array(eval_pairs, dtype=np.int64).reshape(-1, 2).T
     ranks = held_out_rank(z_user, z_item, users, held, rows)

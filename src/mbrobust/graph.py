@@ -6,15 +6,21 @@ Propagation multiplies the stacked embedding matrix by that operator L times
 and averages the layer outputs uniformly; since the operator is symmetric,
 the exact adjoint (needed by the hand-written gradient engine) is the same
 averaged polynomial applied to the cotangent.
+
+A training step reuses one `Workspace` for every table it computes, so the
+step allocates nothing of the tables' size once the workspace is warm.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .data import InteractionDataset
 
@@ -28,6 +34,37 @@ class BehaviorGraph:
     @property
     def num_nodes(self) -> int:
         return self.num_users + self.num_items
+
+
+# the workspace buffers any function may use between its own calls
+SCRATCH = (("scratch", 0), ("scratch", 1))
+# the workspace buffer `propagate` writes its result to
+PROPAGATED = "propagated"
+
+
+class Workspace:
+    """Named float64 buffers that a caller creates once and reuses.
+
+    ``get(name, shape)`` returns a C-contiguous float64 array of ``shape``:
+    a view of the front of the buffer called ``name``, which is allocated on
+    the first request and grows only when a request needs more room.  Its
+    contents are whatever the last user of that name left there, so an array
+    from ``get`` is valid until the next request for the same name.
+
+    The `SCRATCH` names are shared: a function may use them for what it
+    computes, but holds nothing in them across a call that takes the
+    workspace.
+    """
+
+    def __init__(self):
+        self._buffers: dict[Hashable, np.ndarray] = {}
+
+    def get(self, name: Hashable, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
 
 
 class BehaviorEmbeddings(NamedTuple):
@@ -55,13 +92,53 @@ def build_graph(ds: InteractionDataset, behavior: str) -> BehaviorGraph:
     return BehaviorGraph(num_users=n_u, num_items=n_i, adjacency=adj)
 
 
+def _spmm_into(a: sp.spmatrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a @ x`` written into ``out`` and returned, bit for bit.
+
+    ``a @ x`` zeroes a fresh result and runs scipy's ``csr_matvecs`` or
+    ``csc_matvecs`` kernel into it; this runs the same kernel into the
+    caller's buffer, so a loop of products allocates nothing.  The kernel
+    reads and writes through raw pointers without bounds checks, so ``a``
+    must be an M×N float64 CSR or CSC matrix, ``x`` a C-contiguous float64
+    (N, d) array and ``out`` a writeable C-contiguous float64 (M, d) array
+    that does not overlap ``x``; otherwise `ValueError` is raised and
+    nothing is written.
+    """
+    m, n = a.shape
+    if a.format not in ("csr", "csc") or a.dtype != np.float64:
+        raise ValueError(f"need a float64 CSR or CSC matrix, got {a.dtype} {a.format}")
+    for name, arr, rows in (("x", x, n), ("out", out, m)):
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
+                and arr.ndim == 2 and arr.shape[0] == rows and arr.flags.c_contiguous):
+            raise ValueError(f"{name} must be a C-contiguous float64 array with {rows} rows")
+    if x.shape[1] != out.shape[1]:
+        raise ValueError(f"x has {x.shape[1]} columns but out has {out.shape[1]}")
+    if not out.flags.writeable or np.may_share_memory(x, out):
+        raise ValueError("out must be writeable and must not overlap x")
+    out.fill(0.0)
+    kernel = getattr(_sparsetools, a.format + "_matvecs")
+    kernel(m, n, x.shape[1], a.indptr, a.indices, a.data, x.ravel(), out.ravel())
+    return out
+
+
 def propagate(
-    g: BehaviorGraph, user_emb: np.ndarray, item_emb: np.ndarray, num_layers: int
+    g: BehaviorGraph,
+    user_emb: np.ndarray,
+    item_emb: np.ndarray,
+    num_layers: int,
+    *,
+    workspace: Workspace | None = None,
 ) -> BehaviorEmbeddings:
     """Average the 0..L hop propagations of the stacked base embeddings.
 
     With L = 0 the output equals the input.  A fully isolated node keeps
     only its layer-0 term, so its output is base / (L + 1).
+
+    The result and the layer products are written to ``workspace``'s
+    buffers (a fresh workspace when None): ``P`` and ``Q`` are views of its
+    (U+I)×d `PROPAGATED` buffer, valid until the workspace's next use.
+    Inputs that are views of that buffer's own user and item rows are used
+    where they are, so a caller can build its input there without a copy.
     """
     if num_layers < 0:
         raise ValueError("layer count must be >= 0")
@@ -72,9 +149,13 @@ def propagate(
         )
     if user_emb.shape[1] != item_emb.shape[1]:
         raise ValueError("user and item embedding dimensions differ")
-    out = cur = np.vstack([user_emb, item_emb]).astype(np.float64, copy=False)
-    for _ in range(num_layers):  # each product is taken before ``out`` is added to
-        cur = g.adjacency @ cur
+    ws = Workspace() if workspace is None else workspace
+    shape = (g.num_nodes, user_emb.shape[1])
+    out = cur = ws.get(PROPAGATED, shape)
+    out[: g.num_users] = user_emb  # numpy skips a copy of a view onto itself
+    out[g.num_users :] = item_emb
+    for k in range(num_layers):  # each product is taken before ``out`` is added to
+        cur = _spmm_into(g.adjacency, cur, ws.get(SCRATCH[k % 2], shape))
         out += cur
     out /= num_layers + 1
     return BehaviorEmbeddings(out[: g.num_users], out[g.num_users :])

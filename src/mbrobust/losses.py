@@ -15,6 +15,12 @@ gradient only through the invariance penalty.
 
 All gradients here are derived by hand and are validated against central
 finite differences in the test suite; everything runs in float64.
+
+`total_loss` streams the behaviors through one `graph.Workspace`: each
+behavior is propagated into the same buffers, the rows the losses read are
+gathered, and its tables are added to the fused sum before the next one is
+propagated; the backward pass builds each cotangent in one buffer.  Arrays
+returned with a workspace are views of its buffers, valid until its next use.
 """
 
 from __future__ import annotations
@@ -27,7 +33,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import DatasetError
-from .graph import BehaviorGraph, propagate, propagate_adjoint
+from .graph import (
+    PROPAGATED,
+    SCRATCH,
+    BehaviorEmbeddings,
+    BehaviorGraph,
+    Workspace,
+    _spmm_into,
+    propagate,
+    propagate_adjoint,
+)
 
 log = logging.getLogger(__name__)
 
@@ -166,35 +181,39 @@ def _check_triplets(triplets: np.ndarray) -> np.ndarray:
     return triplets
 
 
-def _margins(P: np.ndarray, Q: np.ndarray, triplets: np.ndarray) -> np.ndarray:
+def _gather(P: np.ndarray, Q: np.ndarray, triplets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows the triplets' margins read: ``P[users]`` and ``Q[pos] - Q[neg]``."""
     users, pos, neg = triplets[:, 0], triplets[:, 1], triplets[:, 2]
-    return np.einsum("ij,ij->i", P[users], Q[pos] - Q[neg])
+    return P[users], Q[pos] - Q[neg]
 
 
 def _scatter_margin_grads(
     d_P: np.ndarray,
     d_Q: np.ndarray,
-    P: np.ndarray,
-    Q: np.ndarray,
+    rows: tuple[np.ndarray, np.ndarray],
     triplets: np.ndarray,
     coef: np.ndarray,
+    workspace: Workspace,
 ) -> None:
-    """Accumulate coef_t * d(margin_t)/d(P, Q) into the buffers.
+    """Accumulate coef_t * d(margin_t)/d(P, Q) into the buffers, from the
+    `_gather` ``rows`` of P and Q.
 
-    Each buffer takes one sparse (rows x triplets) product: column t holds
-    coef_t at user t for P, and coef_t at pos t and -coef_t at neg t for Q,
-    so repeated rows sum inside the product.
+    Each buffer takes one sparse (rows x triplets) product, formed in a
+    scratch buffer of the workspace: column t holds coef_t at user t for P,
+    and coef_t at pos t and -coef_t at neg t for Q, so repeated rows sum
+    inside the product.
     """
-    users, pos, neg = triplets[:, 0], triplets[:, 1], triplets[:, 2]
+    user_rows, item_diff = rows
+    users = triplets[:, 0]
     n = len(triplets)
     cols = np.arange(n + 1)
-    to_users = sp.csc_matrix((coef, users, cols), shape=(P.shape[0], n))
-    d_P += to_users @ (Q[pos] - Q[neg])
+    to_users = sp.csc_matrix((coef, users, cols), shape=(d_P.shape[0], n))
+    d_P += _spmm_into(to_users, item_diff, workspace.get(SCRATCH[0], d_P.shape))
     to_items = sp.csc_matrix(
         (np.column_stack((coef, -coef)).ravel(), triplets[:, 1:].ravel(), 2 * cols),
-        shape=(Q.shape[0], n),
+        shape=(d_Q.shape[0], n),
     )
-    d_Q += to_items @ P[users]
+    d_Q += _spmm_into(to_items, user_rows, workspace.get(SCRATCH[0], d_Q.shape))
 
 
 def _sigmoid_neg(m: np.ndarray) -> np.ndarray:
@@ -218,14 +237,21 @@ def _bpr_risk(m: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def bpr_loss(
-    P: np.ndarray, Q: np.ndarray, triplets: np.ndarray
+    P: np.ndarray, Q: np.ndarray, triplets: np.ndarray, workspace: Workspace | None = None
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean -log sigmoid(score margin) and its gradient."""
+    """Mean -log sigmoid(score margin) and its gradient.
+
+    The gradients are views of ``workspace``'s ``"d_bpr"`` buffer (a fresh
+    workspace when None).
+    """
     triplets = _check_triplets(triplets)
-    loss, d_m = _bpr_risk(_margins(P, Q, triplets))
-    d_P = np.zeros_like(P)
-    d_Q = np.zeros_like(Q)
-    _scatter_margin_grads(d_P, d_Q, P, Q, triplets, d_m)
+    ws = Workspace() if workspace is None else workspace
+    rows = _gather(P, Q, triplets)
+    loss, d_m = _bpr_risk(np.einsum("ij,ij->i", *rows))
+    d = ws.get("d_bpr", (P.shape[0] + Q.shape[0], P.shape[1]))
+    d.fill(0.0)
+    d_P, d_Q = d[: P.shape[0]], d[P.shape[0] :]
+    _scatter_margin_grads(d_P, d_Q, rows, triplets, d_m, ws)
     return loss, d_P, d_Q
 
 
@@ -238,6 +264,13 @@ def _unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X / norms[:, None], norms
 
 
+def _require_distinct(batch_users: np.ndarray) -> None:
+    """Raise `ValueError` if a batch user repeats: in the alignment loss it
+    would be its own negative."""
+    if len(np.unique(batch_users)) != len(batch_users):
+        raise ValueError("alignment loss needs distinct batch users")
+
+
 def rrm_loss(
     user_embs: dict[str, np.ndarray],
     target: str,
@@ -246,6 +279,7 @@ def rrm_loss(
     mode: str = "with_positive",
     *,
     backward: bool = True,
+    workspace: Workspace | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """InfoNCE-style alignment of auxiliary user embeddings to the target.
 
@@ -264,6 +298,8 @@ def rrm_loss(
     Comparing every pair of the n batch users costs O(n²·d) per auxiliary
     behavior; the n×n logits are walked in row blocks of one reused buffer
     (``ALIGN_BLOCK_SCORES`` logits), so the scratch does not grow with n².
+    That buffer and the two products of each block are ``workspace``'s (a
+    fresh workspace when None).
     """
     if mode not in RRM_MODES:
         raise ValueError(f"mode must be one of {RRM_MODES}")
@@ -278,18 +314,19 @@ def rrm_loss(
         return 0.0, grads
     if n < 2:
         raise ValueError("alignment loss needs at least 2 batch users")
-    if len(np.unique(batch_users)) != n:
-        raise ValueError("alignment loss needs distinct batch users")
+    _require_distinct(batch_users)
 
     scale = 1.0 / (len(aux) * n)
     Y = user_embs[target][batch_users]
+    d = Y.shape[1]
     Y_hat, y_norm = _unit_rows(Y)
     grads = {}
     d_Y = np.zeros_like(Y)
     total = 0.0
     # the n x n logits are walked in blocks of rows, one reused buffer
     rows = min(n, max(1, ALIGN_BLOCK_SCORES // n))
-    buf = np.empty((rows, n))
+    ws = Workspace() if workspace is None else workspace
+    buf = ws.get("align_block", (rows, n))
     for b in aux:
         X_hat, x_norm = _unit_rows(user_embs[b][batch_users])
         # a copy, not a view: a one-block batch's X_hat @ X_hat.T goes to syrk
@@ -320,8 +357,8 @@ def rrm_loss(
             # negatives: logits Z_ij touch X_i and X_j symmetrically, so the
             # weights enter as W + W.T: the block's rows give its users' row
             # side, and its columns add to every user's column side
-            n1[lo:hi] += W @ X_hat
-            n1 += W.T @ X_hat[lo:hi]
+            n1[lo:hi] += np.matmul(W, X_hat, out=ws.get("align_rows", (hi - lo, d)))
+            n1 += np.matmul(W.T, X_hat[lo:hi], out=ws.get("align_cols", (n, d)))
         total += float(np.sum(-z_pos + denom)) * scale
         if not backward:
             continue
@@ -428,25 +465,43 @@ def _mean(tables: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _add_to_sum(total: np.ndarray, emb: BehaviorEmbeddings, first: bool) -> None:
+    """Add one behavior's tables to a running sum over the stacked (users +
+    items) rows of ``total``: `_mean`'s sum, one behavior at a time, so the
+    fused tables are ``total`` divided by the behavior count at the end."""
+    users, items = total[: emb.P.shape[0]], total[emb.P.shape[0] :]
+    if first:
+        users[...], items[...] = emb.P, emb.Q
+    else:
+        users += emb.P
+        items += emb.Q
+
+
 def main_loss(
     fused_user: np.ndarray,
     fused_item: np.ndarray,
     triplets: np.ndarray,
     state: ModelState,
+    workspace: Workspace | None = None,
 ) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """BPR over fused target scores plus L2 on the base tables.
 
     Returns (loss, reg_term, d_fused_user, d_fused_item, d_user_emb,
     d_item_emb); the L2 gradient acts on the base parameters directly, not
-    through propagation.
+    through propagation.  The four gradients are views of ``workspace``'s
+    buffers (a fresh workspace when None).
     """
-    bpr, d_zu, d_zi = bpr_loss(fused_user, fused_item, triplets)
+    ws = Workspace() if workspace is None else workspace
+    bpr, d_zu, d_zi = bpr_loss(fused_user, fused_item, triplets, ws)
     lam = state.hp.lambda_reg
-    reg = lam * (
-        float(np.sum(state.user_emb**2)) + float(np.sum(state.item_emb**2))
-    )
-    d_user = 2.0 * lam * state.user_emb
-    d_item = 2.0 * lam * state.item_emb
+    tables = (state.user_emb, state.item_emb)
+    sq_user, sq_item = (float(np.sum(np.square(e, out=ws.get(SCRATCH[0], e.shape))))
+                        for e in tables)
+    reg = lam * (sq_user + sq_item)
+    d_reg = ws.get("d_reg", (len(tables[0]) + len(tables[1]), tables[0].shape[1]))
+    d_user, d_item = d_reg[: len(tables[0])], d_reg[len(tables[0]) :]
+    np.multiply(state.user_emb, 2.0 * lam, out=d_user)
+    np.multiply(state.item_emb, 2.0 * lam, out=d_item)
     return bpr + reg, reg, d_zu, d_zi, d_user, d_item
 
 
@@ -465,6 +520,7 @@ def total_loss(
     batch: TripletBatch,
     batch_users: np.ndarray,
     target: str,
+    workspace: Workspace | None = None,
 ) -> tuple[LossBreakdown, GradientBuffer]:
     """One full forward and backward pass over a batch.
 
@@ -474,30 +530,49 @@ def total_loss(
     propagation adjoint into one buffer shaped like the base tables.  Which
     terms run is decided here alone, from the batch, so no caller needs to
     know.
+
+    The behaviors stream through ``workspace`` (a fresh one when None): each
+    is propagated into the same buffers and keeps only the rows the losses
+    read.  The returned gradients are views of its buffers, valid until the
+    workspace's next use.
     """
     hp = state.hp
     behaviors = list(graphs)
     if target not in behaviors:
         raise ObjectiveError(f"target behavior {target!r} has no graph")
+    ws = Workspace() if workspace is None else workspace
+    batch_users = np.asarray(batch_users, dtype=np.int64)
+    num_users = state.user_emb.shape[0]
+    shape = (num_users + state.item_emb.shape[0], state.user_emb.shape[1])
 
-    embs = {b: propagate(graphs[b], state.user_emb, state.item_emb, hp.num_layers)
-            for b in behaviors}
-
-    # the sampled behaviors, in graph order: it orders the variance's sum and bpr_*
-    trips, margins, risks, d_risks = {}, {}, {}, {}
-    for b in behaviors:
+    # per behavior, in graph order (it orders the variance's sum and bpr_*):
+    # the batch users' rows for the alignment term and, for a sampled
+    # behavior, the rows its triplets read; then its tables join the sum
+    aligned = len(batch_users) >= 2
+    align_rows, trips, rows, margins, risks, d_risks = {}, {}, {}, {}, {}, {}
+    fused = ws.get("fused", shape)
+    for k, b in enumerate(behaviors):
+        emb = propagate(graphs[b], state.user_emb, state.item_emb, hp.num_layers,
+                        workspace=ws)
+        if aligned:
+            align_rows[b] = emb.P[batch_users]
         if len(batch.per_behavior.get(b, ())):
             trips[b] = _check_triplets(batch.per_behavior[b])
-            margins[b] = _margins(embs[b].P, embs[b].Q, trips[b])
+            rows[b] = _gather(emb.P, emb.Q, trips[b])
+            margins[b] = np.einsum("ij,ij->i", *rows[b])
             risks[b], d_risks[b] = _bpr_risk(margins[b])
+        _add_to_sum(fused, emb, first=k == 0)
+    fused /= len(behaviors)
 
     # alignment: on every batch of 2 or more users, zero without an auxiliary
-    # behavior; at lambda_rrm = 0 only its value is used, for the log
-    aligned = len(batch_users) >= 2
+    # behavior; at lambda_rrm = 0 only its value is used, for the log.  Its
+    # input is the gathered rows, so the users are checked here
     if aligned:
+        if len(behaviors) > 1:
+            _require_distinct(batch_users)
         rrm_val, rrm_grads = rrm_loss(
-            {b: embs[b].P for b in behaviors}, target, batch_users, hp.tau,
-            hp.rrm_denominator, backward=hp.lambda_rrm != 0.0,
+            align_rows, target, np.arange(len(batch_users)), hp.tau,
+            hp.rrm_denominator, backward=hp.lambda_rrm != 0.0, workspace=ws,
         )
     else:
         rrm_val, rrm_grads = 0.0, {}
@@ -516,10 +591,9 @@ def total_loss(
         orm_terms = {b: (w, d_risks[b]) for b, w in partials.items()}
 
     # fused main term
-    z_u, z_i = fuse({b: embs[b].P for b in behaviors}, {b: embs[b].Q for b in behaviors})
     try:
         main_val, reg_val, d_zu, d_zi, d_user_reg, d_item_reg = main_loss(
-            z_u, z_i, batch.main, state)
+            fused[:num_users], fused[num_users:], batch.main, state, ws)
     except ValueError as exc:
         raise ObjectiveError(f"main loss: {exc}") from exc
 
@@ -527,19 +601,26 @@ def total_loss(
 
     # ---- backward ----
     # fuse takes the mean over behaviors, so each cotangent starts from 1/|B|
-    # of the fused one; the alignment and invariance terms add to it
-    outs = []
+    # of the fused one; the alignment and invariance terms add to it.  It is
+    # built in the buffer the adjoint starts from, and the adjoints are summed
+    # from zeros, in behavior order, in the fused tables' buffer, now unread
+    cot = ws.get(PROPAGATED, shape)
+    d_P, d_Q = cot[:num_users], cot[num_users:]
+    grad = fused
+    grad.fill(0.0)
     for b in behaviors:
-        d_P, d_Q = d_zu / len(behaviors), d_zi / len(behaviors)
+        np.divide(d_zu, len(behaviors), out=d_P)
+        np.divide(d_zi, len(behaviors), out=d_Q)
         if b in rrm_grads:  # the batch users' rows; exact, as they are distinct
             d_P[batch_users] += hp.lambda_rrm * rrm_grads[b]
         if b in orm_terms and hp.lambda_orm != 0.0:
             w, d_m = orm_terms[b]
-            _scatter_margin_grads(d_P, d_Q, embs[b].P, embs[b].Q, trips[b],
-                                  hp.lambda_orm * w * d_m)
-        outs.append(propagate_adjoint(graphs[b], d_P, d_Q, hp.num_layers))
-    d_user = sum(g.P for g in outs) + d_user_reg
-    d_item = sum(g.Q for g in outs) + d_item_reg
+            _scatter_margin_grads(d_P, d_Q, rows[b], trips[b], hp.lambda_orm * w * d_m, ws)
+        _add_to_sum(grad, propagate_adjoint(graphs[b], d_P, d_Q, hp.num_layers,
+                                            workspace=ws), first=False)
+    d_user, d_item = grad[:num_users], grad[num_users:]
+    d_user += d_user_reg
+    d_item += d_item_reg
 
     breakdown = LossBreakdown(bpr=risks, rrm=rrm_val, orm=orm_val, main=main_val,
                               reg=reg_val, total=total,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import seeds
 from .data import DatasetError, DatasetManifest, SplitDataset, nth_absent, positions
-from .graph import build_graph
+from .graph import SCRATCH, Workspace, build_graph
 from .losses import (
     GradientBuffer,
     Hyperparameters,
@@ -66,16 +66,23 @@ def init_optimizer(state: ModelState) -> OptimizerState:
 
 
 def adam_step(
-    state: ModelState, opt: OptimizerState, grads: GradientBuffer, lr: float
+    state: ModelState,
+    opt: OptimizerState,
+    grads: GradientBuffer,
+    lr: float,
+    workspace: Workspace | None = None,
 ) -> ModelState:
     """Standard bias-corrected Adam update, in place.
 
     Aborts on non-finite gradients instead of clipping; a blown-up gradient
-    means a bug upstream, not something to mask.
+    means a bug upstream, not something to mask.  The update's temporaries
+    are ``workspace``'s scratch buffers (a fresh workspace when None).
     """
     for name, g in (("user embedding", grads.d_user), ("item embedding", grads.d_item)):
-        if not np.all(np.isfinite(g)):
+        # NaN propagates through max and min, and an infinity is one of them
+        if g.size and not (math.isfinite(g.max()) and math.isfinite(g.min())):
             raise NonFiniteGradientError(f"non-finite entries in {name} gradient")
+    ws = Workspace() if workspace is None else workspace
     opt.step_count += 1
     t = opt.step_count
     c1 = 1.0 - ADAM_BETA1**t
@@ -84,11 +91,22 @@ def adam_step(
         (opt.m_user, opt.v_user, grads.d_user, state.user_emb),
         (opt.m_item, opt.v_item, grads.d_item, state.item_emb),
     ):
+        step, denom = (ws.get(name, g.shape) for name in SCRATCH)
+        # m += (1 - beta1)·g and v += (1 - beta2)·g·g
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        theta -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        np.multiply(g, 1.0 - ADAM_BETA2, out=step)
+        step *= g
+        v += step
+        # theta -= lr·(m / c1) / (sqrt(v / c2) + eps)
+        np.divide(m, c1, out=step)
+        step *= lr
+        np.divide(v, c2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        step /= denom
+        theta -= step
     return state
 
 
@@ -289,6 +307,8 @@ def train(
     )
     opt = init_optimizer(state)
     rng_sample = seeds.spawn(hp.seed, "sampling")
+    # every table of a step and of validation is one of its buffers
+    workspace = Workspace()
 
     has_validation = len(split.validation) > 0
     if not has_validation:
@@ -312,10 +332,11 @@ def train(
             if len(batch.main) == 0:
                 log.warning("batch with no target triplets skipped")
                 continue
-            breakdown, grads = total_loss(state, graphs, batch, batch_users, target)
+            breakdown, grads = total_loss(state, graphs, batch, batch_users, target,
+                                          workspace)
             _check_finite_loss(breakdown)
             alignment_skips += breakdown.alignment_skipped
-            adam_step(state, opt, grads, hp.lr)
+            adam_step(state, opt, grads, hp.lr, workspace)
             for name, value in breakdown.terms().items():
                 sums[name] += value
                 counts[name] += 1
@@ -325,9 +346,8 @@ def train(
 
         val_hr = val_ndcg = None
         if has_validation and epoch % cfg.eval_every == 0:
-            report = evaluate(
-                state, split, ks=(10,), pairs=split.validation, graphs=graphs
-            )
+            report = evaluate(state, split, ks=(10,), pairs=split.validation,
+                              graphs=graphs, workspace=workspace)
             val_hr = report.hr[10]
             val_ndcg = report.ndcg[10]
             if val_hr > best_hr:

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 
-from mbrobust.graph import build_graph, propagate, propagate_adjoint
+from mbrobust.graph import Workspace, _spmm_into, build_graph, propagate, propagate_adjoint
 
 from conftest import edge_datasets, make_dataset, random_dataset
 
@@ -185,6 +185,112 @@ class TestPropagate:
         g = build_graph(ds, "buy")
         with pytest.raises(ValueError, match="match"):
             propagate(g, np.zeros((2, 3)), np.zeros((1, 3)), 1)
+
+
+    def test_workspace_gives_the_same_bits_and_reuses_its_buffer(self):
+        rng = np.random.default_rng(9)
+        ds = random_dataset(rng, num_users=7, num_items=5, num_behaviors=2)
+        ws = Workspace()
+        for b in ds.manifest.behaviors:
+            g = build_graph(ds, b)
+            for L in (0, 1, 2, 3):
+                Zu, Zi = rng.normal(size=(7, 4)), rng.normal(size=(5, 4))
+                fresh = propagate(g, Zu, Zi, L)
+                reused = propagate(g, Zu, Zi, L, workspace=ws)
+                assert fresh.P.tobytes() == reused.P.tobytes()
+                assert fresh.Q.tobytes() == reused.Q.tobytes()
+                again = propagate(g, Zu, Zi, L, workspace=ws)
+                assert again.P.base is reused.P.base  # one buffer, overwritten
+        # an input already in the result's rows is used where it is
+        out = propagate(g, Zu, Zi, 0, workspace=ws)
+        in_place = propagate(g, out.P, out.Q, 2, workspace=ws)
+        expected = propagate(g, Zu, Zi, 2)
+        assert in_place.P.tobytes() == expected.P.tobytes()
+        assert in_place.Q.tobytes() == expected.Q.tobytes()
+
+
+class TestWorkspace:
+    def test_views_grow_only_when_a_request_needs_room(self):
+        ws = Workspace()
+        big = ws.get("a", (4, 3))
+        small = ws.get("a", (2, 5))
+        assert small.shape == (2, 5) and small.flags.c_contiguous
+        assert small.dtype == np.float64 and np.shares_memory(big, small)
+        grown = ws.get("a", (5, 3))
+        assert not np.shares_memory(big, grown)
+        assert not np.shares_memory(grown, ws.get("b", (5, 3)))
+
+
+def _spmm_case(rng, fmt, rows, cols, d, density):
+    a = sp.random(rows, cols, density=density, format=fmt, random_state=rng,
+                  dtype=np.float64)
+    if rows and cols:  # an empty row and an empty column
+        a = a.tolil()
+        a[rows // 2, :] = 0.0
+        a[:, cols // 2] = 0.0
+        a = a.asformat(fmt)
+    a.eliminate_zeros()
+    return a, rng.normal(size=(cols, d))
+
+
+class TestSpmmInto:
+    @pytest.mark.parametrize("fmt", ["csr", "csc"])
+    @pytest.mark.parametrize("d", [1, 64])
+    @pytest.mark.parametrize("rows, cols, density", [
+        (9, 7, 0.3), (7, 9, 0.5), (6, 6, 0.0), (2, 5, 1.0), (0, 3, 0.0), (4, 0, 0.0),
+    ])
+    def test_matches_the_matmul_bit_for_bit(self, fmt, d, rows, cols, density):
+        rng = np.random.default_rng(10)
+        a, x = _spmm_case(rng, fmt, rows, cols, d, density)
+        if density == 0.0:
+            assert a.nnz == 0
+        out = np.full((rows, d), np.nan)  # stale contents are overwritten
+        assert _spmm_into(a, x, out) is out
+        expected = a @ x
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc"])
+    def test_bad_operands_raise_and_write_nothing(self, fmt):
+        rng = np.random.default_rng(11)
+        a, x = _spmm_case(rng, fmt, 6, 5, 3, 0.5)
+        wide = np.zeros((6, 6))
+        bad_out = [
+            wide[:, ::2],  # not contiguous
+            np.zeros((3, 6)).T,  # Fortran order
+            np.zeros((5, 3)),  # wrong rows
+            np.zeros((6, 4)),  # wrong columns
+            np.zeros((6, 3), dtype=np.float32),
+            np.zeros(18),
+        ]
+        for out in bad_out:
+            before = out.copy()
+            with pytest.raises(ValueError):
+                _spmm_into(a, x, out)
+            assert np.array_equal(out, before)
+        bad_x = [
+            np.zeros((5, 6))[:, ::2],
+            np.asfortranarray(x),
+            x[:4],
+            x.astype(np.float32),
+            x.astype(np.int64),
+        ]
+        for bad in bad_x:
+            out = np.full((6, 3), 7.0)
+            with pytest.raises(ValueError):
+                _spmm_into(a, bad, out)
+            assert np.all(out == 7.0)
+        frozen = np.full((6, 3), 7.0)
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError):
+            _spmm_into(a, x, frozen)
+        square, y = _spmm_case(rng, fmt, 5, 5, 3, 0.5)
+        with pytest.raises(ValueError):  # out overlapping x
+            _spmm_into(square, y, y)
+        with pytest.raises(ValueError):
+            _spmm_into(a.astype(np.float32), x, np.zeros((6, 3)))
+        with pytest.raises(ValueError):
+            _spmm_into(a.tocoo(), x, np.zeros((6, 3)))
 
 
 class TestAdjoint:

@@ -19,7 +19,8 @@ from scipy.special import logsumexp
 import mbrobust
 from mbrobust import gradcheck, losses
 from mbrobust.gradcheck import max_rel_error, numeric_gradient, run_gradcheck
-from mbrobust.graph import build_graph, propagate
+from mbrobust.graph import Workspace, build_graph, propagate
+from mbrobust.data import split_leave_one_out
 from mbrobust.losses import (
     IRM_VARIANTS,
     ORM_SCOPES,
@@ -37,6 +38,8 @@ from mbrobust.losses import (
     rrm_loss,
     total_loss,
 )
+from mbrobust.synthetic import planted_dataset
+from mbrobust.training import TripletSampler, adam_step, init_optimizer
 
 from conftest import make_dataset
 
@@ -591,6 +594,66 @@ class TestTotalLoss:
         assert len(results) == 1
         assert not results[0].passed
         assert results[0].path == "rex|with_positive|all_behaviors|u5i5b2"
+
+
+def _planted_step_setup(num_users=400, num_items=300, dim=32, **hp_kwargs):
+    """Graphs, a seeded state and a triplet sampler on a planted split."""
+    split = split_leave_one_out(planted_dataset(7, num_users=num_users, num_items=num_items))
+    ds = split.train
+    graphs = {b: build_graph(ds, b) for b in ds.active_behaviors}
+    hp = Hyperparameters(dim=dim, num_layers=2, lambda_reg=1e-3, **hp_kwargs)
+    rng = np.random.default_rng(17)
+    state = ModelState(rng.normal(0, 0.1, (num_users, dim)),
+                       rng.normal(0, 0.1, (num_items, dim)), hp)
+    return graphs, state, TripletSampler(split)
+
+
+class TestWorkspaceStep:
+    def test_warm_step_allocates_less_than_one_table(self):
+        # the batch's own arrays are a few KiB; the tables are 384 KB
+        graphs, state, sampler = _planted_step_setup(2000, 1000, dim=16)
+        table_bytes = state.user_emb.nbytes + state.item_emb.nbytes
+        rng = np.random.default_rng(18)
+        opt = init_optimizer(state)
+        ws = Workspace()
+        for warm in (True, False):
+            users = rng.permutation(len(state.user_emb))[:32]
+            batch = sampler.sample(users, rng)
+            if not warm:
+                tracemalloc.start()
+            try:
+                _, grads = total_loss(state, graphs, batch, users, "buy", ws)
+                adam_step(state, opt, grads, 1e-2, ws)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < table_bytes
+
+    @pytest.mark.parametrize("variant", IRM_VARIANTS)
+    def test_a_shared_workspace_gives_the_bits_of_fresh_ones(self, variant):
+        # three steps of different batch sizes, with the state updated in
+        # between, once through one workspace and once through fresh ones
+        results = []
+        for shared in (Workspace(), None):
+            graphs, state, sampler = _planted_step_setup(irm_variant=variant)
+            opt = init_optimizer(state)
+            rng = np.random.default_rng(19)
+            steps = []
+            for n in (64, 37, 64):
+                users = rng.permutation(len(state.user_emb))[:n]
+                batch = sampler.sample(users, rng)
+                breakdown, grads = total_loss(state, graphs, batch, users, "buy", shared)
+                steps.append((breakdown, grads.d_user.tobytes(), grads.d_item.tobytes()))
+                adam_step(state, opt, grads, 1e-2, shared)
+            results.append((steps, state.user_emb.tobytes(), state.item_emb.tobytes()))
+        assert results[0] == results[1]
+
+    def test_repeated_batch_users_are_rejected(self):
+        graphs, state, sampler = _planted_step_setup()
+        users = np.array([3, 5, 3])
+        batch = sampler.sample(users, np.random.default_rng(20))
+        with pytest.raises(ValueError, match="distinct batch users"):
+            total_loss(state, graphs, batch, users, "buy", Workspace())
 
 
 _IMPORT_PROBE = """
