@@ -25,11 +25,13 @@ print(f"BPR loss {loss:.4f}; gradient norms {np.linalg.norm(dP):.4f} / "
       f"{np.linalg.norm(dQ):.4f}")
 
 # --- alignment: anchor auxiliary user embeddings on the target ----------------
-embs = {"view": rng.normal(size=(4, 8)), "buy": rng.normal(size=(4, 8))}
-value, grads = rrm_loss(embs, "buy", np.arange(4), tau=0.2)
+# each behavior's rows of the same 4 batch users; the gradients come back as
+# the same rows
+rows = {"view": rng.normal(size=(4, 8)), "buy": rng.normal(size=(4, 8))}
+value, grads = rrm_loss(rows, "buy", tau=0.2)
 print(f"alignment loss {value:.4f} "
       f"(with-positive denominator; bounded below by 0)")
-value_lit, _ = rrm_loss(embs, "buy", np.arange(4), tau=0.2, mode="literal")
+value_lit, _ = rrm_loss(rows, "buy", tau=0.2, mode="literal")
 print(f"alignment loss {value_lit:.4f} (literal negatives-only denominator)")
 
 # --- invariance: penalize risk spread across behaviors ------------------------

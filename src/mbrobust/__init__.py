@@ -37,7 +37,6 @@ from .losses import (
     ModelState,
     TripletBatch,
     bpr_loss,
-    fuse,
     main_loss,
     orm_loss,
     rrm_loss,

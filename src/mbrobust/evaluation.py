@@ -47,10 +47,11 @@ class EvalReport:
 def fused_embeddings(
     state: ModelState, graphs: dict[str, BehaviorGraph], workspace: Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate every behavior graph and average the results, `losses.fuse`'s
-    arithmetic, one behavior at a time through ``workspace`` (a fresh one when
-    None).  The two tables are views of its ``"fused"`` buffer, valid until
-    the workspace's next use."""
+    """Propagate every behavior graph and average the results: their sum in
+    graph order, divided once by the behavior count (`losses._add_to_sum`),
+    one behavior at a time through ``workspace`` (a fresh one when None).
+    The two tables are views of its ``"fused"`` buffer, valid until the
+    workspace's next use."""
     if not graphs:
         raise ValueError("fusion needs at least one behavior")
     ws = Workspace() if workspace is None else workspace

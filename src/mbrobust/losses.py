@@ -264,17 +264,9 @@ def _unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X / norms[:, None], norms
 
 
-def _require_distinct(batch_users: np.ndarray) -> None:
-    """Raise `ValueError` if a batch user repeats: in the alignment loss it
-    would be its own negative."""
-    if len(np.unique(batch_users)) != len(batch_users):
-        raise ValueError("alignment loss needs distinct batch users")
-
-
 def rrm_loss(
-    user_embs: dict[str, np.ndarray],
+    user_rows: dict[str, np.ndarray],
     target: str,
-    batch_users: np.ndarray,
     tau: float,
     mode: str = "with_positive",
     *,
@@ -283,17 +275,17 @@ def rrm_loss(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """InfoNCE-style alignment of auxiliary user embeddings to the target.
 
-    For each auxiliary behavior b and batch user u the positive logit is
-    cos(p_u^b, p_u^target)/tau and the negatives are cos(p_u^b, p_v^b)/tau
-    over the other batch users v.  ``with_positive`` includes the positive
-    term in the denominator (bounded below); ``literal`` uses the
-    negatives-only denominator.  The loss is averaged over batch users and
-    auxiliary behaviors.  It reads only the batch users' rows, so the
-    gradient of each passed behavior, the target included, is the
-    ``len(batch_users) x d`` array of those rows, in batch order; every
-    other row's gradient is zero.  Without ``backward`` only the value is
-    computed and the gradient dict is empty.  ``batch_users`` must be
-    distinct: a repeated user would be its own negative.
+    ``user_rows[b]`` holds behavior b's n x d rows of the batch users, in
+    the same user order for every behavior.  For each auxiliary behavior b
+    and batch user u the positive logit is cos(p_u^b, p_u^target)/tau and
+    the negatives are cos(p_u^b, p_v^b)/tau over the other batch users v.
+    ``with_positive`` includes the positive term in the denominator
+    (bounded below); ``literal`` uses the negatives-only denominator.  The
+    loss is averaged over batch users and auxiliary behaviors.  The
+    gradient of each passed behavior, the target included, is returned in
+    the rows' order.  Without ``backward`` only the value is computed and
+    the gradient dict is empty.  The users must be distinct: a repeated
+    user would be its own negative.
 
     Comparing every pair of the n batch users costs O(n²·d) per auxiliary
     behavior; the n×n logits are walked in row blocks of one reused buffer
@@ -303,22 +295,21 @@ def rrm_loss(
     """
     if mode not in RRM_MODES:
         raise ValueError(f"mode must be one of {RRM_MODES}")
-    if target not in user_embs:
-        raise KeyError(f"target behavior {target!r} missing from embeddings")
-    batch_users = np.asarray(batch_users, dtype=np.int64)
-    aux = [b for b in user_embs if b != target]
-    n = len(batch_users)
+    if target not in user_rows:
+        raise KeyError(f"target behavior {target!r} missing from the rows")
+    if len({rows.shape for rows in user_rows.values()}) != 1:
+        raise ValueError("every behavior needs the rows of the same batch users")
+    aux = [b for b in user_rows if b != target]
+    Y = user_rows[target]
+    n, d = Y.shape
     if not aux:
         log.debug("alignment loss skipped: no auxiliary behaviors")
-        grads = {target: np.zeros((n, user_embs[target].shape[1]))} if backward else {}
+        grads = {target: np.zeros((n, d))} if backward else {}
         return 0.0, grads
     if n < 2:
         raise ValueError("alignment loss needs at least 2 batch users")
-    _require_distinct(batch_users)
 
     scale = 1.0 / (len(aux) * n)
-    Y = user_embs[target][batch_users]
-    d = Y.shape[1]
     Y_hat, y_norm = _unit_rows(Y)
     grads = {}
     d_Y = np.zeros_like(Y)
@@ -328,7 +319,7 @@ def rrm_loss(
     ws = Workspace() if workspace is None else workspace
     buf = ws.get("align_block", (rows, n))
     for b in aux:
-        X_hat, x_norm = _unit_rows(user_embs[b][batch_users])
+        X_hat, x_norm = _unit_rows(user_rows[b])
         # a copy, not a view: a one-block batch's X_hat @ X_hat.T goes to syrk
         X_hat_t = X_hat.T.copy()
 
@@ -446,29 +437,11 @@ def _irm_term(m: np.ndarray) -> tuple[float, np.ndarray]:
 # Fusion and the main objective
 # ----------------------------------------------------------------------
 
-def fuse(
-    P_by_behavior: dict[str, np.ndarray], Q_by_behavior: dict[str, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Equal-weight mean of the behavior-specific embeddings."""
-    if not P_by_behavior:
-        raise ValueError("fusion needs at least one behavior")
-    return _mean(list(P_by_behavior.values())), _mean(list(Q_by_behavior.values()))
-
-
-def _mean(tables: list[np.ndarray]) -> np.ndarray:
-    """The tables' sum in order, divided once: np.mean's arithmetic over a
-    stacked array, without the (B, rows, d) stack."""
-    out = tables[0].copy()
-    for table in tables[1:]:
-        out += table
-    out /= len(tables)
-    return out
-
-
 def _add_to_sum(total: np.ndarray, emb: BehaviorEmbeddings, first: bool) -> None:
     """Add one behavior's tables to a running sum over the stacked (users +
-    items) rows of ``total``: `_mean`'s sum, one behavior at a time, so the
-    fused tables are ``total`` divided by the behavior count at the end."""
+    items) rows of ``total``.  Fusion is this sum in behavior order, divided
+    once by the behavior count at the end: ``np.mean``'s arithmetic over the
+    stacked tables, without the stack."""
     users, items = total[: emb.P.shape[0]], total[emb.P.shape[0] :]
     if first:
         users[...], items[...] = emb.P, emb.Q
@@ -566,14 +539,13 @@ def total_loss(
 
     # alignment: on every batch of 2 or more users, zero without an auxiliary
     # behavior; at lambda_rrm = 0 only its value is used, for the log.  Its
-    # input is the gathered rows, so the users are checked here
+    # input is the gathered rows, so the users are checked here: a repeated
+    # user would be its own negative
     if aligned:
-        if len(behaviors) > 1:
-            _require_distinct(batch_users)
-        rrm_val, rrm_grads = rrm_loss(
-            align_rows, target, np.arange(len(batch_users)), hp.tau,
-            hp.rrm_denominator, backward=hp.lambda_rrm != 0.0, workspace=ws,
-        )
+        if len(behaviors) > 1 and len(np.unique(batch_users)) != len(batch_users):
+            raise ValueError("alignment loss needs distinct batch users")
+        rrm_val, rrm_grads = rrm_loss(align_rows, target, hp.tau, hp.rrm_denominator,
+                                      backward=hp.lambda_rrm != 0.0, workspace=ws)
     else:
         rrm_val, rrm_grads = 0.0, {}
 
@@ -600,7 +572,7 @@ def total_loss(
     total = main_val + hp.lambda_rrm * rrm_val + hp.lambda_orm * orm_val
 
     # ---- backward ----
-    # fuse takes the mean over behaviors, so each cotangent starts from 1/|B|
+    # fusion is the mean over behaviors, so each cotangent starts from 1/|B|
     # of the fused one; the alignment and invariance terms add to it.  It is
     # built in the buffer the adjoint starts from, and the adjoints are summed
     # from zeros, in behavior order, in the fused tables' buffer, now unread

@@ -19,7 +19,7 @@ from mbrobust.evaluation import (
     sweep_csv,
 )
 from mbrobust.graph import Workspace, build_graph, propagate
-from mbrobust.losses import Hyperparameters, ModelState, fuse
+from mbrobust.losses import Hyperparameters, ModelState
 from mbrobust.synthetic import planted_dataset
 from mbrobust.training import TrainConfig
 
@@ -276,19 +276,22 @@ class TestRank:
         assert rank_of(z_user, z_item, 0, 0, set()) == 1
         assert rank_of(z_user, z_item, 0, 1, set()) == 2  # ties by item id
 
-
     def test_fused_embeddings_stream_fuse_bit_for_bit(self):
+        # the fusion is np.mean over the stacked propagations, bit for bit;
+        # the planted graphs, cycled, give any number of behaviors
         ds = planted_dataset(5)
-        graphs = {b: build_graph(ds, b) for b in ds.manifest.behaviors}
+        planted = [build_graph(ds, b) for b in ds.manifest.behaviors]
         rng = np.random.default_rng(21)
         state = ModelState(rng.normal(size=(40, 8)), rng.normal(size=(40, 8)),
                            Hyperparameters(dim=8, num_layers=2))
-        embs = {b: propagate(g, state.user_emb, state.item_emb, 2) for b, g in graphs.items()}
-        expected = fuse({b: e.P for b, e in embs.items()}, {b: e.Q for b, e in embs.items()})
-        ws = Workspace()
-        ws.get("fused", (80, 8)).fill(np.nan)  # stale contents are overwritten
-        for got in (fused_embeddings(state, graphs), fused_embeddings(state, graphs, ws)):
-            assert [t.tobytes() for t in got] == [t.tobytes() for t in expected]
+        for count in range(1, 10):
+            graphs = {f"b{k}": planted[k % len(planted)] for k in range(count)}
+            embs = [propagate(g, state.user_emb, state.item_emb, 2) for g in graphs.values()]
+            expected = [np.mean(np.stack([getattr(e, t) for e in embs]), axis=0) for t in "PQ"]
+            ws = Workspace()
+            ws.get("fused", (80, 8)).fill(np.nan)  # stale contents are overwritten
+            for got in (fused_embeddings(state, graphs), fused_embeddings(state, graphs, ws)):
+                assert [t.tobytes() for t in got] == [t.tobytes() for t in expected], count
 
 
 def _metric_split(num_users, num_items, test_pairs, train_target=None):

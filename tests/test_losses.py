@@ -21,6 +21,7 @@ from mbrobust import gradcheck, losses
 from mbrobust.gradcheck import max_rel_error, numeric_gradient, run_gradcheck
 from mbrobust.graph import Workspace, build_graph, propagate
 from mbrobust.data import split_leave_one_out
+from mbrobust.evaluation import fused_embeddings
 from mbrobust.losses import (
     IRM_VARIANTS,
     ORM_SCOPES,
@@ -32,7 +33,6 @@ from mbrobust.losses import (
     TripletBatch,
     _irm_term,
     bpr_loss,
-    fuse,
     main_loss,
     orm_loss,
     rrm_loss,
@@ -171,23 +171,17 @@ class TestRrmLoss:
         embs = {b: rng.normal(size=(80, 8)) for b in ("view", "cart", "buy")}
         users = rng.permutation(80)[:64]  # 3-row blocks leave a ragged last one
         self._blocks(monkeypatch, rows, len(users))
-        value, grads = rrm_loss(embs, "buy", users, tau, mode)
+        batch_rows = {b: E[users] for b, E in embs.items()}
+        value, grads = rrm_loss(batch_rows, "buy", tau, mode)
         ref_value, ref_grads = _rrm_reference(embs, "buy", users, tau, mode)
         assert math.isfinite(value)
         assert value == pytest.approx(ref_value, rel=1e-12)
-        assert rrm_loss(embs, "buy", users, tau, mode, backward=False)[0] == value
+        assert rrm_loss(batch_rows, "buy", tau, mode, backward=False)[0] == value
         for b in embs:
-            # the gradient holds the batch rows, in batch order; the
-            # reference is zero on every other row
-            ref = ref_grads[b]
+            # the gradient holds the batch rows, in batch order
+            ref = ref_grads[b][users]
             scale = np.max(np.abs(ref))
-            assert np.max(np.abs(grads[b] - ref[users])) <= 1e-12 * scale, b
-            assert not np.delete(ref, users, axis=0).any(), b
-
-    def test_duplicate_batch_users_rejected(self):
-        embs = {"view": np.eye(3), "buy": np.eye(3)}
-        with pytest.raises(ValueError, match="distinct"):
-            rrm_loss(embs, "buy", np.array([0, 1, 0]), 0.2)
+            assert np.max(np.abs(grads[b] - ref)) <= 1e-12 * scale, b
 
     def test_perfect_alignment_orthogonal_negatives_closed_form(self):
         # aux embeddings orthogonal across users, target equal to aux:
@@ -195,8 +189,7 @@ class TestRrmLoss:
         n, tau = 4, 0.5
         aux = np.eye(n)
         embs = {"view": aux.copy(), "buy": aux.copy()}
-        users = np.arange(n)
-        loss, _ = rrm_loss(embs, "buy", users, tau, "with_positive")
+        loss, _ = rrm_loss(embs, "buy", tau, "with_positive")
         expected = -math.log(
             math.exp(1 / tau) / (math.exp(1 / tau) + (n - 1) * 1.0)
         )
@@ -205,7 +198,7 @@ class TestRrmLoss:
     def test_literal_identical_embeddings_is_zero(self):
         row = np.array([0.3, -0.7, 0.2])
         embs = {"view": np.vstack([row, row]), "buy": np.vstack([row, row])}
-        loss, _ = rrm_loss(embs, "buy", np.array([0, 1]), 0.2, "literal")
+        loss, _ = rrm_loss(embs, "buy", 0.2, "literal")
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("mode, tau, rows", [
@@ -214,22 +207,14 @@ class TestRrmLoss:
     ])
     def test_gradient_matches_finite_differences(self, mode, tau, rows, monkeypatch):
         rng = np.random.default_rng(2)
-        embs = {
-            "view": rng.normal(size=(5, 3)),
-            "cart": rng.normal(size=(5, 3)),
-            "buy": rng.normal(size=(5, 3)),
-        }
-        users = np.array([0, 1, 2, 3])  # 3-row blocks leave a ragged last one
-        self._blocks(monkeypatch, rows, len(users))
-        value, grads = rrm_loss(embs, "buy", users, tau, mode)
-        assert rrm_loss(embs, "buy", users, tau, mode, backward=False)[0] == value
+        # 4 users: 3-row blocks leave a ragged last one
+        embs = {b: rng.normal(size=(4, 3)) for b in ("view", "cart", "buy")}
+        self._blocks(monkeypatch, rows, 4)
+        value, grads = rrm_loss(embs, "buy", tau, mode)
+        assert rrm_loss(embs, "buy", tau, mode, backward=False)[0] == value
         for b in embs:
-            fd = numeric_gradient(
-                lambda: rrm_loss(embs, "buy", users, tau, mode)[0], embs[b]
-            )
-            assert max_rel_error(grads[b], fd[users]) <= 1e-6, b
-            # row 4 is never read, so its finite difference is exactly 0
-            assert not np.delete(fd, users, axis=0).any(), b
+            fd = numeric_gradient(lambda: rrm_loss(embs, "buy", tau, mode)[0], embs[b])
+            assert max_rel_error(grads[b], fd) <= 1e-6, b
 
     def test_scratch_stays_below_one_batch_by_batch_matrix(self):
         # the logits are walked in row blocks, so no n x n matrix is ever
@@ -239,47 +224,35 @@ class TestRrmLoss:
         embs = {b: rng.normal(size=(n, d)) for b in ("view", "cart", "buy")}
         tracemalloc.start()
         try:
-            _, grads = rrm_loss(embs, "buy", np.arange(n), 0.2)
+            _, grads = rrm_loss(embs, "buy", 0.2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak - sum(g.nbytes for g in grads.values()) < n * n * 8
 
-    def test_memory_stays_on_the_batch_rows(self):
-        # the gradients hold the batch rows only, so a small batch over a
-        # large user table allocates less than one copy of that table
-        num_users, d, n = 50_000, 16, 256
-        rng = np.random.default_rng(9)
-        embs = {b: rng.normal(size=(num_users, d)) for b in ("view", "cart", "buy")}
-        users = rng.permutation(num_users)[:n]
-        tracemalloc.start()
-        try:
-            _, grads = rrm_loss(embs, "buy", users, 0.2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert all(g.shape == (n, d) for g in grads.values())
-        assert peak < embs["buy"].nbytes
-
     def test_scale_invariance_of_value(self):
         rng = np.random.default_rng(3)
         embs = {"view": rng.normal(size=(4, 3)), "buy": rng.normal(size=(4, 3))}
-        users = np.arange(4)
-        base, _ = rrm_loss(embs, "buy", users, 0.3)
+        base, _ = rrm_loss(embs, "buy", 0.3)
         scaled = {b: 3.7 * E for b, E in embs.items()}
-        value, _ = rrm_loss(scaled, "buy", users, 0.3)
+        value, _ = rrm_loss(scaled, "buy", 0.3)
         assert value == pytest.approx(base, abs=1e-12)
 
     def test_no_auxiliary_returns_zero(self):
         embs = {"buy": np.ones((3, 2))}
-        loss, grads = rrm_loss(embs, "buy", np.arange(3), 0.2)
+        loss, grads = rrm_loss(embs, "buy", 0.2)
         assert loss == 0.0
         assert np.all(grads["buy"] == 0.0)
 
     def test_single_user_batch_rejected(self):
-        embs = {"view": np.ones((3, 2)), "buy": np.ones((3, 2))}
+        embs = {"view": np.ones((1, 2)), "buy": np.ones((1, 2))}
         with pytest.raises(ValueError, match="2 batch users"):
-            rrm_loss(embs, "buy", np.array([0]), 0.2)
+            rrm_loss(embs, "buy", 0.2)
+
+    def test_rows_of_different_batches_rejected(self):
+        embs = {"view": np.ones((3, 2)), "buy": np.ones((2, 2))}
+        with pytest.raises(ValueError, match="same batch users"):
+            rrm_loss(embs, "buy", 0.2)
 
 
 class TestOrmLoss:
@@ -355,25 +328,15 @@ class TestIrmPenalty:
 
 
 class TestFuseAndMain:
-    def test_single_behavior_identity(self):
-        P = np.arange(6.0).reshape(2, 3)
-        z_u, _ = fuse({"a": P}, {"a": P})
-        np.testing.assert_array_equal(z_u, P)
-
-    def test_opposite_embeddings_cancel(self):
-        X = np.random.default_rng(7).normal(size=(3, 2))
-        z_u, _ = fuse({"a": X, "b": -X}, {"a": X, "b": -X})
-        np.testing.assert_allclose(z_u, 0.0, atol=1e-16)
-
-    def test_mean_matches_elementwise_oracle(self):
-        rng = np.random.default_rng(8)
-        Ps = {f"b{k}": rng.normal(size=(3, 4)) for k in range(3)}
-        z_u, _ = fuse(Ps, Ps)
-        expected = np.zeros((3, 4))
-        for r in range(3):
-            for c in range(4):
-                expected[r, c] = sum(Ps[b][r, c] for b in Ps) / 3.0
-        np.testing.assert_array_equal(z_u, expected)
+    def test_total_loss_main_is_main_loss_of_fused_embeddings(self):
+        # total_loss and evaluation.fused_embeddings stream one fusion sum
+        graphs, state, sampler = _planted_step_setup()
+        rng = np.random.default_rng(22)
+        users = rng.permutation(len(state.user_emb))[:64]
+        batch = sampler.sample(users, rng)
+        breakdown, _ = total_loss(state, graphs, batch, users, "buy")
+        expected = main_loss(*fused_embeddings(state, graphs), batch.main, state)[0]
+        assert len(graphs) == 3 and breakdown.main.hex() == expected.hex()
 
     def test_main_loss_zero_margin_is_log_two(self):
         hp = Hyperparameters(dim=2, lambda_reg=0.0)
@@ -479,9 +442,9 @@ class TestTotalLoss:
         ds, graphs, state, batch, users = _two_behavior_setup(
             rng, lambda_rrm=0.0, rrm_denominator=mode
         )
-        embs = {b: propagate(graphs[b], state.user_emb, state.item_emb, 1).P
+        embs = {b: propagate(graphs[b], state.user_emb, state.item_emb, 1).P[users]
                 for b in graphs}
-        value, _ = rrm_loss(embs, "buy", users, 0.5, mode)
+        value, _ = rrm_loss(embs, "buy", 0.5, mode)
         skipped, skipped_grads = total_loss(state, graphs, batch, users[:1], "buy")
 
         def no_backward(*args, backward=True, **kwargs):

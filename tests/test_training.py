@@ -1,6 +1,7 @@
 """Adam updates against hand-computed recurrences, sampler contracts, and
 the training loop's determinism and bookkeeping."""
 
+import importlib.util
 import json
 import logging
 import os
@@ -336,6 +337,41 @@ def test_eval_every_must_be_an_integer(value):
     # 2.5 would validate only at epochs 5, 10, ...; True would pass as 1
     with pytest.raises(ValueError, match="eval_every must be an integer"):
         TrainConfig(Hyperparameters(), eval_every=value)
+
+
+def _perfbench_tracing():
+    """The benchmark's span tracer, loaded by path: ``perfbench`` is a
+    directory of scripts, not a package."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(root, "perfbench", "tracing.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    # the tracer rebinds these names, so removing one must fail here too
+    for owner, attr, span, _ in _perfbench_tracing().TARGETS:
+        assert callable(getattr(owner, attr, None)), f"{span}: {owner.__name__}.{attr} is gone"
+
+
+def test_a_traced_train_sees_every_step_span():
+    # each step calls the traced names through their module globals: three
+    # propagations, three adjoints, one alignment and one main term, plus
+    # three propagations to validate
+    tracing = _perfbench_tracing()
+    split = split_leave_one_out(planted_dataset(7))
+    hp = Hyperparameters(dim=8, batch_size=16, max_epochs=1, seed=0)
+    with tracing.Tracer().installed() as tracer:
+        train(split, TrainConfig(hp=hp, eval_every=1))
+    m = tracing.per_layer(tracer.spans)
+    steps = m["training.steps"]
+    assert steps == m["losses.calls"] == 3  # 40 users in batches of 16
+    assert m["graph.propagate_calls"] == 3 * steps + 3
+    assert m["graph.adjoint_calls"] == 3 * steps
+    spans = [s.name for s in tracer.spans]
+    assert spans.count("losses.rrm") == spans.count("losses.main") == steps
 
 
 class TestTrainLoop:
