@@ -36,7 +36,6 @@ from .losses import (
     LossBreakdown,
     ModelState,
     TripletBatch,
-    bpr_loss,
     main_loss,
     orm_loss,
     rrm_loss,

@@ -63,6 +63,14 @@ def _split_list(raw: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
 
 
+def _behavior_list(raw: str) -> tuple[str, ...]:
+    """A ``--behaviors`` list; one that names no behavior is a config error."""
+    behaviors = _split_list(raw)
+    if not behaviors:
+        raise ValueError(f"--behaviors names no behavior: {raw!r}")
+    return behaviors
+
+
 def _parse_ks(raw: str) -> tuple[int, ...]:
     try:
         ks = tuple(int(tok) for tok in _split_list(raw))
@@ -177,8 +185,8 @@ def cmd_diagnose(args) -> int:
     ds = load_dataset(args.dataset)
     report = diagnose(ds)
     payload = report.to_json_dict()
-    if args.behaviors:
-        wanted = _split_list(args.behaviors)
+    if args.behaviors is not None:
+        wanted = _behavior_list(args.behaviors)
         unknown = set(wanted) - set(ds.manifest.behaviors)
         if unknown:
             raise DatasetError(f"unknown behaviors {sorted(unknown)}")
@@ -203,7 +211,8 @@ def cmd_split(args) -> int:
 
 def cmd_perturb(args) -> int:
     ds = load_dataset(args.dataset)
-    behaviors = _split_list(args.behaviors) if args.behaviors else ds.manifest.auxiliary
+    behaviors = (ds.manifest.auxiliary if args.behaviors is None
+                 else _behavior_list(args.behaviors))
     root_seed = args.seed if args.seed is not None else 0
     spec = PerturbationSpec(
         mode=args.mode,

@@ -19,8 +19,11 @@ finite differences in the test suite; everything runs in float64.
 `total_loss` streams the behaviors through one `graph.Workspace`: each
 behavior is propagated into the same buffers, the rows the losses read are
 gathered, and its tables are added to the fused sum before the next one is
-propagated; the backward pass builds each cotangent in one buffer.  Arrays
-returned with a workspace are views of its buffers, valid until its next use.
+propagated.  Every BPR-style term, main and invariance alike, returns its
+`_gather` rows and a derivative per margin, which the backward pass scatters
+into each cotangent with `_scatter_margin_grads`: no loss term writes a
+table.  Arrays returned with a workspace are views of its buffers, valid
+until its next use.
 """
 
 from __future__ import annotations
@@ -236,25 +239,6 @@ def _bpr_risk(m: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.mean(np.logaddexp(0.0, -m))), -_sigmoid_neg(m) / len(m)
 
 
-def bpr_loss(
-    P: np.ndarray, Q: np.ndarray, triplets: np.ndarray, workspace: Workspace | None = None
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean -log sigmoid(score margin) and its gradient.
-
-    The gradients are views of ``workspace``'s ``"d_bpr"`` buffer (a fresh
-    workspace when None).
-    """
-    triplets = _check_triplets(triplets)
-    ws = Workspace() if workspace is None else workspace
-    rows = _gather(P, Q, triplets)
-    loss, d_m = _bpr_risk(np.einsum("ij,ij->i", *rows))
-    d = ws.get("d_bpr", (P.shape[0] + Q.shape[0], P.shape[1]))
-    d.fill(0.0)
-    d_P, d_Q = d[: P.shape[0]], d[P.shape[0] :]
-    _scatter_margin_grads(d_P, d_Q, rows, triplets, d_m, ws)
-    return loss, d_P, d_Q
-
-
 # ----------------------------------------------------------------------
 # Target-anchored contrastive alignment (user side only)
 # ----------------------------------------------------------------------
@@ -456,26 +440,24 @@ def main_loss(
     triplets: np.ndarray,
     state: ModelState,
     workspace: Workspace | None = None,
-) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[float, float, tuple[np.ndarray, np.ndarray], np.ndarray]:
     """BPR over fused target scores plus L2 on the base tables.
 
-    Returns (loss, reg_term, d_fused_user, d_fused_item, d_user_emb,
-    d_item_emb); the L2 gradient acts on the base parameters directly, not
-    through propagation.  The four gradients are views of ``workspace``'s
-    buffers (a fresh workspace when None).
+    Returns (loss, reg_term, rows, d_margin): the fused tables' `_gather`
+    rows and the BPR derivative per margin, which `_scatter_margin_grads`
+    turns into the fused tables' gradient.  The L2 gradient, 2 * lambda_reg
+    times the base tables, acts on them directly, not through propagation,
+    and is `total_loss`'s to add.  ``workspace`` (a fresh one when None)
+    holds the L2 sum's squares.
     """
+    triplets = _check_triplets(triplets)
+    rows = _gather(fused_user, fused_item, triplets)
+    bpr, d_margin = _bpr_risk(np.einsum("ij,ij->i", *rows))
     ws = Workspace() if workspace is None else workspace
-    bpr, d_zu, d_zi = bpr_loss(fused_user, fused_item, triplets, ws)
-    lam = state.hp.lambda_reg
-    tables = (state.user_emb, state.item_emb)
     sq_user, sq_item = (float(np.sum(np.square(e, out=ws.get(SCRATCH[0], e.shape))))
-                        for e in tables)
-    reg = lam * (sq_user + sq_item)
-    d_reg = ws.get("d_reg", (len(tables[0]) + len(tables[1]), tables[0].shape[1]))
-    d_user, d_item = d_reg[: len(tables[0])], d_reg[len(tables[0]) :]
-    np.multiply(state.user_emb, 2.0 * lam, out=d_user)
-    np.multiply(state.item_emb, 2.0 * lam, out=d_item)
-    return bpr + reg, reg, d_zu, d_zi, d_user, d_item
+                        for e in (state.user_emb, state.item_emb))
+    reg = state.hp.lambda_reg * (sq_user + sq_item)
+    return bpr + reg, reg, rows, d_margin
 
 
 # ----------------------------------------------------------------------
@@ -506,8 +488,8 @@ def total_loss(
 
     The behaviors stream through ``workspace`` (a fresh one when None): each
     is propagated into the same buffers and keeps only the rows the losses
-    read.  The returned gradients are views of its buffers, valid until the
-    workspace's next use.
+    read, so the step holds four table-sized buffers.  The returned
+    gradients are views of them, valid until the workspace's next use.
     """
     hp = state.hp
     behaviors = list(graphs)
@@ -564,8 +546,9 @@ def total_loss(
 
     # fused main term
     try:
-        main_val, reg_val, d_zu, d_zi, d_user_reg, d_item_reg = main_loss(
-            fused[:num_users], fused[num_users:], batch.main, state, ws)
+        main_trips = _check_triplets(batch.main)
+        main_val, reg_val, main_rows, d_main = main_loss(
+            fused[:num_users], fused[num_users:], main_trips, state, ws)
     except ValueError as exc:
         raise ObjectiveError(f"main loss: {exc}") from exc
 
@@ -573,16 +556,18 @@ def total_loss(
 
     # ---- backward ----
     # fusion is the mean over behaviors, so each cotangent starts from 1/|B|
-    # of the fused one; the alignment and invariance terms add to it.  It is
-    # built in the buffer the adjoint starts from, and the adjoints are summed
-    # from zeros, in behavior order, in the fused tables' buffer, now unread
+    # of the main term's scatter, then the alignment and invariance terms add
+    # to it, in the buffer the adjoint starts from; the adjoints, in behavior
+    # order, and then the L2 gradient are summed from zeros in the fused
+    # tables' buffer, now unread
     cot = ws.get(PROPAGATED, shape)
     d_P, d_Q = cot[:num_users], cot[num_users:]
     grad = fused
     grad.fill(0.0)
     for b in behaviors:
-        np.divide(d_zu, len(behaviors), out=d_P)
-        np.divide(d_zi, len(behaviors), out=d_Q)
+        cot.fill(0.0)
+        _scatter_margin_grads(d_P, d_Q, main_rows, main_trips, d_main, ws)
+        cot /= len(behaviors)
         if b in rrm_grads:  # the batch users' rows; exact, as they are distinct
             d_P[batch_users] += hp.lambda_rrm * rrm_grads[b]
         if b in orm_terms and hp.lambda_orm != 0.0:
@@ -591,8 +576,8 @@ def total_loss(
         _add_to_sum(grad, propagate_adjoint(graphs[b], d_P, d_Q, hp.num_layers,
                                             workspace=ws), first=False)
     d_user, d_item = grad[:num_users], grad[num_users:]
-    d_user += d_user_reg
-    d_item += d_item_reg
+    for d, e in ((d_user, state.user_emb), (d_item, state.item_emb)):
+        d += np.multiply(e, 2.0 * hp.lambda_reg, out=ws.get(SCRATCH[0], e.shape))
 
     breakdown = LossBreakdown(bpr=risks, rrm=rrm_val, orm=orm_val, main=main_val,
                               reg=reg_val, total=total,

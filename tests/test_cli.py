@@ -61,6 +61,12 @@ class TestDiagnoseCommand:
         assert list(payload["bar"]) == ["view"]
         assert "dt" in payload
 
+    @pytest.mark.parametrize("raw", [" , ", ""])
+    def test_behavior_list_naming_none_exits_1(self, dataset_dir, capsys, raw):
+        assert main(["diagnose", dataset_dir, "--behaviors", raw]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: --behaviors names no behavior")
+
     def test_missing_manifest_exits_2(self, tmp_path, capsys):
         code = main(["diagnose", str(tmp_path / "nope")])
         assert code == 2
@@ -139,6 +145,17 @@ class TestSplitAndPerturbCommands:
                      "--mode", "add", "--ratio", "1.5"])
         assert code == 1
         assert "ratio" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw", [" , ", ""])
+    def test_perturb_behavior_list_naming_none_exits_1(self, dataset_dir, tmp_path,
+                                                       capsys, raw):
+        out = tmp_path / "p"
+        code = main(["--out", str(out), "perturb", dataset_dir,
+                     "--mode", "add", "--ratio", "0.5", "--behaviors", raw])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: --behaviors names no behavior")
         assert not out.exists()
 
     def test_negative_seed_exits_1_naming_the_flag(self, dataset_dir, tmp_path, capsys):

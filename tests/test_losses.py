@@ -32,7 +32,7 @@ from mbrobust.losses import (
     ObjectiveError,
     TripletBatch,
     _irm_term,
-    bpr_loss,
+    _scatter_margin_grads,
     main_loss,
     orm_loss,
     rrm_loss,
@@ -71,37 +71,35 @@ class TestHyperparameters:
             Hyperparameters(**{field: value})
 
 
+def _bpr_term(P, Q, triplets, state=None):
+    """`main_loss` on fused tables P and Q, and the gradients with respect to
+    them that `_scatter_margin_grads` forms from its rows and d_margin.
+    Without ``state`` the base tables are zeros and lambda_reg is 0."""
+    if state is None:
+        hp = Hyperparameters(dim=P.shape[1], lambda_reg=0.0)
+        state = ModelState(np.zeros_like(P), np.zeros_like(Q), hp)
+    loss, reg, rows, d_margin = main_loss(P, Q, triplets, state)
+    d_P, d_Q = np.zeros_like(P), np.zeros_like(Q)
+    _scatter_margin_grads(d_P, d_Q, rows, np.asarray(triplets), d_margin, Workspace())
+    return loss, reg, d_P, d_Q
+
+
 class TestBprLoss:
-    def test_equal_scores_give_log_two(self):
-        rng = np.random.default_rng(0)
-        P = rng.normal(size=(2, 4))
-        Q = np.vstack([rng.normal(size=4)] * 2)  # q_i == q_j -> zero margin
-        triplets = np.array([[0, 0, 1], [1, 0, 1]])
-        loss, _, _ = bpr_loss(P, Q, triplets)
-        assert loss == pytest.approx(math.log(2.0), abs=1e-12)
+    """The BPR term of `main_loss`, at lambda_reg = 0."""
 
     def test_large_margin_saturates(self):
         P = np.array([[10.0, 0.0]])
         Q = np.array([[10.0, 0.0], [-10.0, 0.0]])
-        loss, dP, dQ = bpr_loss(P, Q, np.array([[0, 0, 1]]))
+        loss, _, dP, dQ = _bpr_term(P, Q, np.array([[0, 0, 1]]))
         assert loss < 1e-10
         assert np.max(np.abs(dP)) < 1e-10
         assert np.max(np.abs(dQ)) < 1e-10
 
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(1)
-        P = rng.normal(size=(3, 4))
-        Q = rng.normal(size=(5, 4))
-        triplets = np.array([[0, 0, 1], [1, 2, 3], [2, 4, 0]])
-        _, dP, dQ = bpr_loss(P, Q, triplets)
-        fd_P = numeric_gradient(lambda: bpr_loss(P, Q, triplets)[0], P)
-        fd_Q = numeric_gradient(lambda: bpr_loss(P, Q, triplets)[0], Q)
-        assert max_rel_error(dP, fd_P) <= 1e-6
-        assert max_rel_error(dQ, fd_Q) <= 1e-6
-
     def test_empty_triplets_rejected(self):
+        state = ModelState(np.zeros((1, 2)), np.zeros((1, 2)),
+                           Hyperparameters(dim=2, lambda_reg=0.0))
         with pytest.raises(ValueError, match="empty"):
-            bpr_loss(np.zeros((1, 2)), np.zeros((1, 2)), np.empty((0, 3), dtype=int))
+            main_loss(np.zeros((1, 2)), np.zeros((1, 2)), np.empty((0, 3), dtype=int), state)
 
     def test_repeated_rows_sum_their_gradients(self):
         # users and items recur across triplets, items as positive in one
@@ -111,9 +109,9 @@ class TestBprLoss:
         Q = rng.normal(size=(4, 4))
         triplets = np.array([[0, 1, 2], [0, 1, 2], [1, 3, 3], [1, 2, 1],
                              [2, 1, 0], [0, 0, 2]])
-        _, dP, dQ = bpr_loss(P, Q, triplets)
-        fd_P = numeric_gradient(lambda: bpr_loss(P, Q, triplets)[0], P)
-        fd_Q = numeric_gradient(lambda: bpr_loss(P, Q, triplets)[0], Q)
+        _, _, dP, dQ = _bpr_term(P, Q, triplets)
+        fd_P = numeric_gradient(lambda: _bpr_term(P, Q, triplets)[0], P)
+        fd_Q = numeric_gradient(lambda: _bpr_term(P, Q, triplets)[0], Q)
         assert max_rel_error(dP, fd_P) <= 1e-6
         assert max_rel_error(dQ, fd_Q) <= 1e-6
 
@@ -339,13 +337,19 @@ class TestFuseAndMain:
         assert len(graphs) == 3 and breakdown.main.hex() == expected.hex()
 
     def test_main_loss_zero_margin_is_log_two(self):
-        hp = Hyperparameters(dim=2, lambda_reg=0.0)
-        state = ModelState(np.zeros((2, 2)), np.zeros((2, 2)), hp)
-        zu = np.random.default_rng(9).normal(size=(2, 2))
+        # equal positive and negative item rows give every margin 0, for one
+        # triplet and for two users sharing their items
+        rng = np.random.default_rng(9)
+        zu = rng.normal(size=(2, 2))
         zi = np.vstack([np.ones(2), np.ones(2)])
-        loss, reg, *_ = main_loss(zu, zi, np.array([[0, 0, 1]]), state)
-        assert loss == pytest.approx(math.log(2.0), abs=1e-12)
-        assert reg == 0.0
+        P = rng.normal(size=(2, 4))
+        Q = np.vstack([rng.normal(size=4)] * 2)
+        for fused_user, fused_item, triplets in (
+                (zu, zi, np.array([[0, 0, 1]])),
+                (P, Q, np.array([[0, 0, 1], [1, 0, 1]]))):
+            loss, reg, *_ = _bpr_term(fused_user, fused_item, triplets)
+            assert loss == pytest.approx(math.log(2.0), abs=1e-12)
+            assert reg == 0.0
 
     def test_regularizer_zero_at_zero_embeddings(self):
         hp = Hyperparameters(dim=2, lambda_reg=1.0)
@@ -357,21 +361,28 @@ class TestFuseAndMain:
         assert reg == 0.0
 
     def test_gradients_match_finite_differences(self):
+        # with respect to the fused tables, the value moves as the scatter of
+        # d_margin over the returned rows; with respect to the base tables,
+        # as the L2 gradient 2 * lambda_reg * E
         rng = np.random.default_rng(10)
-        hp = Hyperparameters(dim=3, lambda_reg=0.05)
-        state = ModelState(rng.normal(size=(3, 3)), rng.normal(size=(4, 3)), hp)
-        zu = rng.normal(size=(3, 3))
-        zi = rng.normal(size=(4, 3))
-        triplets = np.array([[0, 0, 1], [1, 2, 3], [2, 3, 0]])
-        _, _, d_zu, d_zi, d_user, d_item = main_loss(zu, zi, triplets, state)
+        for lambda_reg, shape, triplets in (
+                (0.05, (3, 4, 3), np.array([[0, 0, 1], [1, 2, 3], [2, 3, 0]])),
+                (0.0, (3, 5, 4), np.array([[0, 0, 1], [1, 2, 3], [2, 4, 0]]))):
+            num_users, num_items, dim = shape
+            hp = Hyperparameters(dim=dim, lambda_reg=lambda_reg)
+            state = ModelState(rng.normal(size=(num_users, dim)),
+                               rng.normal(size=(num_items, dim)), hp)
+            zu = rng.normal(size=(num_users, dim))
+            zi = rng.normal(size=(num_items, dim))
+            _, _, d_zu, d_zi = _bpr_term(zu, zi, triplets, state=state)
 
-        def value():
-            return main_loss(zu, zi, triplets, state)[0]
+            def value():
+                return main_loss(zu, zi, triplets, state)[0]
 
-        assert max_rel_error(d_zu, numeric_gradient(value, zu)) <= 1e-6
-        assert max_rel_error(d_zi, numeric_gradient(value, zi)) <= 1e-6
-        assert max_rel_error(d_user, numeric_gradient(value, state.user_emb)) <= 1e-6
-        assert max_rel_error(d_item, numeric_gradient(value, state.item_emb)) <= 1e-6
+            assert max_rel_error(d_zu, numeric_gradient(value, zu)) <= 1e-6
+            assert max_rel_error(d_zi, numeric_gradient(value, zi)) <= 1e-6
+            for e in (state.user_emb, state.item_emb):
+                assert max_rel_error(2.0 * lambda_reg * e, numeric_gradient(value, e)) <= 1e-6
 
 
 def _two_behavior_setup(rng, lambda_rrm=0.7, lambda_orm=1.1, **hp_kwargs):
@@ -591,6 +602,26 @@ class TestWorkspaceStep:
             finally:
                 tracemalloc.stop()
         assert peak < table_bytes
+
+    def test_first_step_holds_four_tables_and_a_half_at_most(self):
+        # a fresh workspace's first step allocates its four table-sized
+        # buffers (fused, propagated and the scratch pair) and the batch's
+        # small arrays; no loss term adds a table of its own
+        graphs, state, sampler = _planted_step_setup(2000, 1000, dim=16)
+        table_bytes = state.user_emb.nbytes + state.item_emb.nbytes
+        rng = np.random.default_rng(18)
+        opt = init_optimizer(state)
+        users = rng.permutation(len(state.user_emb))[:32]
+        batch = sampler.sample(users, rng)
+        ws = Workspace()
+        tracemalloc.start()
+        try:
+            _, grads = total_loss(state, graphs, batch, users, "buy", ws)
+            adam_step(state, opt, grads, 1e-2, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * table_bytes
 
     @pytest.mark.parametrize("variant", IRM_VARIANTS)
     def test_a_shared_workspace_gives_the_bits_of_fresh_ones(self, variant):

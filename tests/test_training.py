@@ -358,11 +358,11 @@ def test_every_name_the_benchmark_traces_resolves():
 
 def test_a_traced_train_sees_every_step_span():
     # each step calls the traced names through their module globals: three
-    # propagations, three adjoints, one alignment and one main term, plus
-    # three propagations to validate
+    # propagations, three adjoints, one alignment, one invariance (rex) and
+    # one main term, plus three propagations to validate
     tracing = _perfbench_tracing()
     split = split_leave_one_out(planted_dataset(7))
-    hp = Hyperparameters(dim=8, batch_size=16, max_epochs=1, seed=0)
+    hp = Hyperparameters(dim=8, batch_size=16, max_epochs=1, seed=0, irm_variant="rex")
     with tracing.Tracer().installed() as tracer:
         train(split, TrainConfig(hp=hp, eval_every=1))
     m = tracing.per_layer(tracer.spans)
@@ -371,7 +371,9 @@ def test_a_traced_train_sees_every_step_span():
     assert m["graph.propagate_calls"] == 3 * steps + 3
     assert m["graph.adjoint_calls"] == 3 * steps
     spans = [s.name for s in tracer.spans]
-    assert spans.count("losses.rrm") == spans.count("losses.main") == steps
+    for span in ("losses.rrm", "losses.orm", "losses.main"):
+        assert spans.count(span) == steps, span
+    assert m["losses.orm_s"] > 0
 
 
 class TestTrainLoop:
