@@ -87,6 +87,15 @@ def _bpr_term(P, Q, triplets, state=None):
 class TestBprLoss:
     """The BPR term of `main_loss`, at lambda_reg = 0."""
 
+    def test_equal_scores_give_log_two(self):
+        rng = np.random.default_rng(0)
+        P = rng.normal(size=(2, 4))
+        Q = np.vstack([rng.normal(size=4)] * 2)  # q_i == q_j -> zero margin
+        triplets = np.array([[0, 0, 1], [1, 0, 1]])
+        loss, reg, _, _ = _bpr_term(P, Q, triplets)
+        assert loss == pytest.approx(math.log(2.0), abs=1e-12)
+        assert reg == 0.0
+
     def test_large_margin_saturates(self):
         P = np.array([[10.0, 0.0]])
         Q = np.array([[10.0, 0.0], [-10.0, 0.0]])
@@ -94,6 +103,18 @@ class TestBprLoss:
         assert loss < 1e-10
         assert np.max(np.abs(dP)) < 1e-10
         assert np.max(np.abs(dQ)) < 1e-10
+
+    def test_gradient_matches_finite_differences(self):
+        # the scatter of d_margin over the returned rows
+        rng = np.random.default_rng(1)
+        P = rng.normal(size=(3, 4))
+        Q = rng.normal(size=(5, 4))
+        triplets = np.array([[0, 0, 1], [1, 2, 3], [2, 4, 0]])
+        _, _, dP, dQ = _bpr_term(P, Q, triplets)
+        fd_P = numeric_gradient(lambda: _bpr_term(P, Q, triplets)[0], P)
+        fd_Q = numeric_gradient(lambda: _bpr_term(P, Q, triplets)[0], Q)
+        assert max_rel_error(dP, fd_P) <= 1e-6
+        assert max_rel_error(dQ, fd_Q) <= 1e-6
 
     def test_empty_triplets_rejected(self):
         state = ModelState(np.zeros((1, 2)), np.zeros((1, 2)),
@@ -337,19 +358,13 @@ class TestFuseAndMain:
         assert len(graphs) == 3 and breakdown.main.hex() == expected.hex()
 
     def test_main_loss_zero_margin_is_log_two(self):
-        # equal positive and negative item rows give every margin 0, for one
-        # triplet and for two users sharing their items
-        rng = np.random.default_rng(9)
-        zu = rng.normal(size=(2, 2))
+        hp = Hyperparameters(dim=2, lambda_reg=0.0)
+        state = ModelState(np.zeros((2, 2)), np.zeros((2, 2)), hp)
+        zu = np.random.default_rng(9).normal(size=(2, 2))
         zi = np.vstack([np.ones(2), np.ones(2)])
-        P = rng.normal(size=(2, 4))
-        Q = np.vstack([rng.normal(size=4)] * 2)
-        for fused_user, fused_item, triplets in (
-                (zu, zi, np.array([[0, 0, 1]])),
-                (P, Q, np.array([[0, 0, 1], [1, 0, 1]]))):
-            loss, reg, *_ = _bpr_term(fused_user, fused_item, triplets)
-            assert loss == pytest.approx(math.log(2.0), abs=1e-12)
-            assert reg == 0.0
+        loss, reg, *_ = main_loss(zu, zi, np.array([[0, 0, 1]]), state)
+        assert loss == pytest.approx(math.log(2.0), abs=1e-12)
+        assert reg == 0.0
 
     def test_regularizer_zero_at_zero_embeddings(self):
         hp = Hyperparameters(dim=2, lambda_reg=1.0)
@@ -365,24 +380,20 @@ class TestFuseAndMain:
         # d_margin over the returned rows; with respect to the base tables,
         # as the L2 gradient 2 * lambda_reg * E
         rng = np.random.default_rng(10)
-        for lambda_reg, shape, triplets in (
-                (0.05, (3, 4, 3), np.array([[0, 0, 1], [1, 2, 3], [2, 3, 0]])),
-                (0.0, (3, 5, 4), np.array([[0, 0, 1], [1, 2, 3], [2, 4, 0]]))):
-            num_users, num_items, dim = shape
-            hp = Hyperparameters(dim=dim, lambda_reg=lambda_reg)
-            state = ModelState(rng.normal(size=(num_users, dim)),
-                               rng.normal(size=(num_items, dim)), hp)
-            zu = rng.normal(size=(num_users, dim))
-            zi = rng.normal(size=(num_items, dim))
-            _, _, d_zu, d_zi = _bpr_term(zu, zi, triplets, state=state)
+        hp = Hyperparameters(dim=3, lambda_reg=0.05)
+        state = ModelState(rng.normal(size=(3, 3)), rng.normal(size=(4, 3)), hp)
+        zu = rng.normal(size=(3, 3))
+        zi = rng.normal(size=(4, 3))
+        triplets = np.array([[0, 0, 1], [1, 2, 3], [2, 3, 0]])
+        _, _, d_zu, d_zi = _bpr_term(zu, zi, triplets, state=state)
 
-            def value():
-                return main_loss(zu, zi, triplets, state)[0]
+        def value():
+            return main_loss(zu, zi, triplets, state)[0]
 
-            assert max_rel_error(d_zu, numeric_gradient(value, zu)) <= 1e-6
-            assert max_rel_error(d_zi, numeric_gradient(value, zi)) <= 1e-6
-            for e in (state.user_emb, state.item_emb):
-                assert max_rel_error(2.0 * lambda_reg * e, numeric_gradient(value, e)) <= 1e-6
+        assert max_rel_error(d_zu, numeric_gradient(value, zu)) <= 1e-6
+        assert max_rel_error(d_zi, numeric_gradient(value, zi)) <= 1e-6
+        for e in (state.user_emb, state.item_emb):
+            assert max_rel_error(2.0 * hp.lambda_reg * e, numeric_gradient(value, e)) <= 1e-6
 
 
 def _two_behavior_setup(rng, lambda_rrm=0.7, lambda_orm=1.1, **hp_kwargs):
