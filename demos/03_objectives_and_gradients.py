@@ -12,7 +12,7 @@ central finite differences for all variant combinations.
 
 import numpy as np
 
-from mbrobust import Hyperparameters, ModelState, main_loss, orm_loss, rrm_loss, run_gradcheck
+from mbrobust import main_loss, orm_loss, rrm_loss, run_gradcheck
 
 rng = np.random.default_rng(3)
 
@@ -20,12 +20,11 @@ rng = np.random.default_rng(3)
 P = rng.normal(size=(4, 8))
 Q = rng.normal(size=(6, 8))
 triplets = np.array([[0, 1, 4], [1, 0, 5], [2, 3, 2], [3, 2, 0]])
-# main_loss scores BPR on the fused tables, plus L2 on the base tables (off
-# here).  It returns the rows each margin reads and the derivative per
-# margin, which training scatters onto those rows
-state = ModelState(np.zeros_like(P), np.zeros_like(Q), Hyperparameters(dim=8, lambda_reg=0.0))
-loss, _, (user_rows, item_diffs), d_margin = main_loss(P, Q, triplets, state)
-print(f"BPR loss {loss:.4f}")
+# main_loss scores BPR on the fused tables (total_loss adds the L2 term on
+# the base tables).  It returns the rows each margin reads and the
+# derivative per margin, which training scatters onto those rows
+risk, (user_rows, item_diffs), d_margin = main_loss(P, Q, triplets)
+print(f"BPR loss {risk:.4f}")
 for m, g in zip(np.einsum("ij,ij->i", user_rows, item_diffs), d_margin):
     print(f"  margin {m:+.3f}: d(loss)/d(margin) {g:+.4f}")
 

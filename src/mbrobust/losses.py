@@ -5,13 +5,15 @@ The total objective is
 
     total = main + lambda_rrm * rrm + lambda_orm * orm
 
-where ``main`` is BPR over fused target scores plus an L2 term on the base
-tables, ``rrm`` is a target-anchored contrastive alignment loss over user
-embeddings, and ``orm`` is a cross-behavior invariance penalty: either the
-variance of per-behavior BPR risks (``rex``) or a squared risk-gradient
-penalty with respect to a scalar score multiplier frozen at 1 (``irm_v1`` /
-``irm_v2``).  Per-behavior BPR risks are always reported but enter the
-gradient only through the invariance penalty.
+where ``main`` is BPR over fused target scores (`main_loss`) plus an L2
+term on the base tables, ``rrm`` is a target-anchored contrastive alignment
+loss over user embeddings, and ``orm`` is a cross-behavior invariance
+penalty: either the variance of per-behavior BPR risks (``rex``) or a
+squared risk-gradient penalty with respect to a scalar score multiplier
+frozen at 1 (``irm_v1`` / ``irm_v2``).  Per-behavior BPR risks are always
+reported but enter the gradient only through the invariance penalty.
+`total_loss` alone composes the objective: it decides which terms run on a
+batch and computes the L2 term's value and gradient.
 
 All gradients here are derived by hand and are validated against central
 finite differences in the test suite; everything runs in float64.
@@ -28,7 +30,6 @@ until its next use.
 
 from __future__ import annotations
 
-import logging
 import numbers
 from dataclasses import dataclass
 
@@ -46,8 +47,6 @@ from .graph import (
     propagate,
     propagate_adjoint,
 )
-
-log = logging.getLogger(__name__)
 
 IRM_VARIANTS = ("rex", "irm_v1", "irm_v2")
 ORM_SCOPES = ("all_behaviors", "aux_only")
@@ -269,7 +268,8 @@ def rrm_loss(
     gradient of each passed behavior, the target included, is returned in
     the rows' order.  Without ``backward`` only the value is computed and
     the gradient dict is empty.  The users must be distinct: a repeated
-    user would be its own negative.
+    user would be its own negative.  The rows need at least one auxiliary
+    behavior and 2 users.
 
     Comparing every pair of the n batch users costs O(n²·d) per auxiliary
     behavior; the n×n logits are walked in row blocks of one reused buffer
@@ -287,9 +287,7 @@ def rrm_loss(
     Y = user_rows[target]
     n, d = Y.shape
     if not aux:
-        log.debug("alignment loss skipped: no auxiliary behaviors")
-        grads = {target: np.zeros((n, d))} if backward else {}
-        return 0.0, grads
+        raise ValueError("alignment loss needs an auxiliary behavior besides the target")
     if n < 2:
         raise ValueError("alignment loss needs at least 2 batch users")
 
@@ -435,29 +433,18 @@ def _add_to_sum(total: np.ndarray, emb: BehaviorEmbeddings, first: bool) -> None
 
 
 def main_loss(
-    fused_user: np.ndarray,
-    fused_item: np.ndarray,
-    triplets: np.ndarray,
-    state: ModelState,
-    workspace: Workspace | None = None,
-) -> tuple[float, float, tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """BPR over fused target scores plus L2 on the base tables.
+    fused_user: np.ndarray, fused_item: np.ndarray, triplets: np.ndarray
+) -> tuple[float, tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """BPR risk over fused target scores.
 
-    Returns (loss, reg_term, rows, d_margin): the fused tables' `_gather`
-    rows and the BPR derivative per margin, which `_scatter_margin_grads`
-    turns into the fused tables' gradient.  The L2 gradient, 2 * lambda_reg
-    times the base tables, acts on them directly, not through propagation,
-    and is `total_loss`'s to add.  ``workspace`` (a fresh one when None)
-    holds the L2 sum's squares.
+    Returns (risk, rows, d_margin): the fused tables' `_gather` rows and the
+    derivative per margin, which `_scatter_margin_grads` turns into the
+    fused tables' gradient.
     """
     triplets = _check_triplets(triplets)
     rows = _gather(fused_user, fused_item, triplets)
-    bpr, d_margin = _bpr_risk(np.einsum("ij,ij->i", *rows))
-    ws = Workspace() if workspace is None else workspace
-    sq_user, sq_item = (float(np.sum(np.square(e, out=ws.get(SCRATCH[0], e.shape))))
-                        for e in (state.user_emb, state.item_emb))
-    reg = state.hp.lambda_reg * (sq_user + sq_item)
-    return bpr + reg, reg, rows, d_margin
+    risk, d_margin = _bpr_risk(np.einsum("ij,ij->i", *rows))
+    return risk, rows, d_margin
 
 
 # ----------------------------------------------------------------------
@@ -480,11 +467,11 @@ def total_loss(
     """One full forward and backward pass over a batch.
 
     Propagates every behavior graph, computes per-behavior BPR risks, the
-    alignment loss over batch users, the configured invariance penalty, and
-    the fused main loss, then pushes every gradient path back through the
-    propagation adjoint into one buffer shaped like the base tables.  Which
-    terms run is decided here alone, from the batch, so no caller needs to
-    know.
+    alignment loss over batch users, the configured invariance penalty, the
+    fused BPR risk and the L2 term, then pushes every gradient path back
+    through the propagation adjoint into one buffer shaped like the base
+    tables.  Which terms run is decided here alone, from the batch, so no
+    caller or term needs to know.
 
     The behaviors stream through ``workspace`` (a fresh one when None): each
     is propagated into the same buffers and keeps only the rows the losses
@@ -503,7 +490,7 @@ def total_loss(
     # per behavior, in graph order (it orders the variance's sum and bpr_*):
     # the batch users' rows for the alignment term and, for a sampled
     # behavior, the rows its triplets read; then its tables join the sum
-    aligned = len(batch_users) >= 2
+    aligned = len(batch_users) >= 2 and len(behaviors) > 1
     align_rows, trips, rows, margins, risks, d_risks = {}, {}, {}, {}, {}, {}
     fused = ws.get("fused", shape)
     for k, b in enumerate(behaviors):
@@ -519,12 +506,12 @@ def total_loss(
         _add_to_sum(fused, emb, first=k == 0)
     fused /= len(behaviors)
 
-    # alignment: on every batch of 2 or more users, zero without an auxiliary
-    # behavior; at lambda_rrm = 0 only its value is used, for the log.  Its
-    # input is the gathered rows, so the users are checked here: a repeated
-    # user would be its own negative
+    # alignment: on every batch of 2 or more users with an auxiliary behavior;
+    # at lambda_rrm = 0 only its value is used, for the log.  Its input is the
+    # gathered rows, so the users are checked here: a repeated user would be
+    # its own negative
     if aligned:
-        if len(behaviors) > 1 and len(np.unique(batch_users)) != len(batch_users):
+        if len(np.unique(batch_users)) != len(batch_users):
             raise ValueError("alignment loss needs distinct batch users")
         rrm_val, rrm_grads = rrm_loss(align_rows, target, hp.tau, hp.rrm_denominator,
                                       backward=hp.lambda_rrm != 0.0, workspace=ws)
@@ -547,19 +534,16 @@ def total_loss(
     # fused main term
     try:
         main_trips = _check_triplets(batch.main)
-        main_val, reg_val, main_rows, d_main = main_loss(
-            fused[:num_users], fused[num_users:], main_trips, state, ws)
+        risk, main_rows, d_main = main_loss(fused[:num_users], fused[num_users:],
+                                            main_trips)
     except ValueError as exc:
         raise ObjectiveError(f"main loss: {exc}") from exc
-
-    total = main_val + hp.lambda_rrm * rrm_val + hp.lambda_orm * orm_val
 
     # ---- backward ----
     # fusion is the mean over behaviors, so each cotangent starts from 1/|B|
     # of the main term's scatter, then the alignment and invariance terms add
     # to it, in the buffer the adjoint starts from; the adjoints, in behavior
-    # order, and then the L2 gradient are summed from zeros in the fused
-    # tables' buffer, now unread
+    # order, are summed from zeros in the fused tables' buffer, now unread
     cot = ws.get(PROPAGATED, shape)
     d_P, d_Q = cot[:num_users], cot[num_users:]
     grad = fused
@@ -576,10 +560,18 @@ def total_loss(
         _add_to_sum(grad, propagate_adjoint(graphs[b], d_P, d_Q, hp.num_layers,
                                             workspace=ws), first=False)
     d_user, d_item = grad[:num_users], grad[num_users:]
+
+    # L2 on the base tables, value and gradient: it acts on them directly,
+    # not through propagation
+    sq_user, sq_item = (float(np.sum(np.square(e, out=ws.get(SCRATCH[0], e.shape))))
+                        for e in (state.user_emb, state.item_emb))
+    reg_val = hp.lambda_reg * (sq_user + sq_item)
     for d, e in ((d_user, state.user_emb), (d_item, state.item_emb)):
         d += np.multiply(e, 2.0 * hp.lambda_reg, out=ws.get(SCRATCH[0], e.shape))
 
+    main_val = risk + reg_val
+    total = main_val + hp.lambda_rrm * rrm_val + hp.lambda_orm * orm_val
     breakdown = LossBreakdown(bpr=risks, rrm=rrm_val, orm=orm_val, main=main_val,
                               reg=reg_val, total=total,
-                              alignment_skipped=not aligned)
+                              alignment_skipped=len(batch_users) < 2)
     return breakdown, GradientBuffer(d_user=d_user, d_item=d_item)

@@ -961,6 +961,15 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    def test_single_behavior_sizes_pass_every_path(self, capsys):
+        # the objective without alignment or invariance: the main term and L2
+        code = main(["gradcheck", "--sizes", "6x6x1,8x8x1"])
+        assert code == 0
+        out = capsys.readouterr().out
+        paths = [line for line in out.splitlines() if line.startswith("PASS")]
+        assert len(paths) == 2 * 12 and "FAIL" not in out
+        assert all("b1" in line for line in paths)
+
     def test_variant_filter_restricts_paths(self, capsys):
         code = main(["gradcheck", "--sizes", "5x5x2", "--variant", "irm_v1",
                      "--mode", "literal", "--scope", "aux_only"])

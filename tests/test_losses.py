@@ -71,35 +71,30 @@ class TestHyperparameters:
             Hyperparameters(**{field: value})
 
 
-def _bpr_term(P, Q, triplets, state=None):
+def _bpr_term(P, Q, triplets):
     """`main_loss` on fused tables P and Q, and the gradients with respect to
-    them that `_scatter_margin_grads` forms from its rows and d_margin.
-    Without ``state`` the base tables are zeros and lambda_reg is 0."""
-    if state is None:
-        hp = Hyperparameters(dim=P.shape[1], lambda_reg=0.0)
-        state = ModelState(np.zeros_like(P), np.zeros_like(Q), hp)
-    loss, reg, rows, d_margin = main_loss(P, Q, triplets, state)
+    them that `_scatter_margin_grads` forms from its rows and d_margin."""
+    risk, rows, d_margin = main_loss(P, Q, triplets)
     d_P, d_Q = np.zeros_like(P), np.zeros_like(Q)
     _scatter_margin_grads(d_P, d_Q, rows, np.asarray(triplets), d_margin, Workspace())
-    return loss, reg, d_P, d_Q
+    return risk, d_P, d_Q
 
 
 class TestBprLoss:
-    """The BPR term of `main_loss`, at lambda_reg = 0."""
+    """`main_loss`, the BPR risk over fused tables."""
 
     def test_equal_scores_give_log_two(self):
         rng = np.random.default_rng(0)
         P = rng.normal(size=(2, 4))
         Q = np.vstack([rng.normal(size=4)] * 2)  # q_i == q_j -> zero margin
         triplets = np.array([[0, 0, 1], [1, 0, 1]])
-        loss, reg, _, _ = _bpr_term(P, Q, triplets)
+        loss, _, _ = _bpr_term(P, Q, triplets)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
-        assert reg == 0.0
 
     def test_large_margin_saturates(self):
         P = np.array([[10.0, 0.0]])
         Q = np.array([[10.0, 0.0], [-10.0, 0.0]])
-        loss, _, dP, dQ = _bpr_term(P, Q, np.array([[0, 0, 1]]))
+        loss, dP, dQ = _bpr_term(P, Q, np.array([[0, 0, 1]]))
         assert loss < 1e-10
         assert np.max(np.abs(dP)) < 1e-10
         assert np.max(np.abs(dQ)) < 1e-10
@@ -110,17 +105,15 @@ class TestBprLoss:
         P = rng.normal(size=(3, 4))
         Q = rng.normal(size=(5, 4))
         triplets = np.array([[0, 0, 1], [1, 2, 3], [2, 4, 0]])
-        _, _, dP, dQ = _bpr_term(P, Q, triplets)
+        _, dP, dQ = _bpr_term(P, Q, triplets)
         fd_P = numeric_gradient(lambda: _bpr_term(P, Q, triplets)[0], P)
         fd_Q = numeric_gradient(lambda: _bpr_term(P, Q, triplets)[0], Q)
         assert max_rel_error(dP, fd_P) <= 1e-6
         assert max_rel_error(dQ, fd_Q) <= 1e-6
 
     def test_empty_triplets_rejected(self):
-        state = ModelState(np.zeros((1, 2)), np.zeros((1, 2)),
-                           Hyperparameters(dim=2, lambda_reg=0.0))
         with pytest.raises(ValueError, match="empty"):
-            main_loss(np.zeros((1, 2)), np.zeros((1, 2)), np.empty((0, 3), dtype=int), state)
+            main_loss(np.zeros((1, 2)), np.zeros((1, 2)), np.empty((0, 3), dtype=int))
 
     def test_repeated_rows_sum_their_gradients(self):
         # users and items recur across triplets, items as positive in one
@@ -130,7 +123,7 @@ class TestBprLoss:
         Q = rng.normal(size=(4, 4))
         triplets = np.array([[0, 1, 2], [0, 1, 2], [1, 3, 3], [1, 2, 1],
                              [2, 1, 0], [0, 0, 2]])
-        _, _, dP, dQ = _bpr_term(P, Q, triplets)
+        _, dP, dQ = _bpr_term(P, Q, triplets)
         fd_P = numeric_gradient(lambda: _bpr_term(P, Q, triplets)[0], P)
         fd_Q = numeric_gradient(lambda: _bpr_term(P, Q, triplets)[0], Q)
         assert max_rel_error(dP, fd_P) <= 1e-6
@@ -257,11 +250,10 @@ class TestRrmLoss:
         value, _ = rrm_loss(scaled, "buy", 0.3)
         assert value == pytest.approx(base, abs=1e-12)
 
-    def test_no_auxiliary_returns_zero(self):
-        embs = {"buy": np.ones((3, 2))}
-        loss, grads = rrm_loss(embs, "buy", 0.2)
-        assert loss == 0.0
-        assert np.all(grads["buy"] == 0.0)
+    def test_no_auxiliary_rejected(self):
+        # total_loss runs alignment only with an auxiliary behavior
+        with pytest.raises(ValueError, match="auxiliary behavior"):
+            rrm_loss({"buy": np.ones((3, 2))}, "buy", 0.2)
 
     def test_single_user_batch_rejected(self):
         embs = {"view": np.ones((1, 2)), "buy": np.ones((1, 2))}
@@ -348,52 +340,52 @@ class TestIrmPenalty:
 
 class TestFuseAndMain:
     def test_total_loss_main_is_main_loss_of_fused_embeddings(self):
-        # total_loss and evaluation.fused_embeddings stream one fusion sum
+        # total_loss and evaluation.fused_embeddings stream one fusion sum,
+        # and the L2 term on the base tables joins the fused risk
         graphs, state, sampler = _planted_step_setup()
         rng = np.random.default_rng(22)
         users = rng.permutation(len(state.user_emb))[:64]
         batch = sampler.sample(users, rng)
         breakdown, _ = total_loss(state, graphs, batch, users, "buy")
-        expected = main_loss(*fused_embeddings(state, graphs), batch.main, state)[0]
-        assert len(graphs) == 3 and breakdown.main.hex() == expected.hex()
+        reg = state.hp.lambda_reg * (float(np.sum(state.user_emb ** 2))
+                                     + float(np.sum(state.item_emb ** 2)))
+        risk = main_loss(*fused_embeddings(state, graphs), batch.main)[0]
+        assert len(graphs) == 3 and reg > 0.0
+        assert breakdown.reg.hex() == reg.hex()
+        assert breakdown.main.hex() == (risk + breakdown.reg).hex()
 
     def test_main_loss_zero_margin_is_log_two(self):
-        hp = Hyperparameters(dim=2, lambda_reg=0.0)
-        state = ModelState(np.zeros((2, 2)), np.zeros((2, 2)), hp)
         zu = np.random.default_rng(9).normal(size=(2, 2))
         zi = np.vstack([np.ones(2), np.ones(2)])
-        loss, reg, *_ = main_loss(zu, zi, np.array([[0, 0, 1]]), state)
-        assert loss == pytest.approx(math.log(2.0), abs=1e-12)
-        assert reg == 0.0
+        risk, *_ = main_loss(zu, zi, np.array([[0, 0, 1]]))
+        assert risk == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_regularizer_zero_at_zero_embeddings(self):
-        hp = Hyperparameters(dim=2, lambda_reg=1.0)
+        ds = make_dataset({"buy": {(0, 0): 1, (1, 1): 1}}, "buy", num_users=2, num_items=2)
+        hp = Hyperparameters(dim=2, num_layers=1, lambda_reg=1.0)
         state = ModelState(np.zeros((2, 2)), np.zeros((2, 2)), hp)
-        zu = np.zeros((2, 2))
-        zi = np.zeros((2, 2))
-        loss, reg, *_ = main_loss(zu, zi, np.array([[0, 0, 1]]), state)
-        assert loss == pytest.approx(math.log(2.0), abs=1e-12)
-        assert reg == 0.0
+        batch = TripletBatch({"buy": np.array([[0, 0, 1]])}, np.array([[0, 0, 1]]))
+        breakdown, grads = total_loss(state, {"buy": build_graph(ds, "buy")}, batch,
+                                      np.array([0, 1]), "buy")
+        assert breakdown.main == pytest.approx(math.log(2.0), abs=1e-12)
+        assert breakdown.reg == 0.0
+        assert not np.any(grads.d_user) and not np.any(grads.d_item)
 
     def test_gradients_match_finite_differences(self):
-        # with respect to the fused tables, the value moves as the scatter of
-        # d_margin over the returned rows; with respect to the base tables,
-        # as the L2 gradient 2 * lambda_reg * E
+        # with respect to the fused tables, the risk moves as the scatter of
+        # d_margin over the returned rows; the L2 gradient on the base tables
+        # is checked through total_loss
         rng = np.random.default_rng(10)
-        hp = Hyperparameters(dim=3, lambda_reg=0.05)
-        state = ModelState(rng.normal(size=(3, 3)), rng.normal(size=(4, 3)), hp)
         zu = rng.normal(size=(3, 3))
         zi = rng.normal(size=(4, 3))
         triplets = np.array([[0, 0, 1], [1, 2, 3], [2, 3, 0]])
-        _, _, d_zu, d_zi = _bpr_term(zu, zi, triplets, state=state)
+        _, d_zu, d_zi = _bpr_term(zu, zi, triplets)
 
         def value():
-            return main_loss(zu, zi, triplets, state)[0]
+            return main_loss(zu, zi, triplets)[0]
 
         assert max_rel_error(d_zu, numeric_gradient(value, zu)) <= 1e-6
         assert max_rel_error(d_zi, numeric_gradient(value, zi)) <= 1e-6
-        for e in (state.user_emb, state.item_emb):
-            assert max_rel_error(2.0 * hp.lambda_reg * e, numeric_gradient(value, e)) <= 1e-6
 
 
 def _two_behavior_setup(rng, lambda_rrm=0.7, lambda_orm=1.1, **hp_kwargs):
@@ -497,6 +489,23 @@ class TestTotalLoss:
         assert breakdown.rrm == 0.0
         assert breakdown.orm == 0.0
         assert breakdown.total == breakdown.main
+
+    def test_single_behavior_never_runs_alignment(self, monkeypatch):
+        # total_loss alone decides: rrm_loss is not called without an
+        # auxiliary behavior, and the batch's 3 users do not count as skipped
+        rng = np.random.default_rng(18)
+        ds = make_dataset({"buy": {(0, 0): 1, (1, 1): 1, (2, 2): 1}}, "buy",
+                          num_users=3, num_items=3)
+        hp = Hyperparameters(dim=3, num_layers=1, lambda_rrm=1.0)
+        state = ModelState(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), hp)
+        batch = TripletBatch({"buy": np.array([[0, 0, 1], [1, 1, 2]])},
+                             np.array([[0, 0, 2], [2, 2, 0]]))
+        monkeypatch.setattr(losses, "rrm_loss",
+                            lambda *args, **kwargs: pytest.fail("alignment ran"))
+        breakdown, _ = total_loss(state, {"buy": build_graph(ds, "buy")}, batch,
+                                  np.arange(3), "buy")
+        assert breakdown.rrm == 0.0
+        assert breakdown.alignment_skipped is False
 
     def test_one_user_batch_without_auxiliary_behavior(self):
         ds = make_dataset({"buy": {(0, 0): 1, (1, 1): 1}}, "buy", num_users=2, num_items=3)
