@@ -142,15 +142,17 @@ class TripletBatch:
 
 @dataclass(frozen=True)
 class LossBreakdown:
+    """A batch's loss terms, and in ``ran`` the optional ones, "rrm" and
+    "orm", that were computed (at a zero λ too): the one record of which ran,
+    which `training.train` counts.  ``ran`` is not a term: `terms` leaves it out."""
+
     bpr: dict[str, float]
     rrm: float
     orm: float
     main: float
     reg: float
     total: float
-    # the batch had fewer than 2 users, so the alignment term is 0 and did
-    # not run; not a term, so `terms` leaves it out
-    alignment_skipped: bool = False
+    ran: frozenset[str] = frozenset()
 
     def terms(self) -> dict[str, float]:
         """Every term by its log name, the constituents before the total."""
@@ -470,8 +472,8 @@ def total_loss(
     alignment loss over batch users, the configured invariance penalty, the
     fused BPR risk and the L2 term, then pushes every gradient path back
     through the propagation adjoint into one buffer shaped like the base
-    tables.  Which terms run is decided here alone, from the batch, so no
-    caller or term needs to know.
+    tables.  Which terms run is decided here alone, from the batch, and the
+    breakdown's ``ran`` records it, so no caller or term needs to know.
 
     The behaviors stream through ``workspace`` (a fresh one when None): each
     is propagated into the same buffers and keeps only the rows the losses
@@ -571,7 +573,7 @@ def total_loss(
 
     main_val = risk + reg_val
     total = main_val + hp.lambda_rrm * rrm_val + hp.lambda_orm * orm_val
+    ran = frozenset(name for name, did in (("rrm", aligned), ("orm", orm_terms)) if did)
     breakdown = LossBreakdown(bpr=risks, rrm=rrm_val, orm=orm_val, main=main_val,
-                              reg=reg_val, total=total,
-                              alignment_skipped=len(batch_users) < 2)
+                              reg=reg_val, total=total, ran=ran)
     return breakdown, GradientBuffer(d_user=d_user, d_item=d_item)

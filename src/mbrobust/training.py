@@ -20,7 +20,6 @@ from .graph import SCRATCH, Workspace, build_graph
 from .losses import (
     GradientBuffer,
     Hyperparameters,
-    LossBreakdown,
     ModelState,
     TripletBatch,
     _require_integers,
@@ -33,14 +32,6 @@ log = logging.getLogger(__name__)
 class NonFiniteGradientError(Exception):
     """A loss term or a gradient tensor contained NaN or infinity; the
     message names it."""
-
-
-def _check_finite_loss(breakdown: LossBreakdown) -> None:
-    """Raise `NonFiniteGradientError` naming the first NaN or infinite term of
-    a batch's loss; the constituents come before the total they make up."""
-    for name, value in breakdown.terms().items():
-        if not math.isfinite(value):
-            raise NonFiniteGradientError(f"non-finite {name} loss ({value})")
 
 
 @dataclass
@@ -278,7 +269,8 @@ def train(
     batch.  Every ``eval_every`` epochs validation HR@10 is measured; the
     best-scoring parameters are kept and training stops once ``patience``
     evaluations pass without improvement.  Declared behaviors with no
-    training edges are dropped with a warning.
+    training edges are dropped with a warning; the run's counts (terms no
+    batch's `LossBreakdown.ran` holds, skips) are warned once, at its end.
     """
     from .evaluation import evaluate  # local import to avoid a module cycle
 
@@ -292,9 +284,6 @@ def train(
     for b in ds.manifest.behaviors:
         if b not in active:
             log.warning("behavior %r has no training edges; dropped from training", b)
-    if len(active) == 1:
-        log.warning("single active behavior: alignment and invariance terms "
-                    "are inactive for this run")
 
     graphs = {b: build_graph(ds, b) for b in active}
     sampler = TripletSampler(split)
@@ -318,7 +307,7 @@ def train(
     evals_since_improvement = 0
     rows: list[LogRow] = []
     num_users = ds.manifest.num_users
-    alignment_skips = 0
+    ran, skipped_batches = Counter(), 0  # ran: stepped batches per optional term
 
     for epoch in range(1, hp.max_epochs + 1):
         tic = time.perf_counter()
@@ -330,16 +319,17 @@ def train(
             batch_users = perm[start : start + hp.batch_size]
             batch = sampler.sample(batch_users, rng_sample)
             if len(batch.main) == 0:
-                log.warning("batch with no target triplets skipped")
+                skipped_batches += 1
                 continue
             breakdown, grads = total_loss(state, graphs, batch, batch_users, target,
                                           workspace)
-            _check_finite_loss(breakdown)
-            alignment_skips += breakdown.alignment_skipped
-            adam_step(state, opt, grads, hp.lr, workspace)
             for name, value in breakdown.terms().items():
+                if not math.isfinite(value):  # constituents come before the total
+                    raise NonFiniteGradientError(f"non-finite {name} loss ({value})")
                 sums[name] += value
                 counts[name] += 1
+            ran.update(breakdown.ran)
+            adam_step(state, opt, grads, hp.lr, workspace)
         if not counts:  # no batch had a main triplet
             raise DatasetError("no negative can be drawn: every user with a training "
                                "target edge has every item as one")
@@ -375,9 +365,16 @@ def train(
             log.info("early stop at epoch %d (best validation HR@10 %.4f)", epoch, best_hr)
             break
 
-    if alignment_skips:
+    for term, name in (("rrm", "alignment"), ("orm", "invariance")):
+        if not ran[term]:
+            log.warning("%s never ran on any batch", name)
+    if 0 < ran["rrm"] < opt.step_count:  # fixed graphs: only a batch size skips it
         log.warning("alignment loss skipped on %d batches of fewer than 2 users",
-                    alignment_skips)
+                    opt.step_count - ran["rrm"])
+    if skipped_batches:
+        log.warning("%d batches with no target triplets skipped", skipped_batches)
+    if sampler.saturated_skips:
+        log.warning("%d draws skipped for users with every item", sampler.saturated_skips)
     return best_state, rows
 
 

@@ -469,7 +469,7 @@ class TestTotalLoss:
         monkeypatch.setattr(losses, "rrm_loss", no_backward)
         breakdown, grads = total_loss(state, graphs, batch, users, "buy")
         assert breakdown.rrm == value > 0.0
-        assert replace(breakdown, rrm=0.0, alignment_skipped=True) == skipped
+        assert replace(breakdown, rrm=0.0, ran=breakdown.ran - {"rrm"}) == skipped
         np.testing.assert_array_equal(grads.d_user, skipped_grads.d_user)
         np.testing.assert_array_equal(grads.d_item, skipped_grads.d_item)
 
@@ -492,7 +492,7 @@ class TestTotalLoss:
 
     def test_single_behavior_never_runs_alignment(self, monkeypatch):
         # total_loss alone decides: rrm_loss is not called without an
-        # auxiliary behavior, and the batch's 3 users do not count as skipped
+        # auxiliary behavior, and the breakdown records that it did not run
         rng = np.random.default_rng(18)
         ds = make_dataset({"buy": {(0, 0): 1, (1, 1): 1, (2, 2): 1}}, "buy",
                           num_users=3, num_items=3)
@@ -505,7 +505,34 @@ class TestTotalLoss:
         breakdown, _ = total_loss(state, {"buy": build_graph(ds, "buy")}, batch,
                                   np.arange(3), "buy")
         assert breakdown.rrm == 0.0
-        assert breakdown.alignment_skipped is False
+        assert "rrm" not in breakdown.ran
+
+    @pytest.mark.parametrize("behaviors, users, hp_kwargs, ran", [
+        (("buy",), [0, 1], {}, set()),
+        (("buy",), [0, 1], {"irm_variant": "irm_v1"}, {"orm"}),
+        (("buy",), [0, 1], {"irm_variant": "irm_v2"}, {"orm"}),
+        (("buy",), [0, 1], {"irm_variant": "irm_v1", "orm_scope": "aux_only"}, set()),
+        (("view", "cart", "buy"), [0], {}, {"orm"}),
+        (("view", "cart", "buy"), [0, 1], {}, {"rrm", "orm"}),
+        (("view", "cart", "buy"), [0, 1], {"lambda_rrm": 0.0, "lambda_orm": 0.0},
+         {"rrm", "orm"}),
+    ], ids=["single-rex", "single-irm_v1", "single-irm_v2", "single-irm_v1-aux_only",
+            "three-one_user", "three-two_users", "three-zero_lambdas"])
+    def test_breakdown_records_which_terms_ran(self, behaviors, users, hp_kwargs, ran):
+        # each user has one item per behavior; its triplet's negative is the next item
+        edges = {"view": {(0, 1): 1, (1, 2): 1}, "cart": {(0, 2): 1, (1, 0): 1},
+                 "buy": {(0, 0): 1, (1, 1): 1}}
+        ds = make_dataset({b: edges[b] for b in behaviors}, "buy", num_users=2,
+                          num_items=3)
+        rng = np.random.default_rng(21)
+        hp = Hyperparameters(dim=3, num_layers=1, **hp_kwargs)
+        state = ModelState(rng.normal(size=(2, 3)), rng.normal(size=(3, 3)), hp)
+        trips = {b: np.array([[u, i, (i + 1) % 3] for u, i in edges[b] if u in users])
+                 for b in behaviors}
+        breakdown, _ = total_loss(state, {b: build_graph(ds, b) for b in behaviors},
+                                  TripletBatch(trips, trips["buy"]), np.array(users),
+                                  "buy")
+        assert breakdown.ran == ran
 
     def test_one_user_batch_without_auxiliary_behavior(self):
         ds = make_dataset({"buy": {(0, 0): 1, (1, 1): 1}}, "buy", num_users=2, num_items=3)

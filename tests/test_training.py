@@ -17,6 +17,7 @@ from mbrobust.data import (
     DatasetError,
     DatasetManifest,
     SplitDataset,
+    drop_behaviors,
     nth_absent,
     split_leave_one_out,
 )
@@ -51,6 +52,16 @@ def adam_oracle(theta, grads, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
         v_hat = v / (1 - beta2**t)
         theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
     return theta
+
+
+def _saturated_view_split():
+    """Two users and three items, of which user 0 has every one in "view"."""
+    ds = make_dataset(
+        {"view": {(0, 0): 1, (0, 1): 1, (0, 2): 1, (1, 0): 1},
+         "buy": {(0, 0): 1, (1, 1): 1}},
+        "buy", num_users=2, num_items=3,
+    )
+    return SplitDataset(ds, (), ())
 
 
 def _state(rng, n_u=3, n_i=4, dim=2):
@@ -173,12 +184,7 @@ class TestSampling:
 
     def test_saturated_user_is_skipped_and_counted(self):
         # user 0 has every item in "view"; their target triplet is still drawn
-        ds = make_dataset(
-            {"view": {(0, 0): 1, (0, 1): 1, (0, 2): 1, (1, 0): 1},
-             "buy": {(0, 0): 1, (1, 1): 1}},
-            "buy", num_users=2, num_items=3,
-        )
-        sampler = TripletSampler(SplitDataset(ds, (), ()))
+        sampler = TripletSampler(_saturated_view_split())
         batch = sampler.sample(np.array([0, 1]), np.random.default_rng(0))
         assert sampler.saturated_skips == 1
         assert batch.per_behavior["view"][:, 0].tolist() == [1]
@@ -474,6 +480,41 @@ class TestTrainLoop:
         train(split, TrainConfig(hp=self._hp(batch_size=39, max_epochs=6, patience=10)))
         skipped = [r.getMessage() for r in caplog.records if "alignment" in r.getMessage()]
         assert skipped == ["alignment loss skipped on 6 batches of fewer than 2 users"]
+
+    @pytest.mark.parametrize("variant, orm_ran", [("rex", False), ("irm_v1", True)])
+    def test_single_behavior_warns_of_the_terms_that_never_ran(self, caplog, variant,
+                                                                orm_ran):
+        # IRM covers the target alone under all_behaviors and runs; the risk
+        # variance needs 2 behaviors and alignment an auxiliary one
+        split = split_leave_one_out(planted_dataset(seed=7))
+        split = replace(split, train=drop_behaviors(split.train, ("view", "cart")))
+        caplog.set_level(logging.WARNING)
+        _, rows = train(split, TrainConfig(hp=self._hp(irm_variant=variant, max_epochs=2)))
+        messages = [r.getMessage() for r in caplog.records]
+        assert [m for m in messages if "alignment" in m] == [
+            "alignment never ran on any batch"]
+        assert [m for m in messages if "invariance" in m] == (
+            [] if orm_ran else ["invariance never ran on any batch"])
+        assert [r.orm > 0 for r in rows] == [orm_ran] * 2
+
+    def test_skipped_batches_are_one_warning_per_run(self, caplog):
+        # user 2 has no target edge, so each epoch skips its one-user batch
+        ds = make_dataset({"view": {(0, 0): 1, (1, 1): 1, (2, 2): 1},
+                           "buy": {(0, 0): 1, (1, 1): 1}}, "buy", num_users=3,
+                          num_items=3)
+        caplog.set_level(logging.WARNING)
+        train(SplitDataset(ds, (), ()),
+              TrainConfig(hp=self._hp(batch_size=1, max_epochs=3)))
+        skipped = [r.getMessage() for r in caplog.records
+                   if "target triplets" in r.getMessage()]
+        assert skipped == ["3 batches with no target triplets skipped"]
+
+    def test_saturated_draws_are_one_warning_per_run(self, caplog):
+        # user 0's "view" draw is skipped once in each of 2 epochs
+        caplog.set_level(logging.WARNING)
+        train(_saturated_view_split(), TrainConfig(hp=self._hp(max_epochs=2)))
+        saturated = [r.getMessage() for r in caplog.records if "every item" in r.getMessage()]
+        assert saturated == ["2 draws skipped for users with every item"]
 
     @pytest.mark.parametrize("buy, message", [
         ({}, "target behavior has no training edges"),
