@@ -270,7 +270,8 @@ def train(
     best-scoring parameters are kept and training stops once ``patience``
     evaluations pass without improvement.  Declared behaviors with no
     training edges are dropped with a warning; the run's counts (terms no
-    batch's `LossBreakdown.ran` holds, skips) are warned once, at its end.
+    stepped batch's `LossBreakdown.ran` holds, skips) are warned once, at its
+    end.
     """
     from .evaluation import evaluate  # local import to avoid a module cycle
 
@@ -366,7 +367,7 @@ def train(
             break
 
     for term, name in (("rrm", "alignment"), ("orm", "invariance")):
-        if not ran[term]:
+        if opt.step_count and not ran[term]:  # zero epochs step no batch
             log.warning("%s never ran on any batch", name)
     if 0 < ran["rrm"] < opt.step_count:  # fixed graphs: only a batch size skips it
         log.warning("alignment loss skipped on %d batches of fewer than 2 users",

@@ -497,6 +497,12 @@ class TestTrainLoop:
             [] if orm_ran else ["invariance never ran on any batch"])
         assert [r.orm > 0 for r in rows] == [orm_ran] * 2
 
+    def test_zero_epochs_warn_of_no_term(self, caplog):
+        # no batch is stepped, so no term can be said to have never run
+        caplog.set_level(logging.WARNING)
+        train(self._split(), TrainConfig(hp=self._hp(max_epochs=0)))
+        assert [r.getMessage() for r in caplog.records if "never ran" in r.getMessage()] == []
+
     def test_skipped_batches_are_one_warning_per_run(self, caplog):
         # user 2 has no target edge, so each epoch skips its one-user batch
         ds = make_dataset({"view": {(0, 0): 1, (1, 1): 1, (2, 2): 1},
