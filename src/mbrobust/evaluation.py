@@ -307,7 +307,8 @@ def robustness_sweep(
     Each sweep cell perturbs with its own sub-seed derived from ``seed``;
     every training run restarts from the same initialization.  The grid and
     the data are checked first; ``on_checked`` runs once they pass, before
-    the first training run.
+    the first training run.  Every training run and evaluation computes its
+    tables in one workspace.
     """
     from .training import train  # local import to avoid a module cycle
 
@@ -321,14 +322,15 @@ def robustness_sweep(
     if not split.test:  # before any training run, which could not be evaluated
         raise DatasetError("no held-out pairs to evaluate: no user has >= 3 target interactions")
     on_checked()
-    state, _ = train(split, cfg)
-    baseline = evaluate(state, split, ks=(10,))
+    ws = Workspace()
+    state, _ = train(split, cfg, ws)
+    baseline = evaluate(state, split, ks=(10,), workspace=ws)
     rows = [SweepRow("baseline", 0.0, baseline, 0.0, 0.0)]
 
     for spec in specs:
         noisy_split = replace(split, train=perturb(split.train, spec))
-        state_n, _ = train(noisy_split, cfg)
-        report = evaluate(state_n, noisy_split, ks=(10,))
+        state_n, _ = train(noisy_split, cfg, ws)
+        report = evaluate(state_n, noisy_split, ks=(10,), workspace=ws)
         rows.append(
             SweepRow(
                 mode=spec.mode,

@@ -21,10 +21,13 @@ finite differences in the test suite; everything runs in float64.
 `total_loss` streams the behaviors through one `graph.Workspace`: each
 behavior is propagated into the same buffers, the rows the losses read are
 gathered, and its tables are added to the fused sum before the next one is
-propagated.  Every BPR-style term, main and invariance alike, returns its
-`_gather` rows and a derivative per margin, which the backward pass scatters
-into each cotangent with `_scatter_margin_grads`: no loss term writes a
-table.  Arrays returned with a workspace are views of its buffers, valid
+propagated.  A step holds three table-sized buffers (four from three
+propagation layers on): the fused sum, the propagation result and one
+scratch table, because the last propagation layer is streamed in row
+blocks.  Every BPR-style term, main and invariance alike, returns its
+`_gather` rows and a derivative per margin, which the backward pass
+scatters into each cotangent with `_scatter_margin_grads`: no loss term
+writes a table.  Arrays returned with a workspace are views of its buffers, valid
 until its next use.
 """
 
@@ -486,8 +489,10 @@ def total_loss(
 
     The behaviors stream through ``workspace`` (a fresh one when None): each
     is propagated into the same buffers and keeps only the rows the losses
-    read, so the step holds four table-sized buffers.  The returned
-    gradients are views of them, valid until the workspace's next use.
+    read, so the step holds three table-sized buffers (the fused tables,
+    `graph.PROPAGATED` and ``SCRATCH[0]``; ``SCRATCH[1]`` too from three
+    propagation layers on).  The returned gradients are views of them, valid
+    until the workspace's next use.
     """
     hp = state.hp
     behaviors = list(graphs)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import seeds
 from .data import DatasetError, DatasetManifest, SplitDataset, nth_absent, positions
-from .graph import SCRATCH, Workspace, build_graph
+from .graph import BLOCK_SCRATCH, Workspace, build_graph, row_blocks
 from .losses import (
     GradientBuffer,
     Hyperparameters,
@@ -66,8 +66,11 @@ def adam_step(
     """Standard bias-corrected Adam update, in place.
 
     Aborts on non-finite gradients instead of clipping; a blown-up gradient
-    means a bug upstream, not something to mask.  The update's temporaries
-    are ``workspace``'s scratch buffers (a fresh workspace when None).
+    means a bug upstream, not something to mask.  The update runs a row
+    block at a time (`graph.row_blocks`), each entry through the same
+    operations in the same order as a whole-table update, and its two
+    temporaries are ``workspace``'s `graph.BLOCK_SCRATCH` buffers (a fresh
+    workspace when None).
     """
     for name, g in (("user embedding", grads.d_user), ("item embedding", grads.d_item)):
         # NaN propagates through max and min, and an infinity is one of them
@@ -78,26 +81,28 @@ def adam_step(
     t = opt.step_count
     c1 = 1.0 - ADAM_BETA1**t
     c2 = 1.0 - ADAM_BETA2**t
-    for m, v, g, theta in (
+    for tables in (
         (opt.m_user, opt.v_user, grads.d_user, state.user_emb),
         (opt.m_item, opt.v_item, grads.d_item, state.item_emb),
     ):
-        step, denom = (ws.get(name, g.shape) for name in SCRATCH)
-        # m += (1 - beta1)·g and v += (1 - beta2)·g·g
-        m *= ADAM_BETA1
-        m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
-        v *= ADAM_BETA2
-        np.multiply(g, 1.0 - ADAM_BETA2, out=step)
-        step *= g
-        v += step
-        # theta -= lr·(m / c1) / (sqrt(v / c2) + eps)
-        np.divide(m, c1, out=step)
-        step *= lr
-        np.divide(v, c2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        step /= denom
-        theta -= step
+        for lo, hi in row_blocks(len(tables[0])):
+            m, v, g, theta = (a[lo:hi] for a in tables)
+            step, denom = (ws.get(name, g.shape) for name in BLOCK_SCRATCH)
+            # m += (1 - beta1)·g and v += (1 - beta2)·g·g
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+            v *= ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=step)
+            step *= g
+            v += step
+            # theta -= lr·(m / c1) / (sqrt(v / c2) + eps)
+            np.divide(m, c1, out=step)
+            step *= lr
+            np.divide(v, c2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            step /= denom
+            theta -= step
     return state
 
 
@@ -235,8 +240,8 @@ class TrainConfig:
 class LogRow:
     epoch: int
     bpr: dict[str, float | None]
-    rrm: float
-    orm: float
+    rrm: float | None
+    orm: float | None
     main: float
     total: float
     val_hr10: float | None
@@ -247,7 +252,7 @@ class LogRow:
 def format_log(rows: list[LogRow], behaviors: list[str]) -> str:
     """Render the per-epoch log as CSV: one column per `LogRow` field, in
     field order, and one ``bpr_<behavior>`` column per behavior (empty cell =
-    not measured)."""
+    not measured, or a term that ran on no batch of the epoch)."""
     names = [f.name for f in fields(LogRow)]
     header = [c for n in names
               for c in ([f"bpr_{b}" for b in behaviors] if n == "bpr" else [n])]
@@ -259,8 +264,12 @@ def format_log(rows: list[LogRow], behaviors: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the terms a batch may not run (`LossBreakdown.ran`), and their names
+_OPTIONAL_TERMS = {"rrm": "alignment", "orm": "invariance"}
+
+
 def train(
-    split: SplitDataset, cfg: TrainConfig
+    split: SplitDataset, cfg: TrainConfig, workspace: Workspace | None = None
 ) -> tuple[ModelState, list[LogRow]]:
     """Run the full optimization loop and return the best checkpoint.
 
@@ -271,7 +280,12 @@ def train(
     evaluations pass without improvement.  Declared behaviors with no
     training edges are dropped with a warning; the run's counts (terms no
     stepped batch's `LossBreakdown.ran` holds, skips) are warned once, at its
-    end.
+    end.  An epoch logs each optional term as its mean over the batches whose
+    `LossBreakdown.ran` holds it, and None when none does.
+
+    Every table of a step and of validation is a buffer of ``workspace`` (a
+    fresh one when None); a caller that trains repeatedly can pass one
+    workspace to every call, and gets the bits of fresh ones.
     """
     from .evaluation import evaluate  # local import to avoid a module cycle
 
@@ -297,8 +311,7 @@ def train(
     )
     opt = init_optimizer(state)
     rng_sample = seeds.spawn(hp.seed, "sampling")
-    # every table of a step and of validation is one of its buffers
-    workspace = Workspace()
+    workspace = Workspace() if workspace is None else workspace
 
     has_validation = len(split.validation) > 0
     if not has_validation:
@@ -314,7 +327,8 @@ def train(
         tic = time.perf_counter()
         perm = rng_sample.permutation(num_users)
         # per term: its sum and the number of batches that had it (a
-        # behavior with no triplets in a batch has no bpr term there)
+        # behavior with no triplets in a batch has no bpr term there, and an
+        # optional term that did not run has none either)
         sums, counts = defaultdict(float), Counter()
         for start in range(0, num_users, hp.batch_size):
             batch_users = perm[start : start + hp.batch_size]
@@ -327,6 +341,8 @@ def train(
             for name, value in breakdown.terms().items():
                 if not math.isfinite(value):  # constituents come before the total
                     raise NonFiniteGradientError(f"non-finite {name} loss ({value})")
+                if name in _OPTIONAL_TERMS and name not in breakdown.ran:
+                    continue
                 sums[name] += value
                 counts[name] += 1
             ran.update(breakdown.ran)
@@ -353,8 +369,8 @@ def train(
             LogRow(
                 epoch=epoch,
                 bpr={b: mean.get(f"bpr_{b}") for b in active},
-                rrm=mean["rrm"],
-                orm=mean["orm"],
+                rrm=mean.get("rrm"),
+                orm=mean.get("orm"),
                 main=mean["main"],
                 total=mean["total"],
                 val_hr10=val_hr,
@@ -366,7 +382,7 @@ def train(
             log.info("early stop at epoch %d (best validation HR@10 %.4f)", epoch, best_hr)
             break
 
-    for term, name in (("rrm", "alignment"), ("orm", "invariance")):
+    for term, name in _OPTIONAL_TERMS.items():
         if opt.step_count and not ran[term]:  # zero epochs step no batch
             log.warning("%s never ran on any batch", name)
     if 0 < ran["rrm"] < opt.step_count:  # fixed graphs: only a batch size skips it

@@ -298,6 +298,22 @@ class TestTrainCommand:
         assert "bpr_view" not in header
         assert "bpr_cart" in header
 
+    @pytest.mark.parametrize("variant, orm_logged", [("rex", False), ("irm_v1", True)])
+    def test_a_term_that_never_ran_has_empty_cells(self, dataset_dir, tmp_path, variant,
+                                                    orm_logged):
+        # the target alone: alignment needs an auxiliary behavior and the
+        # risk variance two behaviors; an IRM penalty runs on the target
+        out = str(tmp_path / "single")
+        assert main(_train_args(dataset_dir, out, extra=(
+            "--drop-behaviors", "view,cart", "--irm-variant", variant))) == 0
+        header, *rows = Path(out, "train_log.csv").read_text().splitlines()
+        columns = header.split(",")
+        for row in rows:
+            cells = dict(zip(columns, row.split(",")))
+            assert cells["rrm"] == ""
+            assert (cells["orm"] != "") == orm_logged
+            assert cells["main"] != ""
+
     def test_dropping_target_rejected_before_training(self, dataset_dir, tmp_path,
                                                       capsys):
         out = str(tmp_path / "bad")

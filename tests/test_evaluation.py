@@ -446,6 +446,21 @@ class TestSweep:
                              max_epochs=3, patience=5, seed=0)
         return TrainConfig(hp=hp, eval_every=5)
 
+    def test_one_shared_workspace_gives_the_bits_of_fresh_buffers(self, monkeypatch):
+        # the sweep passes one workspace through every run; a workspace that
+        # hands out a fresh NaN-filled buffer on every request reads nothing
+        # an earlier run left behind
+        class FreshBuffers(Workspace):
+            def get(self, name, shape):
+                return np.full(shape, np.nan)
+
+        ds = planted_dataset(seed=4, num_users=16, num_items=16, num_groups=4,
+                             target_per_user=4, aux_per_user=5)
+        grid = dict(ratios=[0.1, 0.3], modes=["add", "remove"], seed=0)
+        shared = sweep_csv(robustness_sweep(ds, self._cfg(), **grid))
+        monkeypatch.setattr(evaluation, "Workspace", FreshBuffers)
+        assert sweep_csv(robustness_sweep(ds, self._cfg(), **grid)) == shared
+
     def test_empty_ratio_list_gives_baseline_only(self):
         ds = planted_dataset(seed=4, num_users=16, num_items=16, num_groups=4,
                              target_per_user=4, aux_per_user=5)

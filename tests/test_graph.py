@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 
+from mbrobust import graph
 from mbrobust.graph import Workspace, _spmm_into, build_graph, propagate, propagate_adjoint
 
 from conftest import edge_datasets, make_dataset, random_dataset
@@ -208,6 +209,31 @@ class TestPropagate:
         assert in_place.P.tobytes() == expected.P.tobytes()
         assert in_place.Q.tobytes() == expected.Q.tobytes()
 
+    @pytest.mark.parametrize("block_rows", [1, 3])
+    @pytest.mark.parametrize("layers", [0, 1, 2, 3])
+    def test_streamed_last_layer_gives_the_bits_of_the_product_chain(
+            self, monkeypatch, block_rows, layers):
+        # 12 nodes span several blocks; an input in the result's own rows is
+        # the last layer's input at L = 1, whose item rows read user rows
+        # that earlier blocks have already added to
+        monkeypatch.setattr(graph, "BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(12)
+        ds = random_dataset(rng, num_users=7, num_items=5, num_behaviors=1)
+        g = build_graph(ds, ds.manifest.target)
+        Zu, Zi = rng.normal(size=(7, 4)), rng.normal(size=(5, 4))
+        cur = np.vstack([Zu, Zi])
+        expected = cur.copy()
+        for _ in range(layers):
+            cur = g.adjacency @ cur
+            expected += cur
+        expected /= layers + 1
+        ws = Workspace()
+        start = propagate(g, Zu, Zi, 0, workspace=ws)
+        for out in (propagate(g, Zu, Zi, layers),
+                    propagate(g, start.P, start.Q, layers, workspace=ws)):
+            assert out.P.tobytes() == expected[:7].tobytes()
+            assert out.Q.tobytes() == expected[7:].tobytes()
+
 
 class TestWorkspace:
     def test_views_grow_only_when_a_request_needs_room(self):
@@ -249,6 +275,26 @@ class TestSpmmInto:
         expected = a @ x
         assert out.dtype == expected.dtype and out.shape == expected.shape
         assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 64])
+    @pytest.mark.parametrize("lo, hi", [(0, 9), (0, 4), (4, 5), (3, 9), (5, 5), (9, 9)])
+    def test_a_row_range_gives_the_bits_of_those_rows(self, d, lo, hi):
+        rng = np.random.default_rng(13)
+        a, x = _spmm_case(rng, "csr", 9, 7, d, 0.4)
+        out = np.full((hi - lo, d), np.nan)
+        assert _spmm_into(a, x, out, (lo, hi)) is out
+        assert out.tobytes() == (a @ x)[lo:hi].tobytes()
+
+    def test_a_bad_row_range_raises_and_writes_nothing(self):
+        rng = np.random.default_rng(14)
+        a, x = _spmm_case(rng, "csr", 6, 5, 3, 0.5)
+        for rows, out_rows in (((-1, 2), 3), ((3, 2), 0), ((3, 7), 4), ((0, 2), 3)):
+            out = np.full((out_rows, 3), 7.0)
+            with pytest.raises(ValueError):
+                _spmm_into(a, x, out, rows)
+            assert np.all(out == 7.0)
+        with pytest.raises(ValueError, match="CSR"):  # a CSC matrix has no row slices
+            _spmm_into(a.tocsc(), x, np.zeros((2, 3)), (0, 2))
 
     @pytest.mark.parametrize("fmt", ["csr", "csc"])
     def test_bad_operands_raise_and_write_nothing(self, fmt):

@@ -20,7 +20,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import expit, logsumexp
 
 import mbrobust
-from mbrobust import gradcheck, losses
+from mbrobust import gradcheck, graph, losses
 from mbrobust.gradcheck import max_rel_error, numeric_gradient, run_gradcheck
 from mbrobust.graph import Workspace, build_graph, propagate
 from mbrobust.data import split_leave_one_out
@@ -629,6 +629,15 @@ class TestTotalLoss:
         value, partials = orm_loss({"a": 0.7, "b": 0.7}, "all_behaviors", "b")
         assert value == 0.0 and partials == {"a": 0.0, "b": 0.0}
 
+    @pytest.mark.parametrize("num_layers, block_rows", [(2, 512), (1, 2)])
+    def test_every_path_passes_through_the_streamed_layer(self, monkeypatch, num_layers,
+                                                         block_rows):
+        # 2-row blocks split the 16-node fixture's last layer into 8
+        monkeypatch.setattr(graph, "BLOCK_ROWS", block_rows)
+        results = run_gradcheck(sizes=((8, 8, 3),), num_layers=num_layers)
+        assert len(results) == 12
+        assert [r.path for r in results if not r.passed] == []
+
     def test_corrupted_gradient_path_is_caught(self, monkeypatch):
         def biased(*args):
             breakdown, grads = total_loss(*args)
@@ -697,6 +706,26 @@ class TestWorkspaceStep:
         finally:
             tracemalloc.stop()
         assert peak < 4.5 * table_bytes
+
+    def test_first_step_holds_three_tables_and_a_half_at_most(self):
+        # at two layers the step's tables are the fused, the propagated and
+        # one scratch table: the last layer's product and Adam's temporaries
+        # are the two block buffers (2 x 512 rows, a third of a table here)
+        graphs, state, sampler = _planted_step_setup(2000, 1000, dim=16)
+        table_bytes = state.user_emb.nbytes + state.item_emb.nbytes
+        rng = np.random.default_rng(18)
+        opt = init_optimizer(state)
+        users = rng.permutation(len(state.user_emb))[:32]
+        batch = sampler.sample(users, rng)
+        ws = Workspace()
+        tracemalloc.start()
+        try:
+            _, grads = total_loss(state, graphs, batch, users, "buy", ws)
+            adam_step(state, opt, grads, 1e-2, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * table_bytes
 
     @pytest.mark.parametrize("variant", IRM_VARIANTS)
     def test_a_shared_workspace_gives_the_bits_of_fresh_ones(self, variant):

@@ -6,13 +6,15 @@ import json
 import logging
 import os
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbrobust import losses, training
+from mbrobust import graph, losses, training
+from mbrobust.graph import Workspace
 from mbrobust.data import (
     DatasetError,
     DatasetManifest,
@@ -102,6 +104,34 @@ class TestAdam:
         adam_step(state, opt, buf, 0.05)
         expected = adam_oracle(theta0, [g, g], lr=0.05, steps=2)
         np.testing.assert_allclose(state.item_emb, expected, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(num_users=st.integers(1, 9), num_items=st.integers(1, 9), dim=st.integers(1, 4),
+           block_rows=st.integers(1, 4), steps=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def test_row_blocks_give_the_bits_of_the_whole_table_update(
+            self, num_users, num_items, dim, block_rows, steps, seed):
+        # 1-row tables and row counts off the block size included
+        rng = np.random.default_rng(seed)
+        state = _state(rng, num_users, num_items, dim)
+        tables = [state.user_emb.copy(), state.item_emb.copy()]
+        moments = [(np.zeros_like(t), np.zeros_like(t)) for t in tables]
+        opt = init_optimizer(state)
+        with mock.patch.object(graph, "BLOCK_ROWS", block_rows):
+            for t in range(1, steps + 1):
+                grads = [rng.normal(size=table.shape) for table in tables]
+                adam_step(state, opt, GradientBuffer(*grads), 0.01)
+                c1, c2 = 1.0 - training.ADAM_BETA1**t, 1.0 - training.ADAM_BETA2**t
+                for theta, (m, v), g in zip(tables, moments, grads):
+                    # the whole-table update, in adam_step's operations and order
+                    m *= training.ADAM_BETA1
+                    m += g * (1.0 - training.ADAM_BETA1)
+                    v *= training.ADAM_BETA2
+                    v += g * (1.0 - training.ADAM_BETA2) * g
+                    theta -= m / c1 * 0.01 / (np.sqrt(v / c2) + training.ADAM_EPS)
+        for got, want in ((state.user_emb, tables[0]), (state.item_emb, tables[1]),
+                          (opt.m_user, moments[0][0]), (opt.v_user, moments[0][1]),
+                          (opt.m_item, moments[1][0]), (opt.v_item, moments[1][1])):
+            assert got.tobytes() == want.tobytes()
 
     def test_non_finite_gradient_names_tensor(self):
         rng = np.random.default_rng(3)
@@ -422,6 +452,18 @@ class TestTrainLoop:
             format_log(r2, behaviors)
         )
 
+    def test_a_shared_workspace_gives_the_bits_of_fresh_ones(self):
+        # two runs in a row through one workspace, the second with other
+        # table shapes, each against a run through a fresh workspace
+        split = self._split()
+        shared = Workspace()
+        for hp in (self._hp(num_layers=2), self._hp(num_layers=1, dim=6)):
+            cfg = TrainConfig(hp=hp, eval_every=2)
+            (s1, r1), (s2, r2) = train(split, cfg, shared), train(split, cfg)
+            assert s1.user_emb.tobytes() == s2.user_emb.tobytes()
+            assert s1.item_emb.tobytes() == s2.item_emb.tobytes()
+            assert [replace(r, seconds=0.0) for r in r1] == [replace(r, seconds=0.0) for r in r2]
+
     def test_loss_decreases_with_small_lr(self):
         split = self._split()
         _, rows = train(split, TrainConfig(hp=self._hp(lr=1e-3, max_epochs=5)))
@@ -495,7 +537,12 @@ class TestTrainLoop:
             "alignment never ran on any batch"]
         assert [m for m in messages if "invariance" in m] == (
             [] if orm_ran else ["invariance never ran on any batch"])
-        assert [r.orm > 0 for r in rows] == [orm_ran] * 2
+        # a term that ran on no batch is logged as None, not as 0
+        assert [r.rrm for r in rows] == [None] * 2
+        if orm_ran:
+            assert all(r.orm > 0 for r in rows)
+        else:
+            assert [r.orm for r in rows] == [None] * 2
 
     def test_zero_epochs_warn_of_no_term(self, caplog):
         # no batch is stepped, so no term can be said to have never run
