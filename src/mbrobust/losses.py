@@ -27,8 +27,10 @@ scratch table, because the last propagation layer is streamed in row
 blocks.  Every BPR-style term, main and invariance alike, returns its
 `_gather` rows and a derivative per margin, which the backward pass
 scatters into each cotangent with `_scatter_margin_grads`: no loss term
-writes a table.  Arrays returned with a workspace are views of its buffers, valid
-until its next use.
+writes a table.  A batch user's row of a behavior is gathered once, for the
+alignment term and that behavior's BPR rows alike, and the alignment
+gradient is formed in place.  Arrays returned with a workspace are views of
+its buffers, valid until its next use.
 """
 
 from __future__ import annotations
@@ -192,10 +194,13 @@ def _check_triplets(triplets: np.ndarray) -> np.ndarray:
     return triplets
 
 
-def _gather(P: np.ndarray, Q: np.ndarray, triplets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows the triplets' margins read: ``P[users]`` and ``Q[pos] - Q[neg]``."""
+def _gather(
+    P: np.ndarray, Q: np.ndarray, triplets: np.ndarray, user_rows: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows the triplets' margins read: ``P[users]`` and ``Q[pos] - Q[neg]``;
+    ``user_rows``, when given, is ``P[users]`` gathered already."""
     users, pos, neg = triplets[:, 0], triplets[:, 1], triplets[:, 2]
-    return P[users], Q[pos] - Q[neg]
+    return P[users] if user_rows is None else user_rows, Q[pos] - Q[neg]
 
 
 def _scatter_margin_grads(
@@ -289,7 +294,11 @@ def rrm_loss(
     behavior; the n×n logits are walked in row blocks of one reused buffer
     (``ALIGN_BLOCK_SCORES`` logits), so the scratch does not grow with n².
     That buffer and the two products of each block are ``workspace``'s (a
-    fresh workspace when None).
+    fresh workspace when None).  Each auxiliary behavior's gradient is
+    formed in place, in its own returned array and the block's freed column
+    buffer, and its unit rows, their transpose and the negatives' sum are
+    released before the next behavior, so beside the rows passed in and the
+    gradients returned the function holds a few n×d arrays at once.
     """
     if mode not in RRM_MODES:
         raise ValueError(f"mode must be one of {RRM_MODES}")
@@ -346,24 +355,37 @@ def rrm_loss(
             # side, and its columns add to every user's column side
             n1[lo:hi] += np.matmul(W, X_hat, out=ws.get("align_rows", (hi - lo, d)))
             n1 += np.matmul(W.T, X_hat[lo:hi], out=ws.get("align_cols", (n, d)))
+        del X_hat_t
         total += float(np.sum(-z_pos + denom)) * scale
-        if not backward:
-            continue
+        if backward:
+            # d z_pos / dX and dY (cosine chain rule), formed in place in d_X
+            # and in "align_cols", free once the blocks are done
+            if mode == "with_positive":
+                g_pos = -1.0 + np.exp(z_pos - denom)
+            else:
+                g_pos = np.full(n, -1.0)
+            gp = (scale * g_pos)[:, None]
+            c = c_pos[:, None]
+            tmp = ws.get("align_cols", (n, d))
+            d_X = np.multiply(c, X_hat)
+            np.subtract(Y_hat, d_X, out=d_X)
+            d_X *= gp
+            d_X /= tau * x_norm[:, None]
+            np.multiply(c, Y_hat, out=tmp)
+            np.subtract(X_hat, tmp, out=tmp)
+            tmp *= gp
+            tmp /= tau * y_norm[:, None]
+            d_Y += tmp
 
-        # d z_pos / dX and dY (cosine chain rule)
-        if mode == "with_positive":
-            g_pos = -1.0 + np.exp(z_pos - denom)
-        else:
-            g_pos = np.full(n, -1.0)
-        gp = (scale * g_pos)[:, None]
-        d_X = gp * (Y_hat - c_pos[:, None] * X_hat) / (tau * x_norm[:, None])
-        d_Y += gp * (X_hat - c_pos[:, None] * Y_hat) / (tau * y_norm[:, None])
-
-        # the cosine chain rule's radial part: with C_ij = x_i . x_j, the row
-        # plus column sums of (W * C) are x_i . n1_i
-        n2 = np.einsum("ij,ij->i", X_hat, n1)[:, None] * X_hat
-        d_X += scale * (n1 - n2) / (tau * x_norm[:, None])
-        grads[b] = d_X
+            # the cosine chain rule's radial part: with C_ij = x_i . x_j, the
+            # row plus column sums of (W * C) are x_i . n1_i
+            np.multiply(np.einsum("ij,ij->i", X_hat, n1)[:, None], X_hat, out=tmp)
+            np.subtract(n1, tmp, out=tmp)
+            tmp *= scale
+            tmp /= tau * x_norm[:, None]
+            d_X += tmp
+            grads[b] = d_X
+        del X_hat, n1
     if backward:
         grads[target] = d_Y
     return total, grads
@@ -492,7 +514,10 @@ def total_loss(
     read, so the step holds three table-sized buffers (the fused tables,
     `graph.PROPAGATED` and ``SCRATCH[0]``; ``SCRATCH[1]`` too from three
     propagation layers on).  The returned gradients are views of them, valid
-    until the workspace's next use.
+    until the workspace's next use.  A behavior's batch-user rows are
+    gathered once: when its triplets' users are the batch users in order,
+    as the sampler draws them for a behavior in which no user was skipped,
+    its BPR rows and the alignment term share that array.
     """
     hp = state.hp
     behaviors = list(graphs)
@@ -505,7 +530,10 @@ def total_loss(
 
     # per behavior, in graph order (it orders the variance's sum and bpr_*):
     # the batch users' rows for the alignment term and, for a sampled
-    # behavior, the rows its triplets read; then its tables join the sum
+    # behavior, the rows its triplets read; then its tables join the sum.
+    # The sampler draws in batch order, so triplets whose users are the batch
+    # users read the alignment rows themselves, made read-only: an in-place
+    # write to them would corrupt both terms' backward pass
     aligned = len(batch_users) >= 2 and len(behaviors) > 1
     align_rows, trips, rows, margins, risks, d_risks = {}, {}, {}, {}, {}, {}
     fused = ws.get("fused", shape)
@@ -516,7 +544,11 @@ def total_loss(
             align_rows[b] = emb.P[batch_users]
         if len(batch.per_behavior.get(b, ())):
             trips[b] = _check_triplets(batch.per_behavior[b])
-            rows[b] = _gather(emb.P, emb.Q, trips[b])
+            shared = None
+            if aligned and np.array_equal(trips[b][:, 0], batch_users):
+                shared = align_rows[b]
+                shared.flags.writeable = False
+            rows[b] = _gather(emb.P, emb.Q, trips[b], shared)
             margins[b] = np.einsum("ij,ij->i", *rows[b])
             risks[b], d_risks[b] = _bpr_risk(margins[b])
         _add_to_sum(fused, emb, first=k == 0)

@@ -114,8 +114,9 @@ class TripletSampler:
     """Uniform positive/negative sampler over a training split.
 
     For each batch user, in order, one triplet is drawn per behavior and then
-    one more from the target for ``main``.  Each draw takes the positive as a
-    uniform offset into the user's sorted items, then negatives by rejection
+    one more from the target for ``main``, so a behavior's triplets keep the
+    batch order.  Each draw takes the positive as a uniform offset into the
+    user's sorted items, then negatives by rejection
     (``REJECTION_CAP`` tries, at least one) against that behavior's observed
     set, falling back to a uniform rank among the user's non-edges, looked up
     with `nth_absent`.  A user with no items in a behavior draws nothing for
@@ -131,6 +132,9 @@ class TripletSampler:
     is restored, the draws through that candidate are replayed, and that one
     draw continues with scalar tries.  The window bounds the draws a rejection
     throws away.
+
+    One sorted array of codes ``row·I + item`` is the whole edge store: row
+    ``row``'s items are ``codes[row_start[row]:][:degree[row]] − row·I``.
     """
 
     REJECTION_CAP = 100
@@ -143,14 +147,13 @@ class TripletSampler:
         self.behaviors = list(ds.manifest.behaviors)
         self.num_users = ds.manifest.num_users
         self.num_items = ds.manifest.num_items
-        # one CSR row per (behavior, user), row id b·U + u, all items in one
-        # array; the sorted codes row·I + item answer "is this pair observed"
+        # one CSR row per (behavior, user), row id b·U + u; the sorted codes
+        # row·I + item hold every row's items and answer "is this pair observed"
         csr = [ds.user_items(b) for b in self.behaviors]
-        self.items = np.concatenate([items for _, items in csr])
         self.degree = np.concatenate([np.diff(indptr) for indptr, _ in csr])
         self.row_start = np.cumsum(self.degree) - self.degree
         rows = np.repeat(np.arange(len(self.degree), dtype=np.int64), self.degree)
-        self.codes = rows * self.num_items + self.items
+        self.codes = rows * self.num_items + np.concatenate([items for _, items in csr])
         # per user: every behavior, then the target again for the main triplet
         self.slot_behavior = np.array(
             [*range(len(self.behaviors)), self.behaviors.index(ds.manifest.target)]
@@ -196,10 +199,10 @@ class TripletSampler:
             stop = min(k + self.WINDOW, len(row))
             saved = rng.bit_generator.state
             r = rng.integers(bounds[2 * k : 2 * stop]).reshape(-1, 2)
-            pos[k:stop] = self.items[start[k:stop] + r[:, 0]]
+            base = row[k:stop] * self.num_items
+            pos[k:stop] = self.codes[start[k:stop] + r[:, 0]] - base
             neg[k:stop] = r[:, 1]
-            codes = row[k:stop] * self.num_items + r[:, 1]
-            hits = np.flatnonzero(positions(self.codes, codes) >= 0)
+            hits = np.flatnonzero(positions(self.codes, base + r[:, 1]) >= 0)
             if len(hits) == 0:
                 k = stop
                 continue

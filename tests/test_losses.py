@@ -23,7 +23,7 @@ import mbrobust
 from mbrobust import gradcheck, graph, losses
 from mbrobust.gradcheck import max_rel_error, numeric_gradient, run_gradcheck
 from mbrobust.graph import Workspace, build_graph, propagate
-from mbrobust.data import split_leave_one_out
+from mbrobust.data import SplitDataset, split_leave_one_out
 from mbrobust.evaluation import fused_embeddings
 from mbrobust.losses import (
     IRM_VARIANTS,
@@ -45,6 +45,7 @@ from mbrobust.losses import (
 from mbrobust.synthetic import planted_dataset
 from mbrobust.training import TripletSampler, adam_step, init_optimizer
 
+import align_reference
 from conftest import make_dataset
 
 
@@ -292,6 +293,36 @@ class TestRrmLoss:
         embs = {"view": np.ones((3, 2)), "buy": np.ones((2, 2))}
         with pytest.raises(ValueError, match="same batch users"):
             rrm_loss(embs, "buy", 0.2)
+
+    @settings(deadline=None, max_examples=120)
+    @given(st.integers(2, 300), st.sampled_from([1, 3, 8, 16, 64]),
+           st.sampled_from([1e-3, 0.2, 1.0, 5.0]), st.sampled_from(RRM_MODES),
+           st.booleans(), st.sampled_from(["one", "two", "many"]), st.integers(1, 3),
+           st.integers(0, 3), st.integers(0, 2**32 - 1), st.booleans())
+    def test_in_place_gradient_is_the_expression_form_bit_for_bit(
+            self, n, d, tau, mode, backward, blocks, num_aux, target_at, seed, stale):
+        # the in-place products against the expression form they replaced,
+        # over 1, 2 and n row blocks, with a fresh workspace or one whose
+        # buffers hold NaN, so that reading a stale entry shows
+        rng = np.random.default_rng(seed)
+        names = [f"b{k}" for k in range(num_aux + 1)]
+        target = names[min(target_at, num_aux)]
+        embs = {b: rng.normal(size=(n, d)) for b in names}
+        rows = {"one": n, "two": (n + 1) // 2, "many": 1}[blocks]
+        ws = Workspace()
+        if stale:
+            for name, shape in (("align_block", (n, n)), ("align_rows", (n, d)),
+                                ("align_cols", (n, d))):
+                ws.get(name, shape).fill(np.nan)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(losses, "ALIGN_BLOCK_SCORES", rows * n)
+            value, grads = rrm_loss(embs, target, tau, mode, backward=backward, workspace=ws)
+        ref_value, ref_grads = align_reference.rrm_loss(embs, target, tau, mode, rows * n,
+                                                        backward)
+        assert value.hex() == ref_value.hex()
+        assert list(grads) == list(ref_grads)
+        for b, g in ref_grads.items():
+            assert grads[b].tobytes() == g.tobytes(), b
 
 
 class TestOrmLoss:
@@ -598,6 +629,53 @@ class TestTotalLoss:
         np.testing.assert_array_equal(grads.d_user, off_grads.d_user)
         np.testing.assert_array_equal(grads.d_item, off_grads.d_item)
 
+    @pytest.mark.parametrize("variant", IRM_VARIANTS)
+    def test_a_user_without_an_auxiliary_edge_gathers_its_own_rows(self, variant,
+                                                                   monkeypatch):
+        # user 4 has no view edge, so the view triplets skip it and gather
+        # their own rows, while the buy triplets share the alignment rows
+        ds = make_dataset(
+            {
+                "view": {(0, 1): 1, (0, 3): 1, (1, 0): 1, (2, 4): 1, (3, 2): 1,
+                         (5, 5): 1, (5, 0): 1},
+                "buy": {(0, 0): 1, (1, 2): 1, (2, 4): 1, (3, 3): 1, (4, 1): 1,
+                        (5, 5): 1, (4, 0): 1},
+            },
+            "buy", num_users=6, num_items=6,
+        )
+        graphs = {b: build_graph(ds, b) for b in ds.manifest.behaviors}
+        hp = Hyperparameters(dim=4, num_layers=2, tau=0.5, lambda_rrm=0.7, lambda_orm=1.1,
+                             lambda_reg=0.01, irm_variant=variant)
+        rng = np.random.default_rng(23)
+        state = ModelState(rng.normal(0, 0.5, (6, 4)), rng.normal(0, 0.5, (6, 4)), hp)
+        users = rng.permutation(6)
+        batch = TripletSampler(SplitDataset(ds, (), ())).sample(users, rng)
+        assert not np.array_equal(batch.per_behavior["view"][:, 0], users)
+        assert np.array_equal(batch.per_behavior["buy"][:, 0], users)
+
+        seen = {}
+        real = losses.rrm_loss
+
+        def spy(user_rows, *args, **kwargs):
+            seen.update(user_rows)
+            return real(user_rows, *args, **kwargs)
+
+        monkeypatch.setattr(losses, "rrm_loss", spy)
+        breakdown, grads = total_loss(state, graphs, batch, users, "buy")
+        assert breakdown.ran == {"rrm", "orm"}
+        # the shared rows are read-only; the view rows were not shared
+        with pytest.raises(ValueError, match="read-only"):
+            seen["buy"][0, 0] = 0.0
+        assert seen["view"].flags.writeable
+
+        def objective():
+            return total_loss(state, graphs, batch, users, "buy")[0].total
+
+        for analytic, table in ((grads.d_user, state.user_emb),
+                                (grads.d_item, state.item_emb)):
+            fd = numeric_gradient(objective, table)
+            assert max_rel_error(analytic, fd) <= gradcheck.DEFAULT_TOLERANCE
+
     def test_breakdown_recomposes(self):
         rng = np.random.default_rng(13)
         for variant in ("rex", "irm_v1", "irm_v2"):
@@ -726,6 +804,28 @@ class TestWorkspaceStep:
         finally:
             tracemalloc.stop()
         assert peak < 3.5 * table_bytes
+
+    def test_warm_step_holds_each_batch_row_once(self):
+        # beside its workspace a warm step holds batch-sized arrays alone: a
+        # behavior's batch-user rows serve its alignment and BPR terms, and
+        # the alignment gradients are formed in place (14.1 n x d arrays
+        # here; a second gather per behavior and whole-array gradient
+        # expressions take it past 21)
+        graphs, state, sampler = _planted_step_setup(2000, 1000, dim=16)
+        n = 512
+        rng = np.random.default_rng(18)
+        ws = Workspace()
+        for warm in (True, False):
+            users = rng.permutation(len(state.user_emb))[:n]
+            batch = sampler.sample(users, rng)
+            if not warm:
+                tracemalloc.start()
+            try:
+                total_loss(state, graphs, batch, users, "buy", ws)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 15 * n * state.hp.dim * 8
 
     @pytest.mark.parametrize("variant", IRM_VARIANTS)
     def test_a_shared_workspace_gives_the_bits_of_fresh_ones(self, variant):
