@@ -34,6 +34,7 @@ from .data import (
 )
 from .evaluation import evaluate, robustness_sweep, sweep_csv
 from .gradcheck import DEFAULT_TOLERANCE, run_gradcheck
+from .graph import Workspace
 from .losses import CHOICES, IRM_VARIANTS, ORM_SCOPES, RRM_MODES, Hyperparameters
 from .training import (
     NonFiniteGradientError,
@@ -233,13 +234,14 @@ def cmd_train(args) -> int:
 
     out = args.out or "train_out"
     echo_config(cfg, drop, out)
-    state, rows = train(split, cfg)
+    ws = Workspace()  # the validation report ranks in the training tables
+    state, rows = train(split, cfg, ws)
 
     with open(os.path.join(out, "train_log.csv"), "w", encoding="utf-8") as fh:
         fh.write(format_log(rows, split.train.active_behaviors))
     save_checkpoint(state, split.train.manifest, os.path.join(out, "checkpoint.npz"))
     if split.validation:
-        report = evaluate(state, split, pairs=split.validation)
+        report = evaluate(state, split, pairs=split.validation, workspace=ws)
         _write_json(report.to_json_dict(), os.path.join(out, "validation_report.json"))
     print(f"wrote checkpoint and log to {out}")
     return EXIT_OK

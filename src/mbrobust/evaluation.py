@@ -20,7 +20,16 @@ from .data import (
     perturb,
     split_leave_one_out,
 )
-from .graph import BehaviorGraph, Workspace, build_graph, propagate
+from .graph import (
+    BLOCK_SCRATCH,
+    PROPAGATED,
+    SCRATCH,
+    BehaviorGraph,
+    Workspace,
+    build_graph,
+    propagate,
+    row_blocks,
+)
 from .losses import ModelState, _add_to_sum
 
 log = logging.getLogger(__name__)
@@ -64,12 +73,38 @@ def fused_embeddings(
     return fused[:num_users], fused[num_users:]
 
 
-# Scores held at once while ranking (2 MiB of float32 in the screen, plus
-# their 512 KiB bool mask; 4 MiB of float64 for the rows it leaves): a block
-# of users is as many as fit, so one GEMM scores the block against every item.
-RANK_BLOCK_SCORES = 1 << 19
+# Scores held at once while ranking (4 MiB of float32 in the screen, plus
+# their 1 MiB bool mask; 8 MiB of float64 for the rows it leaves), and never
+# more than the workspace table they are borrowed from holds (`_block_rows`):
+# a block of users is as many as fit, so one GEMM scores the block against
+# every item.
+RANK_BLOCK_SCORES = 1 << 20
 
 _U32, _U64 = 2.0**-24, 2.0**-53  # unit roundoffs of float32 and float64
+
+
+def _borrow(ws: Workspace, name, parts, tables) -> list[np.ndarray]:
+    """C-contiguous arrays of the ``(shape, dtype)`` ``parts``, laid one after
+    another in the bytes of ``ws``'s float64 buffer ``name`` and valid until
+    its next use; the ranked ``tables`` must not share that buffer."""
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in parts]
+    raw = ws.get(name, (-(-sum(sizes) // 8),)).view(np.uint8)
+    if any(np.may_share_memory(raw, z) for z in tables):
+        raise ValueError(f"a ranked table shares the workspace buffer {name!r}")
+    views, at = [], 0
+    for (shape, dtype), size in zip(parts, sizes):
+        views.append(raw[at : at + size].view(dtype).reshape(shape))
+        at += size
+    return views
+
+
+def _block_rows(z_user, z_item, itemsize: int, num_ranked: int) -> int:
+    """Users per block of ``itemsize``-byte scores: as many as
+    `RANK_BLOCK_SCORES` scores allow, and a (U+I)×d float64 table holds, but
+    at least 1 and at most the ``num_ranked`` users."""
+    num_items, dim = z_item.shape
+    table_bytes = 8 * (z_user.shape[0] + num_items) * dim
+    return min(max(1, min(RANK_BLOCK_SCORES, table_bytes // itemsize) // num_items), num_ranked)
 
 
 def _exclusions(rows, u: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,25 +127,34 @@ def _exclusions(rows, u: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndar
     return owner, excluded
 
 
-def _float64_ranks(z_user, z_item, users, held, rows) -> np.ndarray:
+def _float64_ranks(z_user, z_item, users, held, rows, ws) -> np.ndarray:
     """`held_out_rank` from float64 scores, a block of users at a time.
 
-    Excluded scores are overwritten with NaN, which compares neither greater
-    than nor equal to any score, so they never count; the held-out item is
-    neither above nor before itself.
+    The score block is a view of ``ws``'s ``graph.SCRATCH[0]`` table and its
+    two masks of `graph.PROPAGATED`, `_block_rows` users each, so a workspace
+    whose tables propagation has filled gains no buffer.  Excluded scores are
+    overwritten with NaN, which compares neither greater than nor equal to any
+    score, so they never count; the held-out item is neither above nor before
+    itself.
     """
     num_items = z_item.shape[0]
-    block = max(1, RANK_BLOCK_SCORES // num_items)
+    tables = (z_user, z_item)
+    block = _block_rows(z_user, z_item, 8, len(users))
+    (scores_buf,) = _borrow(ws, SCRATCH[0], [((block, num_items), np.float64)], tables)
+    mask_buf, before_buf = _borrow(ws, PROPAGATED, [((block, num_items), bool)] * 2, tables)
     item_ids = np.arange(num_items)
     ranks = np.empty(len(users), dtype=np.int64)
     for start in range(0, len(users), block):
         u, h = users[start : start + block], held[start : start + block]
-        scores = z_user[u] @ z_item.T
+        scores, mask, before = scores_buf[: len(u)], mask_buf[: len(u)], before_buf[: len(u)]
+        np.matmul(z_user[u], z_item.T, out=scores)
         s_held = scores[np.arange(len(u)), h][:, None]
         if rows is not None:
             scores[_exclusions(rows, u, h)] = np.nan
-        better = _row_counts(scores > s_held)
-        tied_before = _row_counts((scores == s_held) & (item_ids < h[:, None]))
+        better = _row_counts(np.greater(scores, s_held, out=mask))
+        np.equal(scores, s_held, out=mask)
+        mask &= np.less(item_ids, h[:, None], out=before)
+        tied_before = _row_counts(mask)
         ranks[start : start + block] = 1 + better + tied_before
     return ranks
 
@@ -122,22 +166,37 @@ def _row_counts(mask: np.ndarray) -> np.ndarray:
     return np.bitwise_count(np.packbits(mask, axis=1)).sum(axis=1, dtype=np.int64)
 
 
-def _screen_table(z: np.ndarray):
-    """``z`` times a power of two ``2**e`` that brings every entry below 1 in
-    magnitude (exact, up to float64 underflow), as float32, with ``e`` and the
-    scaled rows' float64 norms; None when ``z`` has a non-finite entry."""
+def _screen_table(z: np.ndarray, out: np.ndarray, norms: np.ndarray, ws: Workspace):
+    """Write ``z`` times a power of two ``2**e`` that brings every entry below
+    1 in magnitude (exact, up to float64 underflow) into the float32 ``out``
+    of ``z``'s shape, and the scaled rows' float64 norms into ``norms``;
+    return ``e``, or None when ``z`` has a non-finite entry.
+
+    A row block (`graph.row_blocks`) at a time is scaled into ``ws``'s
+    ``graph.BLOCK_SCRATCH[0]``, measured and cast, so no float64 copy of the
+    table exists.
+    """
     top = float(np.maximum(np.max(z, initial=0.0), -np.min(z, initial=0.0)))  # NaN stays
     if not math.isfinite(top):
         return None
     e = -math.frexp(top)[1]
-    scaled = np.ldexp(z, e)
-    return scaled.astype(np.float32), e, np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
+    for lo, hi in row_blocks(z.shape[0]):
+        scaled = np.ldexp(z[lo:hi], e, out=ws.get(BLOCK_SCRATCH[0], (hi - lo, z.shape[1])))
+        np.sqrt(np.einsum("ij,ij->i", scaled, scaled), out=norms[lo:hi])
+        out[lo:hi] = scaled
+    return e
 
 
-def _float32_screen(z_user, z_item, users, held, rows):
+def _float32_screen(z_user, z_item, users, held, rows, ws):
     """`held_out_rank` from a float32 product wherever that provably gives
     the float64 rank, and a mask of the rows where it may not; None when a
     table is non-finite or its scale is too far from 1.
+
+    Its buffers are views of ``ws``'s tables: the scaled float32 user table,
+    the item table as a C-contiguous (d, I) operand and the mask of a block
+    of scores fill `graph.PROPAGATED`'s bytes, and the block of float32
+    scores those of ``graph.SCRATCH[0]`` (`_block_rows` users), so a
+    workspace whose tables propagation has filled gains no buffer.
 
     Against the float64 score of any summation order, a float32 score ``S``
     of user ``x`` and item ``y`` (both scaled by powers of two to entries
@@ -151,17 +210,25 @@ def _float32_screen(z_user, z_item, users, held, rows):
     one below by more scores lower; a row with no other item inside the
     band has no tie to break.
     """
-    num_items, dim = z_item.shape
-    x, y = _screen_table(z_user), _screen_table(z_item)
-    # beyond these the float64 scores may overflow, or their underflow
-    # swamps the band
-    if x is None or y is None or abs(x[1] + y[1]) >= 1000 or dim * _U32 >= 0.5:
+    (num_users, dim), num_items = z_user.shape, z_item.shape[0]
+    if dim * _U32 >= 0.5:
         return None
-    (x32, ex, x_norm), (y32, ey, y_norm) = x, y
-    del x, y
-    # the item operand as a C-contiguous (d, I) table, so each block's gemm
-    # reads it without a transpose; the (I, d) copy is freed
-    y32 = np.ascontiguousarray(y32.T)
+    tables = (z_user, z_item)
+    block = _block_rows(z_user, z_item, 4, len(users))
+    x32, y32, mask_buf = _borrow(
+        ws, PROPAGATED,
+        [((num_users, dim), np.float32), ((dim, num_items), np.float32),
+         ((block, num_items), bool)], tables)
+    (scores_buf,) = _borrow(ws, SCRATCH[0], [((block, num_items), np.float32)], tables)
+    x_norm, y_norm = np.empty(num_users), np.empty(num_items)
+    # the item operand is written transposed, so each block's gemm reads a
+    # C-contiguous (d, I) table
+    ex = _screen_table(z_user, x32, x_norm, ws)
+    ey = None if ex is None else _screen_table(z_item, y32.T, y_norm, ws)
+    # beyond this the float64 scores may overflow, or their underflow swamps
+    # the band
+    if ey is None or abs(ex + ey) >= 1000:
+        return None
     gamma32 = dim * _U32 / (1 - dim * _U32)
     gamma64 = dim * _U64 / (1 - dim * _U64)
     # the 2**-20 margin covers the float64 rounding of the norms and the band
@@ -172,13 +239,9 @@ def _float32_screen(z_user, z_item, users, held, rows):
     eta = dim * (2.0**-124 + math.ldexp(1.0, ex + ey - 1074))
     y_top = float(np.max(y_norm, initial=0.0))
 
-    block = max(1, RANK_BLOCK_SCORES // num_items)
     ranks = np.empty(len(users), dtype=np.int64)
     unsure = np.zeros(len(users), dtype=bool)
     up, down = np.float32(np.inf), np.float32(-np.inf)
-    # one block's scores and one mask, reused by every block
-    scores_buf = np.empty((min(block, len(users)), num_items), dtype=np.float32)
-    mask_buf = np.empty(scores_buf.shape, dtype=bool)
     for start in range(0, len(users), block):
         u, h = users[start : start + block], held[start : start + block]
         scores, mask = scores_buf[: len(u)], mask_buf[: len(u)]
@@ -204,6 +267,8 @@ def held_out_rank(
     users: np.ndarray,
     held: np.ndarray,
     rows: tuple[np.ndarray, np.ndarray] | None,
+    *,
+    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """1-based rank of each held-out item ``held[k]`` for user ``users[k]``
     among the non-excluded items by their float64 scores ``z_user @
@@ -216,13 +281,23 @@ def held_out_rank(
     settle, those with another item within rounding distance of the held-out
     one, are ranked from float64 scores, as is every user when a table is
     non-finite or its scale is too far from 1.
+
+    Every buffer of a table's size or of a block of scores is a view of
+    ``workspace``'s (a fresh one when None) tables that fusion leaves idle,
+    `graph.PROPAGATED` and ``graph.SCRATCH[0]``, and of its
+    ``graph.BLOCK_SCRATCH[0]`` row block: on a workspace that propagated
+    these tables, ranking adds no buffer and allocates nothing of a table's
+    size.  A ``z_user`` or ``z_item`` that shares one of the two tables
+    (`propagate`'s result does; `fused_embeddings`' does not) raises
+    `ValueError`.
     """
-    screened = _float32_screen(z_user, z_item, users, held, rows)
+    ws = Workspace() if workspace is None else workspace
+    screened = _float32_screen(z_user, z_item, users, held, rows, ws)
     if screened is None:
-        return _float64_ranks(z_user, z_item, users, held, rows)
+        return _float64_ranks(z_user, z_item, users, held, rows, ws)
     ranks, unsure = screened
     if unsure.any():
-        ranks[unsure] = _float64_ranks(z_user, z_item, users[unsure], held[unsure], rows)
+        ranks[unsure] = _float64_ranks(z_user, z_item, users[unsure], held[unsure], rows, ws)
     return ranks
 
 
@@ -241,18 +316,20 @@ def evaluate(
     Every item is a candidate except, when ``exclude_train`` is set, the
     user's training-target items.  With a single relevant item the ideal DCG
     is 1, so a user's NDCG@K contribution is 1/log2(rank+1) when the rank is
-    within K and 0 otherwise.  The fused tables are computed in
-    ``workspace``'s buffers (see `fused_embeddings`).
+    within K and 0 otherwise.  The fused tables and the ranking's buffers
+    are ``workspace``'s (a fresh one when None; see `fused_embeddings` and
+    `held_out_rank`), so a warm workspace gains no buffer.
     """
     eval_pairs = split.test if pairs is None else pairs
     if not eval_pairs:
         raise ValueError("no held-out pairs to evaluate")
     if graphs is None:
         graphs = {b: build_graph(split.train, b) for b in split.train.active_behaviors}
-    z_user, z_item = fused_embeddings(state, graphs, workspace)
+    ws = Workspace() if workspace is None else workspace
+    z_user, z_item = fused_embeddings(state, graphs, ws)
     rows = split.train.user_items(split.train.manifest.target) if exclude_train else None
     users, held = np.array(eval_pairs, dtype=np.int64).reshape(-1, 2).T
-    ranks = held_out_rank(z_user, z_item, users, held, rows)
+    ranks = held_out_rank(z_user, z_item, users, held, rows, workspace=ws)
     ranks = list(zip(users.tolist(), ranks.tolist()))
 
     n = len(ranks)

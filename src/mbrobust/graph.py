@@ -65,7 +65,10 @@ class Workspace:
     takes the workspace.  A training step holds three table-sized buffers:
     the fused tables, `PROPAGATED` and ``SCRATCH[0]`` (``SCRATCH[1]`` only
     from three propagation layers on); its streamed passes use the two
-    `BLOCK_SCRATCH` buffers of one row block.
+    `BLOCK_SCRATCH` buffers of one row block.  Ranking
+    (`evaluation.held_out_rank`) borrows the tables that fusion leaves idle,
+    `PROPAGATED` and ``SCRATCH[0]``, and ``BLOCK_SCRATCH[0]``, through float32
+    and bool views of their bytes, so validation adds no buffer.
     """
 
     def __init__(self):
@@ -89,7 +92,9 @@ def build_graph(ds: InteractionDataset, behavior: str) -> BehaviorGraph:
 
     Zero-degree nodes simply have no incident entries (1/sqrt(0) never
     occurs).  Edges are sorted by (row, col) so sparse products accumulate
-    in a deterministic order.
+    in a deterministic order: the user rows are the behavior's CSR rows
+    (`InteractionDataset.user_items`, items ascending) and the item rows
+    their transpose, so no sort runs.
     """
     if behavior not in ds.manifest.behaviors:
         raise KeyError(f"behavior {behavior!r} not declared in manifest")
@@ -99,8 +104,14 @@ def build_graph(ds: InteractionDataset, behavior: str) -> BehaviorGraph:
     deg_i = np.bincount(items, minlength=n_i)
     weights = 1.0 / np.sqrt(np.repeat(deg_u, deg_u) * deg_i[items])
     rating = sp.csr_matrix((weights, items, indptr), shape=(n_u, n_i))
-    adj = sp.bmat([[None, rating], [rating.T, None]], format="csr")
-    adj.sort_indices()
+    # the item rows are the rating's columns, each with its users ascending
+    by_item = rating.tocsc()
+    adj = sp.csr_matrix(
+        (np.concatenate([rating.data, by_item.data]),
+         np.concatenate([rating.indices + n_u, by_item.indices]),
+         np.concatenate([rating.indptr, rating.nnz + by_item.indptr[1:]])),
+        shape=(n_u + n_i, n_u + n_i),
+    )
     return BehaviorGraph(num_users=n_u, num_items=n_i, adjacency=adj)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbrobust import evaluation, seeds
+from mbrobust import evaluation, graph, seeds
 from mbrobust.data import SplitDataset, split_leave_one_out
 from mbrobust.evaluation import (
     evaluate,
@@ -64,6 +64,14 @@ def _no_float64(*args):
     """Stands in for `evaluation._float64_ranks` where the screen must settle
     every row."""
     raise AssertionError("a row fell back to float64")
+
+
+class NaNBuffers(Workspace):
+    """A workspace whose every request is a new NaN-filled buffer, so an
+    array read before it is written shows."""
+
+    def get(self, name, shape):
+        return np.full(shape, np.nan)
 
 
 @st.composite
@@ -154,6 +162,39 @@ class TestRank:
             mp.setattr(evaluation, "RANK_BLOCK_SCORES", len(item) * per_block)
             ranks = held_out_rank(user, item, users, held, rows)
         assert np.array_equal(ranks, rank_reference.held_out_rank(user, item, users, held, rows))
+
+    @settings(max_examples=200, deadline=None)
+    @given(dyadic_rank_cases(), st.integers(1, 3))
+    def test_ranks_in_a_fresh_warm_or_nan_workspace_equal_the_float64_ranking(
+        self, case, per_block
+    ):
+        # the screen and the float64 ranking work in float32 and bool views
+        # of the workspace's float64 tables: one made for the call, one that
+        # a larger ranking left holding its scores, and one whose every
+        # request is a new NaN-filled buffer give the same ranks; the tables
+        # are scaled in row blocks of two
+        user, item, users, held, rows = case
+        rng = np.random.default_rng(0)
+        warm = Workspace()
+        wide = rng.normal(size=(12, user.shape[1]))
+        held_out_rank(wide, wide, np.arange(12), np.arange(12), None, workspace=warm)
+        expected = rank_reference.held_out_rank(user, item, users, held, rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "RANK_BLOCK_SCORES", len(item) * per_block)
+            mp.setattr(graph, "BLOCK_ROWS", 2)
+            for ws in (None, warm, NaNBuffers()):
+                ranks = held_out_rank(user, item, users, held, rows, workspace=ws)
+                assert np.array_equal(ranks, expected)
+
+    def test_tables_in_a_borrowed_buffer_are_rejected(self):
+        # propagation's result is a view of the table ranking borrows
+        ds = make_dataset({"buy": {(0, 0): 1, (1, 1): 1, (1, 2): 1}}, "buy")
+        rng = np.random.default_rng(5)
+        ws = Workspace()
+        z_user, z_item = propagate(build_graph(ds, "buy"), rng.normal(size=(2, 4)),
+                                   rng.normal(size=(3, 4)), 1, workspace=ws)
+        with pytest.raises(ValueError, match="shares the workspace buffer"):
+            held_out_rank(z_user, z_item, np.array([0]), np.array([1]), None, workspace=ws)
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([1, 7, 8, 9, 63, 64, 65]), st.data())

@@ -48,6 +48,21 @@ def per_edge_adjacency(ds, behavior):
     return adj, degrees
 
 
+def bmat_adjacency(ds, behavior):
+    """The bipartite CSR as `build_graph` assembled it before it wrote the
+    arrays itself: the weighted rating matrix and its transpose through
+    ``sp.bmat``, then sorted."""
+    n_u, n_i = ds.manifest.num_users, ds.manifest.num_items
+    indptr, items = ds.user_items(behavior)
+    deg_u = np.diff(indptr)
+    deg_i = np.bincount(items, minlength=n_i)
+    weights = 1.0 / np.sqrt(np.repeat(deg_u, deg_u) * deg_i[items])
+    rating = sp.csr_matrix((weights, items, indptr), shape=(n_u, n_i))
+    adj = sp.bmat([[None, rating], [rating.T, None]], format="csr")
+    adj.sort_indices()
+    return adj
+
+
 def dense_propagate(ds, behavior, Zu, Zi, L):
     """Mean of E, AE, ..., A^L E computed with dense matrix powers."""
     A = dense_normalized_adjacency(ds, behavior)
@@ -97,6 +112,25 @@ class TestBuildGraph:
         for name in ("data", "indices", "indptr"):
             got, want = getattr(g.adjacency, name), getattr(ref, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    @settings(deadline=None)
+    @given(edge_datasets())
+    def test_csr_arrays_equal_the_bmat_form_byte_for_byte(self, ds):
+        self._assert_bmat_bytes(ds)
+
+    def test_nodes_without_an_edge_keep_the_bmat_form_byte_for_byte(self):
+        # user 0, the last user and items 0, 3 and the last have no edge
+        ds = make_dataset({"buy": {(1, 1): 1, (1, 2): 1, (2, 2): 1, (4, 4): 1}}, "buy",
+                          num_users=7, num_items=6)
+        self._assert_bmat_bytes(ds)
+
+    @staticmethod
+    def _assert_bmat_bytes(ds):
+        got, want = build_graph(ds, "buy").adjacency, bmat_adjacency(ds, "buy")
+        assert got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     def test_empty_behavior_gives_edgeless_graph(self):
         ds = make_dataset({"view": {}, "buy": {(0, 0): 1}}, "buy")

@@ -24,7 +24,7 @@ from mbrobust import gradcheck, graph, losses
 from mbrobust.gradcheck import max_rel_error, numeric_gradient, run_gradcheck
 from mbrobust.graph import Workspace, build_graph, propagate
 from mbrobust.data import SplitDataset, split_leave_one_out
-from mbrobust.evaluation import fused_embeddings
+from mbrobust.evaluation import evaluate, fused_embeddings
 from mbrobust.losses import (
     IRM_VARIANTS,
     ORM_SCOPES,
@@ -826,6 +826,33 @@ class TestWorkspaceStep:
             finally:
                 tracemalloc.stop()
         assert peak < 15 * n * state.hp.dim * 8
+
+    def test_warm_validation_allocates_less_than_one_table(self):
+        # validation ranks in the tables that fusion leaves idle (the
+        # propagated and first scratch tables, and a block buffer): after a
+        # step and one validation, a second allocates only per-user arrays
+        # (0.73 of a table here; float64 copies of the tables, their float32
+        # casts and fresh score blocks took it to 8.1)
+        graphs, state, sampler = _planted_step_setup(2000, 1000, dim=16)
+        split = split_leave_one_out(planted_dataset(7, num_users=2000, num_items=1000))
+        table_bytes = state.user_emb.nbytes + state.item_emb.nbytes
+        rng = np.random.default_rng(18)
+        ws = Workspace()
+        users = rng.permutation(len(state.user_emb))[:32]
+        _, grads = total_loss(state, graphs, sampler.sample(users, rng), users, "buy", ws)
+        adam_step(state, init_optimizer(state), grads, 1e-2, ws)
+        reports = []
+        for warm in (True, False):
+            if not warm:
+                tracemalloc.start()
+            try:
+                reports.append(evaluate(state, split, ks=(10,), pairs=split.validation,
+                                        graphs=graphs, workspace=ws))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert reports[0] == reports[1]
+        assert peak < table_bytes
 
     @pytest.mark.parametrize("variant", IRM_VARIANTS)
     def test_a_shared_workspace_gives_the_bits_of_fresh_ones(self, variant):
