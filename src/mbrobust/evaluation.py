@@ -11,7 +11,7 @@ from itertools import product
 
 import numpy as np
 
-from . import seeds
+from . import graph, seeds
 from .data import (
     DatasetError,
     InteractionDataset,
@@ -21,14 +21,10 @@ from .data import (
     split_leave_one_out,
 )
 from .graph import (
-    BLOCK_SCRATCH,
-    PROPAGATED,
-    SCRATCH,
     BehaviorGraph,
     Workspace,
     build_graph,
     propagate,
-    row_blocks,
 )
 from .losses import ModelState, _add_to_sum
 
@@ -58,14 +54,13 @@ def fused_embeddings(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Propagate every behavior graph and average the results: their sum in
     graph order, divided once by the behavior count (`losses._add_to_sum`),
-    one behavior at a time through ``workspace`` (a fresh one when None).
-    The two tables are views of its ``"fused"`` buffer, valid until the
-    workspace's next use."""
+    one behavior at a time through ``workspace`` (a fresh one when None;
+    `graph.Workspace` gives the plan): the two tables are views of `graph.FUSED`."""
     if not graphs:
         raise ValueError("fusion needs at least one behavior")
     ws = Workspace() if workspace is None else workspace
     num_users = state.user_emb.shape[0]
-    fused = ws.get("fused", (num_users + state.item_emb.shape[0], state.user_emb.shape[1]))
+    fused = ws.get(graph.FUSED, (num_users + state.item_emb.shape[0], state.user_emb.shape[1]))
     for k, g in enumerate(graphs.values()):
         emb = propagate(g, state.user_emb, state.item_emb, state.hp.num_layers, workspace=ws)
         _add_to_sum(fused, emb, first=k == 0)
@@ -73,29 +68,12 @@ def fused_embeddings(
     return fused[:num_users], fused[num_users:]
 
 
-# Scores held at once while ranking (4 MiB of float32 in the screen, plus
-# their 1 MiB bool mask; 8 MiB of float64 for the rows it leaves), and never
-# more than the workspace table they are borrowed from holds (`_block_rows`):
-# a block of users is as many as fit, so one GEMM scores the block against
-# every item.
+# Scores held at once while ranking (4 MiB of float32 in the screen, 8 MiB of
+# float64 for the rows it leaves), and never more than the workspace table
+# that holds them (`_block_rows`): one GEMM scores a block of users.
 RANK_BLOCK_SCORES = 1 << 20
 
 _U32, _U64 = 2.0**-24, 2.0**-53  # unit roundoffs of float32 and float64
-
-
-def _borrow(ws: Workspace, name, parts, tables) -> list[np.ndarray]:
-    """C-contiguous arrays of the ``(shape, dtype)`` ``parts``, laid one after
-    another in the bytes of ``ws``'s float64 buffer ``name`` and valid until
-    its next use; the ranked ``tables`` must not share that buffer."""
-    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in parts]
-    raw = ws.get(name, (-(-sum(sizes) // 8),)).view(np.uint8)
-    if any(np.may_share_memory(raw, z) for z in tables):
-        raise ValueError(f"a ranked table shares the workspace buffer {name!r}")
-    views, at = [], 0
-    for (shape, dtype), size in zip(parts, sizes):
-        views.append(raw[at : at + size].view(dtype).reshape(shape))
-        at += size
-    return views
 
 
 def _block_rows(z_user, z_item, itemsize: int, num_ranked: int) -> int:
@@ -128,20 +106,19 @@ def _exclusions(rows, u: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _float64_ranks(z_user, z_item, users, held, rows, ws) -> np.ndarray:
-    """`held_out_rank` from float64 scores, a block of users at a time.
+    """`held_out_rank` from float64 scores, a block of `_block_rows` users at
+    a time, in ``ws``'s buffers (`graph.Workspace` gives the plan).
 
-    The score block is a view of ``ws``'s ``graph.SCRATCH[0]`` table and its
-    two masks of `graph.PROPAGATED`, `_block_rows` users each, so a workspace
-    whose tables propagation has filled gains no buffer.  Excluded scores are
-    overwritten with NaN, which compares neither greater than nor equal to any
-    score, so they never count; the held-out item is neither above nor before
-    itself.
+    Excluded scores are overwritten with NaN, which compares neither greater
+    than nor equal to any score, so they never count; the held-out item is
+    neither above nor before itself.
     """
     num_items = z_item.shape[0]
     tables = (z_user, z_item)
     block = _block_rows(z_user, z_item, 8, len(users))
-    (scores_buf,) = _borrow(ws, SCRATCH[0], [((block, num_items), np.float64)], tables)
-    mask_buf, before_buf = _borrow(ws, PROPAGATED, [((block, num_items), bool)] * 2, tables)
+    (scores_buf,) = ws.parts(graph.SCRATCH[0], [((block, num_items), np.float64)], apart=tables)
+    mask_buf, before_buf = ws.parts(graph.PROPAGATED, [((block, num_items), bool)] * 2,
+                                    apart=tables)
     item_ids = np.arange(num_items)
     ranks = np.empty(len(users), dtype=np.int64)
     for start in range(0, len(users), block):
@@ -172,16 +149,16 @@ def _screen_table(z: np.ndarray, out: np.ndarray, norms: np.ndarray, ws: Workspa
     of ``z``'s shape, and the scaled rows' float64 norms into ``norms``;
     return ``e``, or None when ``z`` has a non-finite entry.
 
-    A row block (`graph.row_blocks`) at a time is scaled into ``ws``'s
-    ``graph.BLOCK_SCRATCH[0]``, measured and cast, so no float64 copy of the
-    table exists.
+    A row block (`graph.row_blocks`) at a time is scaled in a ``ws`` buffer
+    (`graph.Workspace` gives the plan), measured and cast, so no float64 copy
+    of the table exists.
     """
     top = float(np.maximum(np.max(z, initial=0.0), -np.min(z, initial=0.0)))  # NaN stays
     if not math.isfinite(top):
         return None
     e = -math.frexp(top)[1]
-    for lo, hi in row_blocks(z.shape[0]):
-        scaled = np.ldexp(z[lo:hi], e, out=ws.get(BLOCK_SCRATCH[0], (hi - lo, z.shape[1])))
+    for lo, hi in graph.row_blocks(z.shape[0]):
+        scaled = np.ldexp(z[lo:hi], e, out=ws.get(graph.BLOCK_SCRATCH[0], (hi - lo, z.shape[1])))
         np.sqrt(np.einsum("ij,ij->i", scaled, scaled), out=norms[lo:hi])
         out[lo:hi] = scaled
     return e
@@ -192,11 +169,9 @@ def _float32_screen(z_user, z_item, users, held, rows, ws):
     the float64 rank, and a mask of the rows where it may not; None when a
     table is non-finite or its scale is too far from 1.
 
-    Its buffers are views of ``ws``'s tables: the scaled float32 user table,
-    the item table as a C-contiguous (d, I) operand and the mask of a block
-    of scores fill `graph.PROPAGATED`'s bytes, and the block of float32
-    scores those of ``graph.SCRATCH[0]`` (`_block_rows` users), so a
-    workspace whose tables propagation has filled gains no buffer.
+    The scaled float32 tables (the item table as a C-contiguous (d, I)
+    operand), and the float32 scores of a block of `_block_rows` users and
+    their mask, are ``ws``'s buffers (`graph.Workspace` gives the plan).
 
     Against the float64 score of any summation order, a float32 score ``S``
     of user ``x`` and item ``y`` (both scaled by powers of two to entries
@@ -215,11 +190,10 @@ def _float32_screen(z_user, z_item, users, held, rows, ws):
         return None
     tables = (z_user, z_item)
     block = _block_rows(z_user, z_item, 4, len(users))
-    x32, y32, mask_buf = _borrow(
-        ws, PROPAGATED,
-        [((num_users, dim), np.float32), ((dim, num_items), np.float32),
-         ((block, num_items), bool)], tables)
-    (scores_buf,) = _borrow(ws, SCRATCH[0], [((block, num_items), np.float32)], tables)
+    x32, y32, mask_buf = ws.parts(
+        graph.PROPAGATED, [((num_users, dim), np.float32), ((dim, num_items), np.float32),
+                           ((block, num_items), bool)], apart=tables)
+    (scores_buf,) = ws.parts(graph.SCRATCH[0], [((block, num_items), np.float32)], apart=tables)
     x_norm, y_norm = np.empty(num_users), np.empty(num_items)
     # the item operand is written transposed, so each block's gemm reads a
     # C-contiguous (d, I) table
@@ -282,15 +256,13 @@ def held_out_rank(
     one, are ranked from float64 scores, as is every user when a table is
     non-finite or its scale is too far from 1.
 
-    Every buffer of a table's size or of a block of scores is a view of
-    ``workspace``'s (a fresh one when None) tables that fusion leaves idle,
-    `graph.PROPAGATED` and ``graph.SCRATCH[0]``, and of its
-    ``graph.BLOCK_SCRATCH[0]`` row block: on a workspace that propagated
-    these tables, ranking adds no buffer and allocates nothing of a table's
-    size.  A ``z_user`` or ``z_item`` that shares one of the two tables
-    (`propagate`'s result does; `fused_embeddings`' does not) raises
-    `ValueError`.
+    Its buffers are ``workspace``'s (a fresh one when None), as
+    `graph.Workspace` plans them, so ranking on a warm workspace allocates
+    nothing of a table's size.  A ``z_user`` or ``z_item`` that shares one
+    (`propagate`'s result does) raises `ValueError`.  No users give no ranks.
     """
+    if not len(users):
+        return np.empty(0, dtype=np.int64)
     ws = Workspace() if workspace is None else workspace
     screened = _float32_screen(z_user, z_item, users, held, rows, ws)
     if screened is None:
@@ -316,9 +288,8 @@ def evaluate(
     Every item is a candidate except, when ``exclude_train`` is set, the
     user's training-target items.  With a single relevant item the ideal DCG
     is 1, so a user's NDCG@K contribution is 1/log2(rank+1) when the rank is
-    within K and 0 otherwise.  The fused tables and the ranking's buffers
-    are ``workspace``'s (a fresh one when None; see `fused_embeddings` and
-    `held_out_rank`), so a warm workspace gains no buffer.
+    within K and 0 otherwise.  Fusion and ranking share ``workspace`` (a
+    fresh one when None), so a warm workspace gains no buffer.
     """
     eval_pairs = split.test if pairs is None else pairs
     if not eval_pairs:

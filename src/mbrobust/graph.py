@@ -1,4 +1,5 @@
-"""Per-behavior bipartite graph operators.
+"""Per-behavior bipartite graph operators, and the workspace of reused
+buffers.
 
 Each behavior's interaction set becomes a symmetric-normalized adjacency over
 the stacked (users + items) node set, with edge weight 1/sqrt(deg_u * deg_i).
@@ -7,12 +8,9 @@ and averages the layer outputs uniformly; since the operator is symmetric,
 the exact adjoint (needed by the hand-written gradient engine) is the same
 averaged polynomial applied to the cotangent.
 
-A training step reuses one `Workspace` for every table it computes, so the
-step allocates nothing of the tables' size once the workspace is warm.  The
-last layer of a propagation is streamed: its product is formed a block of
-rows at a time (`row_blocks`) and added to the result at once, so no table
-holds it, and a propagation of L <= 2 layers needs at most one table beside
-its result.
+Every table a training step, validation or ranking computes is a buffer of
+one `Workspace`, whose docstring gives the plan: each buffer's name, its size
+and the phases that write it.
 """
 
 from __future__ import annotations
@@ -40,46 +38,87 @@ class BehaviorGraph:
         return self.num_users + self.num_items
 
 
-# the workspace buffers any function may use between its own calls: tables,
-# and buffers of one row block (`row_blocks`)
+# the names of the package's workspace buffers; `Workspace` gives their plan
+FUSED = "fused"
+PROPAGATED = "propagated"
 SCRATCH = (("scratch", 0), ("scratch", 1))
 BLOCK_SCRATCH = (("block", 0), ("block", 1))
-# the workspace buffer `propagate` writes its result to
-PROPAGATED = "propagated"
+ALIGN_BLOCK, ALIGN_ROWS, ALIGN_COLS = "align_block", "align_rows", "align_cols"
 # rows per block of a streamed table pass (the last propagation layer, Adam's
 # update): a block buffer is 256 KiB at d = 64
 BLOCK_ROWS = 512
+# each part of a buffer starts a multiple of this many bytes into it, so a
+# view of any dtype is as aligned as the buffer and matmul copies none
+PART_ALIGN = 64
+
+
+def _require_apart(outs, ins, message: str) -> None:
+    """Raise `ValueError` with ``message`` unless each of ``outs`` is writeable
+    and its bounds overlap none of ``ins`` (`np.may_share_memory`)."""
+    for out in outs:
+        if not out.flags.writeable or any(np.may_share_memory(out, i) for i in ins):
+            raise ValueError(message)
 
 
 class Workspace:
-    """Named float64 buffers that a caller creates once and reuses.
+    """Named byte buffers that a caller creates once and reuses.
 
-    ``get(name, shape)`` returns a C-contiguous float64 array of ``shape``:
-    a view of the front of the buffer called ``name``, which is allocated on
-    the first request and grows only when a request needs more room.  Its
-    contents are whatever the last user of that name left there, so an array
-    from ``get`` is valid until the next request for the same name.
+    ``get(name, shape, dtype)`` returns a C-contiguous ``dtype`` array
+    (float64 by default) at the front of the buffer ``name``; `parts` lays
+    several arrays out in one buffer.  A buffer is allocated on the first
+    request and replaced only when a request needs more bytes, so earlier
+    views keep their contents; it holds whatever its last user left there,
+    in any dtype.  Any hashable is a name.  The package's buffers, where a
+    table is (U+I)×d float64:
 
-    The `SCRATCH` and `BLOCK_SCRATCH` names are shared: a function may use
-    them for what it computes, but holds nothing in them across a call that
-    takes the workspace.  A training step holds three table-sized buffers:
-    the fused tables, `PROPAGATED` and ``SCRATCH[0]`` (``SCRATCH[1]`` only
-    from three propagation layers on); its streamed passes use the two
-    `BLOCK_SCRATCH` buffers of one row block.  Ranking
-    (`evaluation.held_out_rank`) borrows the tables that fusion leaves idle,
-    `PROPAGATED` and ``SCRATCH[0]``, and ``BLOCK_SCRATCH[0]``, through float32
-    and bool views of their bytes, so validation adds no buffer.
+    ====================  ==============  ==========================================
+    buffer                size            written by
+    ====================  ==============  ==========================================
+    `FUSED`               table           `losses.total_loss`'s fused sum, then its
+                                          summed adjoints (the gradient);
+                                          `evaluation.fused_embeddings`
+    `PROPAGATED`          table           `propagate`'s result; ``total_loss``'s
+                                          cotangent; ranking's float32 tables and masks
+    ``SCRATCH[0]``        table           `propagate`'s layer products (a copy at L = 1);
+                                          the margin scatter; the L2 block; ranking's
+                                          score block
+    ``SCRATCH[1]``        table           `propagate`, only from L ≥ 3
+    ``BLOCK_SCRATCH[0]``  `BLOCK_ROWS`×d  `propagate`'s last layer; Adam's step; the
+                                          ranking screen's scaling
+    ``BLOCK_SCRATCH[1]``  `BLOCK_ROWS`×d  Adam's denominator
+    `ALIGN_BLOCK`         rows×n logits   `losses.rrm_loss`
+    `ALIGN_ROWS`          rows×d          ``rrm_loss``'s block row products
+    `ALIGN_COLS`          n×d             ``rrm_loss``'s column products; its gradient
+    ====================  ==============  ==========================================
+
+    A view is valid until the next writer of its buffer runs; the
+    `SCRATCH` and `BLOCK_SCRATCH` buffers hold nothing across a call that
+    takes the workspace.  So a training step holds three tables (four from
+    L = 3 on), and ranking, which reads the fused tables, writes only
+    buffers that fusion leaves idle: validation adds no buffer.
     """
 
     def __init__(self):
         self._buffers: dict[Hashable, np.ndarray] = {}
 
-    def get(self, name: Hashable, shape: tuple[int, ...]) -> np.ndarray:
-        size = math.prod(shape)
+    def get(self, name: Hashable, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        return self.parts(name, [(shape, dtype)])[0]
+
+    def parts(self, name: Hashable, parts, *, apart=()) -> list[np.ndarray]:
+        """C-contiguous arrays of the ``(shape, dtype)`` ``parts``, one after
+        another in the buffer ``name``, each `PART_ALIGN`-aligned; the buffer
+        is sized once for all of them.  `ValueError` is raised when one may
+        overlap an array of ``apart``."""
+        starts, end = [], 0
+        for shape, dtype in parts:
+            starts.append(-(-end // PART_ALIGN) * PART_ALIGN)
+            end = starts[-1] + math.prod(shape) * np.dtype(dtype).itemsize
         buf = self._buffers.get(name)
-        if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.empty(size)
-        return buf[:size].reshape(shape)
+        if buf is None or buf.size < end:
+            buf = self._buffers[name] = np.empty(end, dtype=np.uint8)
+        views = [np.ndarray(shape, dtype, buf, at) for (shape, dtype), at in zip(parts, starts)]
+        _require_apart(views, apart, f"an operand shares the workspace buffer {name!r}")
+        return views
 
 
 class BehaviorEmbeddings(NamedTuple):
@@ -151,8 +190,7 @@ def _spmm_into(
             raise ValueError(f"{name} must be a C-contiguous float64 array with {count} rows")
     if x.shape[1] != out.shape[1]:
         raise ValueError(f"x has {x.shape[1]} columns but out has {out.shape[1]}")
-    if not out.flags.writeable or np.may_share_memory(x, out):
-        raise ValueError("out must be writeable and must not overlap x")
+    _require_apart([out], [x], "out must be writeable and must not overlap x")
     out.fill(0.0)
     # a CSC product takes every column's offsets; a CSR one, its rows' only
     indptr = a.indptr[lo : hi + 1] if a.format == "csr" else a.indptr
@@ -174,15 +212,13 @@ def propagate(
     With L = 0 the output equals the input.  A fully isolated node keeps
     only its layer-0 term, so its output is base / (L + 1).
 
-    The result and the layer products are written to ``workspace``'s
-    buffers (a fresh workspace when None): ``P`` and ``Q`` are views of its
-    (U+I)×d `PROPAGATED` buffer, valid until the workspace's next use.
-    Inputs that are views of that buffer's own user and item rows are used
-    where they are, so a caller can build its input there without a copy.
-    Every layer but the last alternates the `SCRATCH` tables; the last is
-    formed a row block at a time (`row_blocks`) and each block is added to
-    the result as soon as it is formed, with the same additions in the same
-    order as a whole-table product.
+    The result and the layer products are ``workspace``'s buffers (a fresh
+    workspace when None; `Workspace` gives the plan): ``P`` and ``Q`` are
+    views of `PROPAGATED`, where inputs that are views of its own rows are
+    used without a copy.  The last layer is formed and added to the result a
+    row block at a time (`row_blocks`), with the same additions in the same
+    order as a whole-table product, so L ≤ 2 layers need one table beside
+    the result.
     """
     if num_layers < 0:
         raise ValueError("layer count must be >= 0")

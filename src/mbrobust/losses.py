@@ -18,19 +18,17 @@ batch and computes the L2 term's value and gradient.
 All gradients here are derived by hand and are validated against central
 finite differences in the test suite; everything runs in float64.
 
-`total_loss` streams the behaviors through one `graph.Workspace`: each
-behavior is propagated into the same buffers, the rows the losses read are
-gathered, and its tables are added to the fused sum before the next one is
-propagated.  A step holds three table-sized buffers (four from three
-propagation layers on): the fused sum, the propagation result and one
-scratch table, because the last propagation layer is streamed in row
-blocks.  Every BPR-style term, main and invariance alike, returns its
-`_gather` rows and a derivative per margin, which the backward pass
-scatters into each cotangent with `_scatter_margin_grads`: no loss term
-writes a table.  A batch user's row of a behavior is gathered once, for the
-alignment term and that behavior's BPR rows alike, and the alignment
-gradient is formed in place.  Arrays returned with a workspace are views of
-its buffers, valid until its next use.
+`total_loss` streams the behaviors through one `graph.Workspace`, whose
+docstring gives the plan of its buffers: each behavior is propagated into
+the same buffers, the rows the losses read are gathered, and its tables are
+added to the fused sum before the next one is propagated.  Every BPR-style
+term, main and invariance alike, returns its `_gather` rows and a
+derivative per margin, which the backward pass scatters into each cotangent
+with `_scatter_margin_grads`: no loss term writes a table.  A batch user's
+row of a behavior is gathered once, for the alignment term and that
+behavior's BPR rows alike, and the alignment gradient is formed in place.
+Arrays returned with a workspace are views of its buffers, valid until its
+next use.
 """
 
 from __future__ import annotations
@@ -43,14 +41,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import graph
 from .data import DatasetError
 from .graph import (
-    PROPAGATED,
-    SCRATCH,
     BehaviorEmbeddings,
     BehaviorGraph,
     Workspace,
-    _spmm_into,
     propagate,
     propagate_adjoint,
 )
@@ -215,21 +211,20 @@ def _scatter_margin_grads(
     `_gather` ``rows`` of P and Q.
 
     Each buffer takes one sparse (rows x triplets) product, formed in a
-    scratch buffer of the workspace: column t holds coef_t at user t for P,
-    and coef_t at pos t and -coef_t at neg t for Q, so repeated rows sum
-    inside the product.
+    workspace buffer: column t holds coef_t at user t for P, and coef_t at
+    pos t and -coef_t at neg t for Q, so repeated rows sum inside the product.
     """
     user_rows, item_diff = rows
     users = triplets[:, 0]
     n = len(triplets)
     cols = np.arange(n + 1)
     to_users = sp.csc_matrix((coef, users, cols), shape=(d_P.shape[0], n))
-    d_P += _spmm_into(to_users, item_diff, workspace.get(SCRATCH[0], d_P.shape))
+    d_P += graph._spmm_into(to_users, item_diff, workspace.get(graph.SCRATCH[0], d_P.shape))
     to_items = sp.csc_matrix(
         (np.column_stack((coef, -coef)).ravel(), triplets[:, 1:].ravel(), 2 * cols),
         shape=(d_Q.shape[0], n),
     )
-    d_Q += _spmm_into(to_items, user_rows, workspace.get(SCRATCH[0], d_Q.shape))
+    d_Q += graph._spmm_into(to_items, user_rows, workspace.get(graph.SCRATCH[0], d_Q.shape))
 
 
 def _sigmoid_neg(m: np.ndarray) -> np.ndarray:
@@ -291,12 +286,11 @@ def rrm_loss(
     behavior and 2 users.
 
     Comparing every pair of the n batch users costs O(n²·d) per auxiliary
-    behavior; the n×n logits are walked in row blocks of one reused buffer
-    (``ALIGN_BLOCK_SCORES`` logits), so the scratch does not grow with n².
-    That buffer and the two products of each block are ``workspace``'s (a
-    fresh workspace when None).  Each auxiliary behavior's gradient is
-    formed in place, in its own returned array and the block's freed column
-    buffer, and its unit rows, their transpose and the negatives' sum are
+    behavior; the n×n logits are walked in row blocks of
+    ``ALIGN_BLOCK_SCORES`` logits, in ``workspace``'s buffers (a fresh
+    workspace when None; `graph.Workspace` gives the plan), so the scratch
+    does not grow with n².  Each auxiliary behavior's gradient is formed in
+    place, and its unit rows, their transpose and the negatives' sum are
     released before the next behavior, so beside the rows passed in and the
     gradients returned the function holds a few n×d arrays at once.
     """
@@ -322,7 +316,7 @@ def rrm_loss(
     # the n x n logits are walked in blocks of rows, one reused buffer
     rows = min(n, max(1, ALIGN_BLOCK_SCORES // n))
     ws = Workspace() if workspace is None else workspace
-    buf = ws.get("align_block", (rows, n))
+    buf = ws.get(graph.ALIGN_BLOCK, (rows, n))
     for b in aux:
         X_hat, x_norm = _unit_rows(user_rows[b])
         # a copy, not a view: a one-block batch's X_hat @ X_hat.T goes to syrk
@@ -353,20 +347,20 @@ def rrm_loss(
             # negatives: logits Z_ij touch X_i and X_j symmetrically, so the
             # weights enter as W + W.T: the block's rows give its users' row
             # side, and its columns add to every user's column side
-            n1[lo:hi] += np.matmul(W, X_hat, out=ws.get("align_rows", (hi - lo, d)))
-            n1 += np.matmul(W.T, X_hat[lo:hi], out=ws.get("align_cols", (n, d)))
+            n1[lo:hi] += np.matmul(W, X_hat, out=ws.get(graph.ALIGN_ROWS, (hi - lo, d)))
+            n1 += np.matmul(W.T, X_hat[lo:hi], out=ws.get(graph.ALIGN_COLS, (n, d)))
         del X_hat_t
         total += float(np.sum(-z_pos + denom)) * scale
         if backward:
             # d z_pos / dX and dY (cosine chain rule), formed in place in d_X
-            # and in "align_cols", free once the blocks are done
+            # and in graph.ALIGN_COLS, free once the blocks are done
             if mode == "with_positive":
                 g_pos = -1.0 + np.exp(z_pos - denom)
             else:
                 g_pos = np.full(n, -1.0)
             gp = (scale * g_pos)[:, None]
             c = c_pos[:, None]
-            tmp = ws.get("align_cols", (n, d))
+            tmp = ws.get(graph.ALIGN_COLS, (n, d))
             d_X = np.multiply(c, X_hat)
             np.subtract(Y_hat, d_X, out=d_X)
             d_X *= gp
@@ -509,12 +503,10 @@ def total_loss(
     tables.  Which terms run is decided here alone, from the batch, and the
     breakdown's ``ran`` records it, so no caller or term needs to know.
 
-    The behaviors stream through ``workspace`` (a fresh one when None): each
-    is propagated into the same buffers and keeps only the rows the losses
-    read, so the step holds three table-sized buffers (the fused tables,
-    `graph.PROPAGATED` and ``SCRATCH[0]``; ``SCRATCH[1]`` too from three
-    propagation layers on).  The returned gradients are views of them, valid
-    until the workspace's next use.  A behavior's batch-user rows are
+    The behaviors stream through ``workspace`` (a fresh one when None;
+    `graph.Workspace` gives the plan): each is propagated into the same
+    buffers and keeps only the rows the losses read.  The returned gradients
+    are views of `graph.FUSED`.  A behavior's batch-user rows are
     gathered once: when its triplets' users are the batch users in order,
     as the sampler draws them for a behavior in which no user was skipped,
     its BPR rows and the alignment term share that array.
@@ -536,7 +528,7 @@ def total_loss(
     # write to them would corrupt both terms' backward pass
     aligned = len(batch_users) >= 2 and len(behaviors) > 1
     align_rows, trips, rows, margins, risks, d_risks = {}, {}, {}, {}, {}, {}
-    fused = ws.get("fused", shape)
+    fused = ws.get(graph.FUSED, shape)
     for k, b in enumerate(behaviors):
         emb = propagate(graphs[b], state.user_emb, state.item_emb, hp.num_layers,
                         workspace=ws)
@@ -592,7 +584,7 @@ def total_loss(
     # of the main term's scatter, then the alignment and invariance terms add
     # to it, in the buffer the adjoint starts from; the adjoints, in behavior
     # order, are summed from zeros in the fused tables' buffer, now unread
-    cot = ws.get(PROPAGATED, shape)
+    cot = ws.get(graph.PROPAGATED, shape)
     d_P, d_Q = cot[:num_users], cot[num_users:]
     grad = fused
     grad.fill(0.0)
@@ -611,11 +603,11 @@ def total_loss(
 
     # L2 on the base tables, value and gradient: it acts on them directly,
     # not through propagation
-    sq_user, sq_item = (float(np.sum(np.square(e, out=ws.get(SCRATCH[0], e.shape))))
+    sq_user, sq_item = (float(np.sum(np.square(e, out=ws.get(graph.SCRATCH[0], e.shape))))
                         for e in (state.user_emb, state.item_emb))
     reg_val = hp.lambda_reg * (sq_user + sq_item)
     for d, e in ((d_user, state.user_emb), (d_item, state.item_emb)):
-        d += np.multiply(e, 2.0 * hp.lambda_reg, out=ws.get(SCRATCH[0], e.shape))
+        d += np.multiply(e, 2.0 * hp.lambda_reg, out=ws.get(graph.SCRATCH[0], e.shape))
 
     main_val = risk + reg_val
     total = main_val + hp.lambda_rrm * rrm_val + hp.lambda_orm * orm_val

@@ -69,8 +69,8 @@ def adam_step(
     means a bug upstream, not something to mask.  The update runs a row
     block at a time (`graph.row_blocks`), each entry through the same
     operations in the same order as a whole-table update, and its two
-    temporaries are ``workspace``'s `graph.BLOCK_SCRATCH` buffers (a fresh
-    workspace when None).
+    temporaries are ``workspace``'s row blocks (a fresh workspace when None;
+    `graph.Workspace` gives the plan).
     """
     for name, g in (("user embedding", grads.d_user), ("item embedding", grads.d_item)):
         # NaN propagates through max and min, and an infinity is one of them

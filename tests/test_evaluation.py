@@ -67,11 +67,13 @@ def _no_float64(*args):
 
 
 class NaNBuffers(Workspace):
-    """A workspace whose every request is a new NaN-filled buffer, so an
-    array read before it is written shows."""
+    """A workspace whose every request (`Workspace.get` goes through
+    `Workspace.parts`) is new arrays, NaN where the dtype is floating and
+    True or 1 elsewhere, so an array read before it is written shows."""
 
-    def get(self, name, shape):
-        return np.full(shape, np.nan)
+    def parts(self, name, parts, *, apart=()):
+        return [np.full(shape, np.nan if np.issubdtype(dtype, np.floating) else 1, dtype)
+                for shape, dtype in parts]
 
 
 @st.composite
@@ -169,22 +171,37 @@ class TestRank:
         self, case, per_block
     ):
         # the screen and the float64 ranking work in float32 and bool views
-        # of the workspace's float64 tables: one made for the call, one that
-        # a larger ranking left holding its scores, and one whose every
-        # request is a new NaN-filled buffer give the same ranks; the tables
-        # are scaled in row blocks of two
+        # of the workspace's byte buffers: one made for the call, one that a
+        # larger ranking left holding its scores, one that a smaller ranking
+        # (a float32 tie, so its float64 pass runs too) laid out as float32,
+        # float64 and bool views and this ranking must grow, and one whose
+        # every request is a new poisoned buffer give the same ranks; the
+        # tables are scaled in row blocks of two
         user, item, users, held, rows = case
         rng = np.random.default_rng(0)
-        warm = Workspace()
+        warm, small = Workspace(), Workspace()
         wide = rng.normal(size=(12, user.shape[1]))
         held_out_rank(wide, wide, np.arange(12), np.arange(12), None, workspace=warm)
+        held_out_rank(np.ones((1, 1)), np.ones((2, 1)), np.array([0]), np.array([1]), None,
+                      workspace=small)
         expected = rank_reference.held_out_rank(user, item, users, held, rows)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(evaluation, "RANK_BLOCK_SCORES", len(item) * per_block)
             mp.setattr(graph, "BLOCK_ROWS", 2)
-            for ws in (None, warm, NaNBuffers()):
+            for ws in (None, warm, small, NaNBuffers()):
                 ranks = held_out_rank(user, item, users, held, rows, workspace=ws)
                 assert np.array_equal(ranks, expected)
+
+    def test_no_users_rank_to_an_empty_array(self):
+        rng = np.random.default_rng(6)
+        z_user, z_item = rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
+        warm = Workspace()
+        held_out_rank(z_user, z_item, np.arange(3), np.arange(3), None, workspace=warm)
+        none = np.array([], dtype=np.int64)
+        for ws in (None, warm):
+            for rows in (None, _csr_rows([{0}, set(), {4}])):
+                ranks = held_out_rank(z_user, z_item, none, none, rows, workspace=ws)
+                assert ranks.dtype == np.int64 and ranks.shape == (0,)
 
     def test_tables_in_a_borrowed_buffer_are_rejected(self):
         # propagation's result is a view of the table ranking borrows
@@ -489,17 +506,13 @@ class TestSweep:
 
     def test_one_shared_workspace_gives_the_bits_of_fresh_buffers(self, monkeypatch):
         # the sweep passes one workspace through every run; a workspace that
-        # hands out a fresh NaN-filled buffer on every request reads nothing
-        # an earlier run left behind
-        class FreshBuffers(Workspace):
-            def get(self, name, shape):
-                return np.full(shape, np.nan)
-
+        # hands out a fresh poisoned buffer on every request reads nothing an
+        # earlier run left behind
         ds = planted_dataset(seed=4, num_users=16, num_items=16, num_groups=4,
                              target_per_user=4, aux_per_user=5)
         grid = dict(ratios=[0.1, 0.3], modes=["add", "remove"], seed=0)
         shared = sweep_csv(robustness_sweep(ds, self._cfg(), **grid))
-        monkeypatch.setattr(evaluation, "Workspace", FreshBuffers)
+        monkeypatch.setattr(evaluation, "Workspace", NaNBuffers)
         assert sweep_csv(robustness_sweep(ds, self._cfg(), **grid)) == shared
 
     def test_empty_ratio_list_gives_baseline_only(self):

@@ -280,6 +280,67 @@ class TestWorkspace:
         assert not np.shares_memory(big, grown)
         assert not np.shares_memory(grown, ws.get("b", (5, 3)))
 
+    def test_two_dtype_views_of_one_name_share_bytes(self):
+        ws = Workspace()
+        wide = ws.get("a", (2, 3))
+        wide[...] = np.arange(6).reshape(2, 3) / 7
+        narrow = ws.get("a", (4, 3), np.float32)
+        assert narrow.dtype == np.float32 and narrow.shape == (4, 3)
+        assert narrow.flags.c_contiguous and np.shares_memory(wide, narrow)
+        assert narrow.tobytes() == wide.tobytes()
+        flags = ws.get("a", (48,), bool)
+        assert np.shares_memory(wide, flags) and flags.tobytes() == wide.tobytes()
+
+    def test_a_larger_byte_request_grows_and_keeps_views_handed_out(self):
+        ws = Workspace()
+        old = ws.get("a", (3,))
+        old[...] = [1.0, 2.0, 3.0]
+        # the same 24 bytes as uint8 fit; 28 bytes as float32 do not
+        assert np.shares_memory(old, ws.get("a", (24,), np.uint8))
+        grown = ws.get("a", (7,), np.float32)
+        grown.fill(np.nan)
+        assert not np.shares_memory(old, grown)
+        assert old.tolist() == [1.0, 2.0, 3.0]
+        assert np.shares_memory(grown, ws.get("a", (3,)))  # the grown buffer stays
+
+    def test_parts_are_disjoint_contiguous_and_aligned(self):
+        ws = Workspace()
+        ws.get("a", (1,))  # a small buffer, grown once for every part
+        spec = [((3, 5), np.float32), ((7,), bool), ((0, 4), np.float64), ((2, 3), np.float64),
+                ((5,), np.int8), ((1, 1), np.float32)]
+        views = ws.parts("a", spec)
+        base = views[0].__array_interface__["data"][0]
+        for view, (shape, dtype) in zip(views, spec):
+            assert view.shape == shape and view.dtype == dtype
+            assert view.flags.c_contiguous and view.flags.writeable
+            assert (view.__array_interface__["data"][0] - base) % graph.PART_ALIGN == 0
+        for k, view in enumerate(views):
+            view.fill(k + 1)
+        for k, view in enumerate(views):
+            assert np.all(view == view.dtype.type(k + 1))
+            assert not any(np.shares_memory(view, other) for other in views[k + 1 :])
+        again = ws.parts("a", spec)  # one buffer, no larger request: the same bytes
+        assert all(np.shares_memory(a, b) for a, b in zip(views, again) if a.size)
+
+    def test_the_overlap_check_raises_on_an_overlap(self):
+        x = np.zeros((4, 3))
+        graph._require_apart([x[2:]], [x[:2], np.zeros(3)], "overlap")
+        # rows 1-2 against rows 0-1; the last row against column 0, whose
+        # bounds span the table
+        for outs, ins in (([x[1:3]], [x[:2]]), ([np.zeros(1), x[3:]], [np.zeros(3), x.T[0]])):
+            with pytest.raises(ValueError, match="overlap"):
+                graph._require_apart(outs, ins, "overlap")
+        frozen = np.zeros(3)
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError, match="overlap"):
+            graph._require_apart([frozen], [], "overlap")
+        ws = Workspace()
+        table = ws.get("a", (4, 3))
+        ws.parts("b", [((2,), np.float32)], apart=[table])
+        with pytest.raises(ValueError, match="shares the workspace buffer"):
+            # the second part, 64 bytes in, overlaps the last two rows
+            ws.parts("a", [((2,), np.float32), ((3,), bool)], apart=[table[2:]])
+
 
 def _spmm_case(rng, fmt, rows, cols, d, density):
     a = sp.random(rows, cols, density=density, format=fmt, random_state=rng,
